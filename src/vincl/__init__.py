@@ -63,6 +63,7 @@ from .certify import (
 from .resolvent import (
     AuditReport,
     NonSurjectiveError,
+    Resolvent,
     ResolventConfig,
     ResolventIterationError,
     audit_lipschitz,

@@ -42,25 +42,6 @@ from .operators import (
 )
 from .space import duality_map, as_vector
 
-PROPERTIES = (
-    "strongly_accretive",
-    "relaxed_accretive",
-    "cocoercive",
-    "relaxed_cocoercive",
-    "lipschitz",
-    "expansive",
-    "strongly_mixed_cocoercive",
-    "relaxed_mixed_cocoercive",
-    "mixed_lipschitz",
-    "d_lipschitz",
-    "F_strongly_accretive_first",
-    "F_strongly_accretive_second",
-    "F_lipschitz_first",
-    "F_lipschitz_second",
-    "symmetric_accretive",
-    "surjective_H_plus_rhoM",
-)
-
 _ABS_TOL = 1e-9
 
 

@@ -90,16 +90,6 @@ def negate_map(m):
     return lambda x: -m(x)
 
 
-def sum_map(maps, dim: int):
-    """Pointwise sum of single-valued maps; affine when all parts are."""
-    parts = [affine_parts(m) for m in maps]
-    if all(p is not None for p in parts):
-        mat = sum(p[0] for p in parts) if parts else np.zeros((dim, dim))
-        off = sum(p[1] for p in parts) if parts else np.zeros(dim)
-        return AffineMap(mat, off)
-    return lambda x: sum(m(x) for m in maps)
-
-
 # ---------------------------------------------------------------------------
 # Four-slot bifunction H, pair map F, coupling M, set-valued S/T
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The proximal-point mapping R(z) = (H((A,B),(C,D)) + rho*M(f,g))^(-1)(z).
 
-For affine instances the composite is a dense linear system solved
-directly; black-box operators fall back to a damped fixed-point iteration.
+A `Resolvent` is prepared once per (instance, rho).  For affine instances
+the composite is a dense linear system, LU-factored once and solved per
+call; black-box operators fall back to a damped fixed-point iteration.
 `audit_lipschitz` checks the theoretical contraction bound
 
     ||R(u) - R(v)|| <= ||u - v|| / (r + rho*m),
@@ -14,6 +15,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .operators import (
     InclusionInstance,
@@ -92,54 +94,47 @@ def _composite_parts(inst: InclusionInstance, rho: float):
     return hc.matrix + rho * mc.matrix, hc.offset + rho * mc.offset
 
 
-def _singularity_defect(matrix: np.ndarray, offset: np.ndarray, rho: float):
-    nrm = float(np.linalg.norm(matrix, 2))
-    det = float(np.linalg.det(matrix))
-    cond = float(np.linalg.cond(matrix)) if nrm > 0 else np.inf
-    dim = matrix.shape[0]
-    if nrm > 0 and cond <= _COND_LIMIT and abs(det) > _DET_FLOOR * nrm ** dim:
-        return None
-    if nrm <= 1e-12:
-        return {"rho": rho,
-                "kind": "zero linear part",
-                "description": "the composite image is the single point "
-                               f"{offset.tolist()}",
-                "image_point": offset.tolist(),
-                "image_norm": float(np.linalg.norm(offset))}
-    null = np.linalg.svd(matrix)[2][-1]
-    return {"rho": rho,
-            "kind": "singular linear part",
-            "description": "the composite image is a proper affine subspace",
-            "null_direction": null.tolist(),
-            "cond": None if np.isinf(cond) else cond,
-            "det": det}
+def _factor_composite(matrix: np.ndarray, offset: np.ndarray, rho: float):
+    """LU factors and singular values of the composite `matrix`.
 
+    The composite is invertible when sigma_max > 0, cond <= _COND_LIMIT and
+    |det| > _DET_FLOOR * sigma_max^dim; the determinant test runs in logs
+    on the LU diagonal, so it neither overflows nor underflows at large
+    dim.  The first two conditions are decided from the singular values
+    before factoring, so a singular composite is never handed to
+    `lu_factor`.
 
-def resolve(inst: InclusionInstance, cfg: ResolventConfig, z) -> np.ndarray:
-    """Solve H((Ax,Bx),(Cx,Dx)) + rho * m(x) = z for x.
-
-    Raises
-    ------
-    NonSurjectiveError
-        If the affine composite is (numerically) singular, so z may lie
-        outside the range.
-    ResolventIterationError
-        If the damped fixed-point fallback stalls above `inner_tol`.
+    Raises NonSurjectiveError, with a `defect` dict, otherwise.
     """
-    zv = as_vector(z)
-    parts = _composite_parts(inst, cfg.rho)
-    if parts is not None and cfg.solver in ("auto", "exact_affine"):
-        matrix, offset = parts
-        defect = _singularity_defect(matrix, offset, cfg.rho)
-        if defect is not None:
-            raise NonSurjectiveError(
-                f"composite H + rho*M is not invertible at rho={cfg.rho}: "
-                f"{defect['description']}", defect)
-        return np.linalg.solve(matrix, zv - offset)
-    if parts is None and cfg.solver == "exact_affine":
-        raise ValueError("exact_affine solver requires affine realizations "
-                         "of H, A..D, f, g and the difference coupling")
-    return _resolve_damped(inst, cfg, zv)
+    sv = np.linalg.svd(matrix, compute_uv=False)
+    nrm, dim = float(sv[0]), matrix.shape[0]
+    cond = nrm / float(sv[-1]) if sv[-1] > 0 else np.inf
+    if nrm > 0 and cond <= _COND_LIMIT:
+        lu = scipy.linalg.lu_factor(matrix, check_finite=False)
+        log_det = float(np.sum(np.log(np.abs(np.diag(lu[0])))))
+        if log_det > np.log(_DET_FLOOR) + dim * np.log(nrm):
+            return lu, sv
+    if nrm <= 1e-12:
+        defect = {"rho": rho,
+                  "kind": "zero linear part",
+                  "description": "the composite image is the single point "
+                                 f"{offset.tolist()}",
+                  "image_point": offset.tolist(),
+                  "image_norm": float(np.linalg.norm(offset))}
+    else:
+        sign, log_abs = np.linalg.slogdet(matrix)
+        with np.errstate(over="ignore"):
+            det = float(sign * np.exp(log_abs))
+        defect = {"rho": rho,
+                  "kind": "singular linear part",
+                  "description": "the composite image is a proper affine "
+                                 "subspace",
+                  "null_direction": np.linalg.svd(matrix)[2][-1].tolist(),
+                  "cond": None if np.isinf(cond) else cond,
+                  "det": det}
+    raise NonSurjectiveError(
+        f"composite H + rho*M is not invertible at rho={rho}: "
+        f"{defect['description']}", defect)
 
 
 def _damping(inst: InclusionInstance, rho: float) -> float:
@@ -151,9 +146,79 @@ def _damping(inst: InclusionInstance, rho: float) -> float:
     return 0.1
 
 
+class Resolvent:
+    """R = (H((A,B),(C,D)) + rho*M(f,g))^(-1) of one instance at one rho.
+
+    Built once and applied many times.  On the exact path the constructor
+    assembles the affine composite K, decides its invertibility and
+    LU-factors it, so each call is a triangular solve; on the damped path
+    it fixes the step size of the fixed-point iteration.  A call takes a
+    vector or an `(n, dim)` batch of rows and returns the same shape.
+
+    `singular_values` holds those of K, largest first, on the exact path
+    (so `1 / singular_values[-1]` is R's exact Lipschitz constant) and is
+    None on the damped path.
+
+    Raises
+    ------
+    NonSurjectiveError
+        From the constructor, if the affine composite is (numerically)
+        singular, so some z lie outside the range.
+    ValueError
+        From the constructor, if `cfg.solver` is "exact_affine" and the
+        instance has no affine realization of the composite.
+    ResolventIterationError
+        From a call, if the damped fixed-point fallback stalls above
+        `inner_tol`.
+    """
+
+    def __init__(self, inst: InclusionInstance, cfg: ResolventConfig):
+        self.inst, self.cfg = inst, cfg
+        self.singular_values = None
+        parts = _composite_parts(inst, cfg.rho)
+        if parts is None and cfg.solver == "exact_affine":
+            raise ValueError("exact_affine solver requires affine "
+                             "realizations of H, A..D, f, g and the "
+                             "difference coupling")
+        if parts is not None and cfg.solver in ("auto", "exact_affine"):
+            matrix, self._offset = parts
+            self._lu, self.singular_values = _factor_composite(
+                matrix, self._offset, cfg.rho)
+        else:
+            self._lam = _damping(inst, cfg.rho)
+
+    @property
+    def exact(self) -> bool:
+        """Whether calls solve the factored composite directly."""
+        return self.singular_values is not None
+
+    def __call__(self, z) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        if z.ndim == 2:
+            if not np.all(np.isfinite(z)):
+                raise ValueError("batch has non-finite coordinates")
+            if not self.exact:
+                return np.array([self(row) for row in z]).reshape(z.shape)
+            return scipy.linalg.lu_solve(self._lu, (z - self._offset).T,
+                                         check_finite=False).T
+        zv = as_vector(z)
+        if self.exact:
+            return scipy.linalg.lu_solve(self._lu, zv - self._offset,
+                                         check_finite=False)
+        return _resolve_damped(self.inst, self.cfg, zv, self._lam)
+
+
+def resolve(inst: InclusionInstance, cfg: ResolventConfig, z) -> np.ndarray:
+    """Solve H((Ax,Bx),(Cx,Dx)) + rho * m(x) = z for x.
+
+    A one-off `Resolvent(inst, cfg)(z)`; build the `Resolvent` once to
+    apply the same resolvent many times.  Raises what `Resolvent` raises.
+    """
+    return Resolvent(inst, cfg)(z)
+
+
 def _resolve_damped(inst: InclusionInstance, cfg: ResolventConfig,
-                    z: np.ndarray) -> np.ndarray:
-    lam = _damping(inst, cfg.rho)
+                    z: np.ndarray, lam: float) -> np.ndarray:
     x = np.array(z, dtype=float)
     last = np.inf
     for _ in range(cfg.max_inner_iters):
@@ -190,7 +255,11 @@ def theoretical_r_m(inst: InclusionInstance):
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Observed resolvent contraction versus the theoretical bound."""
+    """Observed resolvent contraction versus the theoretical bound.
+
+    `exact_ratio` is the exact worst quotient 1/sigma_min(H + rho*M) on
+    the exact path and None on the damped path.
+    """
 
     rho: float
     r: float
@@ -200,12 +269,14 @@ class AuditReport:
     worst_pair: dict | None
     n_pairs: int
     passed: bool
+    exact_ratio: float | None = None
 
     def to_dict(self) -> dict:
         return {
             "rho": self.rho, "r": self.r, "m": self.m, "bound": self.bound,
             "worst_ratio": self.worst_ratio, "worst_pair": self.worst_pair,
             "n_pairs": self.n_pairs, "passed": self.passed,
+            "exact_ratio": self.exact_ratio,
         }
 
     def to_json(self, **kwargs) -> str:
@@ -217,26 +288,31 @@ def audit_lipschitz(inst: InclusionInstance, cfg: ResolventConfig,
                     plan=None) -> AuditReport:
     """Check ||R(u)-R(v)|| <= ||u-v|| / (r + rho*m) over sampled pairs.
 
-    Pairs with u = v are skipped (the quotient is vacuous there).
+    Pairs with u = v are skipped (the quotient is vacuous there).  The
+    resolvent is prepared once and applied to all u, then all v, as two
+    batches.
     """
     from .certify import SamplePlan
     plan = plan or SamplePlan()
     r, m = theoretical_r_m(inst)
     bound = 1.0 / (r + cfg.rho * m)
-    worst, worst_pair, n_used = -np.inf, None, 0
-    for u, v in plan.pairs(inst.dim):
-        du = np.linalg.norm(np.asarray(u) - np.asarray(v))
-        if du < 1e-12:
-            continue
-        ru = resolve(inst, cfg, u)
-        rv = resolve(inst, cfg, v)
-        ratio = float(np.linalg.norm(ru - rv) / du)
-        n_used += 1
-        if ratio > worst:
-            worst = ratio
-            worst_pair = {"u": np.asarray(u).tolist(),
-                          "v": np.asarray(v).tolist(), "ratio": ratio}
+    resolvent = Resolvent(inst, cfg)
+    pairs = list(plan.pairs(inst.dim))
+    u = np.array([p[0] for p in pairs], dtype=float)
+    v = np.array([p[1] for p in pairs], dtype=float)
+    du = np.linalg.norm(u - v, axis=1)
+    keep = du >= 1e-12
+    u, v, du = u[keep], v[keep], du[keep]
+    worst, worst_pair = -np.inf, None
+    if du.size:
+        ratios = np.linalg.norm(resolvent(u) - resolvent(v), axis=1) / du
+        k = int(np.argmax(ratios))
+        worst = float(ratios[k])
+        worst_pair = {"u": u[k].tolist(), "v": v[k].tolist(), "ratio": worst}
+    exact_ratio = (None if resolvent.singular_values is None
+                   else float(1.0 / resolvent.singular_values[-1]))
     passed = bool(worst <= bound + 1e-9)
     return AuditReport(rho=cfg.rho, r=r, m=m, bound=float(bound),
-                       worst_ratio=float(worst), worst_pair=worst_pair,
-                       n_pairs=n_used, passed=passed)
+                       worst_ratio=worst, worst_pair=worst_pair,
+                       n_pairs=int(du.size), passed=passed,
+                       exact_ratio=exact_ratio)

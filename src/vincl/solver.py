@@ -28,6 +28,7 @@ import io
 import json
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,7 @@ from .operators import (
     inclusion_residual,
     set_values,
 )
-from .resolvent import ResolventConfig, resolve, theoretical_r_m
+from .resolvent import Resolvent, ResolventConfig, theoretical_r_m
 from .space import as_vector
 
 TRACE_SCHEMA = "vincl.trace.v1"
@@ -362,14 +363,14 @@ class SolverConfig:
 def _try_theta(inst, rho, n):
     try:
         return theta(inst, rho, n)
-    except Exception:
+    except ValueError:      # missing constants or a negative radicand
         return None
 
 
 def _try_rate_bound(inst, rho):
     try:
         return contraction_factor_bound(inst, rho)
-    except Exception:
+    except ValueError:      # missing constants
         return None
 
 
@@ -387,7 +388,8 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
         Propagated from the resolvent.
     """
     rho = inst.rho if cfg.rho is None else cfg.rho
-    rcfg = ResolventConfig(rho=rho, inner_tol=cfg.inner_tol)
+    resolvent = Resolvent(inst, ResolventConfig(rho=rho,
+                                                inner_tol=cfg.inner_tol))
     trace = SolveTrace(rho=rho, tol=cfg.tol)
     trace.theta_declared = _try_theta(inst, rho, None)
     trace.theta_rate_bound = _try_rate_bound(inst, rho)
@@ -397,16 +399,18 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
     trace.residual_bound = res_bound
 
     z = np.array(cfg.z0, dtype=float)
-    u = resolve(inst, rcfg, z) if cfg.u0 is None else np.array(cfg.u0)
+    u = resolvent(z) if cfg.u0 is None else np.array(cfg.u0)
     v = nadler_select(u, set_values(inst.S, u))
     w = nadler_select(u, set_values(inst.T, u))
     prev_step = None
+    # the divergence guard compares each step with the one 20 steps back
+    window = deque(maxlen=21)
 
     for n in range(cfg.max_iters):
         e_n = cfg.errors.term(n) if cfg.errors is not None else np.zeros(inst.dim)
         z_next = (eval_H_on_point(inst, u) - rho * as_vector(inst.F(v, w))
                   + rho * inst.omega + e_n)
-        u_next = resolve(inst, rcfg, z_next)
+        u_next = resolvent(z_next)
         v_next = nadler_select(v, set_values(inst.S, u_next))
         w_next = nadler_select(w, set_values(inst.T, u_next))
         step = float(np.linalg.norm(u_next - u))
@@ -420,11 +424,11 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
 
         if not np.all(np.isfinite(u_next)):
             raise DivergenceError("iterate became non-finite", trace)
-        steps = trace.steps
-        if len(steps) > 20 and steps[-1] > 10.0 * steps[-21] and steps[-1] > cfg.tol:
+        window.append(step)
+        if len(window) > 20 and step > 10.0 * window[0] and step > cfg.tol:
             raise DivergenceError(
                 f"step norm grew more than 10x over 20 iterations "
-                f"({steps[-21]:.3e} -> {steps[-1]:.3e})", trace)
+                f"({window[0]:.3e} -> {step:.3e})", trace)
 
         z, u, v, w = z_next, u_next, v_next, w_next
         prev_step = step if step > 0 else prev_step

@@ -7,9 +7,11 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning
 
 from vincl.certify import SamplePlan, certify_instance
 from vincl.instances import example_3_2, example_3_3, example_4_7
@@ -176,7 +178,8 @@ def test_criterion_6_non_surjectivity_detection():
     resolvent and fails the class certificate with the constant-image
     witness of norm 2."""
     named = example_3_3(trunc_dim=8, n_index=3)
-    with pytest.raises(NonSurjectiveError) as exc:
+    with warnings.catch_warnings(), pytest.raises(NonSurjectiveError) as exc:
+        warnings.simplefilter("error", LinAlgWarning)
         resolve(named.instance, ResolventConfig(rho=1.0), np.zeros(8))
     assert exc.value.defect["image_norm"] == pytest.approx(2.0, abs=1e-12)
 

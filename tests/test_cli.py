@@ -1,8 +1,10 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning
 
 from vincl.cli import (
     EXIT_CONDITION_VIOLATED,
@@ -50,7 +52,9 @@ def test_solve_json_summary(capsys):
 
 
 def test_solve_non_surjective_exit_five(capsys):
-    code, _, err = run(capsys, "solve", "--instance", "example_3_3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LinAlgWarning)
+        code, _, err = run(capsys, "solve", "--instance", "example_3_3")
     assert code == EXIT_NON_SURJECTIVE
     assert "single point" in err
 

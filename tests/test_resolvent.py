@@ -1,11 +1,25 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import LinAlgWarning
 
 from vincl.certify import SamplePlan
 from vincl.instances import example_3_2, example_3_3, example_4_7
-from vincl.operators import MissingConstantsError
+from vincl.operators import (
+    AdditiveBiSlot,
+    AffineMap,
+    AffinePairMap,
+    DifferenceCoupling,
+    IdentitySetMap,
+    InclusionInstance,
+    MissingConstantsError,
+)
 from vincl.resolvent import (
     NonSurjectiveError,
+    Resolvent,
     ResolventConfig,
     ResolventIterationError,
     audit_lipschitz,
@@ -13,6 +27,7 @@ from vincl.resolvent import (
     resolve,
     theoretical_r_m,
 )
+from vincl.space import SpaceConfig
 
 
 def test_resolve_inverts_forward_image():
@@ -49,9 +64,23 @@ def test_resolve_single_valued_repeatability():
     assert np.linalg.norm(a - b) <= 1e-12
 
 
+def _diagonal_instance(diag):
+    """Composite H + rho*M = diag(diag) at every rho: A carries it all."""
+    dim = len(diag)
+    zero = AffineMap.zero(dim)
+    return InclusionInstance(
+        space=SpaceConfig(dim=dim), A=AffineMap.linear(np.diag(diag)),
+        B=zero, C=zero, D=zero, f=zero, g=zero, H=AdditiveBiSlot(),
+        F=AffinePairMap(np.zeros((dim, dim)), np.zeros((dim, dim)),
+                        np.zeros(dim)),
+        M=DifferenceCoupling(), S=IdentitySetMap(), T=IdentitySetMap(),
+        omega=np.zeros(dim), rho=1.0)
+
+
 def test_resolve_degenerate_composite_raises():
     inst = example_3_3().instance
-    with pytest.raises(NonSurjectiveError) as exc:
+    with warnings.catch_warnings(), pytest.raises(NonSurjectiveError) as exc:
+        warnings.simplefilter("error", LinAlgWarning)
         resolve(inst, ResolventConfig(rho=1.0), np.zeros(inst.dim))
     defect = exc.value.defect
     assert defect["kind"] == "zero linear part"
@@ -63,6 +92,70 @@ def test_resolve_degenerate_composite_fine_at_other_rho():
     inst = example_3_3().instance
     out = resolve(inst, ResolventConfig(rho=0.5), np.zeros(inst.dim))
     assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("diag", [
+    [1.0, 0.0, 2.0],            # cond infinite: rejected before factoring
+    [1.0, 1e-6, 1e-7],          # cond 1e7, but |det| <= 1e-12 * sigma_max^3
+])
+def test_resolve_singular_linear_part_raises(diag):
+    inst = _diagonal_instance(diag)
+    with warnings.catch_warnings(), pytest.raises(NonSurjectiveError) as exc:
+        warnings.simplefilter("error")
+        resolve(inst, ResolventConfig(rho=1.0), np.ones(3))
+    defect = exc.value.defect
+    assert defect["kind"] == "singular linear part"
+    assert set(defect) == {"rho", "kind", "description", "null_direction",
+                           "cond", "det"}
+    assert defect["det"] == pytest.approx(np.prod(diag), abs=1e-20)
+    assert abs(defect["null_direction"][int(np.argmin(diag))]) == \
+        pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("scale", [7.0, 0.1])
+def test_resolve_large_well_conditioned_composite(scale):
+    # scale*I at dim 400 has cond 1; sigma_max^dim overflows (7^400) or
+    # underflows (0.1^400) a float, the log-space determinant test does not
+    inst = _diagonal_instance(np.full(400, scale))
+    z = np.linspace(-1.0, 1.0, 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = resolve(inst, ResolventConfig(rho=1.0), z)
+    np.testing.assert_allclose(x, z / scale, rtol=1e-14)
+
+
+_BATCH = st.lists(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
+                  min_size=1, max_size=6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=_BATCH)
+def test_batched_call_matches_rows(rows):
+    inst = example_4_7().instance
+    z = np.array(rows)
+    for cfg in (ResolventConfig(rho=0.35),
+                ResolventConfig(rho=0.35, solver="damped_fixed_point",
+                                inner_tol=1e-10)):
+        res = Resolvent(inst, cfg)
+        batch = res(z)
+        assert batch.shape == z.shape
+        for row, out in zip(z, batch):
+            np.testing.assert_allclose(out, res(row), rtol=0, atol=1e-12)
+
+
+def test_resolvent_paths_and_singular_values():
+    inst = example_4_7().instance
+    exact = Resolvent(inst, ResolventConfig(rho=0.35))
+    assert exact.exact
+    sv = exact.singular_values
+    assert np.all(np.diff(sv) <= 0) and sv[-1] > 0
+    damped = Resolvent(inst, ResolventConfig(rho=0.35,
+                                             solver="damped_fixed_point"))
+    assert not damped.exact and damped.singular_values is None
+    blackbox = inst.with_(A=lambda x: inst.A(x))
+    with pytest.raises(ValueError):
+        Resolvent(blackbox, ResolventConfig(rho=0.35, solver="exact_affine"))
+    assert not Resolvent(blackbox, ResolventConfig(rho=0.35)).exact
 
 
 def test_damped_fixed_point_agrees_with_exact():
@@ -110,6 +203,25 @@ def test_audit_bound_holds_on_sampled_pairs():
                             SamplePlan(seed=13))
     assert rep32.bound == pytest.approx(1.0 / 7.25, rel=1e-12)
     assert rep32.passed
+
+
+@pytest.mark.parametrize("named, rho", [(example_4_7, 0.35),
+                                        (example_3_2, 1.0)])
+def test_audit_exact_ratio(named, rho):
+    rep = audit_lipschitz(named().instance, ResolventConfig(rho=rho),
+                          SamplePlan(seed=12))
+    assert rep.worst_ratio <= rep.exact_ratio * (1 + 1e-12)
+    assert rep.exact_ratio <= rep.bound + 1e-9
+    assert rep.to_dict()["exact_ratio"] == rep.exact_ratio
+
+
+def test_audit_damped_has_no_exact_ratio():
+    rep = audit_lipschitz(example_4_7().instance,
+                          ResolventConfig(rho=0.35,
+                                          solver="damped_fixed_point"),
+                          SamplePlan(seed=12, n_pairs=4))
+    assert rep.exact_ratio is None
+    assert rep.passed
 
 
 def test_audit_skips_coincident_pairs():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from vincl.instances import example_3_2, example_4_7
+import vincl.solver
+from vincl.instances import builtin_names, example_3_2, example_4_7, get_instance
 from vincl.operators import (
     AdditiveBiSlot,
     AffineMap,
@@ -11,8 +13,11 @@ from vincl.operators import (
     IdentitySetMap,
     InclusionInstance,
     MissingConstantsError,
+    eval_H_on_point,
     eval_M_on_point,
+    set_values,
 )
+from vincl.resolvent import ResolventConfig, resolve
 from vincl.solver import (
     DivergenceError,
     GeometricErrors,
@@ -276,7 +281,66 @@ def test_solve_divergence_guard():
         omega=np.zeros(dim), rho=1.0)
     with pytest.raises(DivergenceError) as exc:
         solve(inst, SolverConfig(z0=[1.0, 1.0], tol=1e-12, max_iters=500))
-    assert exc.value.trace.iterations > 20
+    assert exc.value.trace.iterations == 21
+    assert str(exc.value) == ("step norm grew more than 10x over 20 "
+                              "iterations (3.182e+00 -> 2.042e+15)")
+
+
+def _reference_iterates(inst, z0, rho, n_iters):
+    """The iteration with a fresh `resolve` per step and no error terms."""
+    rcfg = ResolventConfig(rho=rho, inner_tol=1e-13)
+    u = resolve(inst, rcfg, np.asarray(z0, dtype=float))
+    v = nadler_select(u, set_values(inst.S, u))
+    w = nadler_select(u, set_values(inst.T, u))
+    out = []
+    for _ in range(n_iters):
+        z = (eval_H_on_point(inst, u) - rho * np.asarray(inst.F(v, w))
+             + rho * inst.omega)
+        u = resolve(inst, rcfg, z)
+        v = nadler_select(v, set_values(inst.S, u))
+        w = nadler_select(w, set_values(inst.T, u))
+        out.append(u)
+    return out
+
+
+@pytest.mark.parametrize("name", [n for n in builtin_names()
+                                  if "solve" in get_instance(n).expected])
+def test_solve_matches_per_step_resolve(name):
+    named = get_instance(name)
+    want = named.expected["solve"]
+    trace = solve(named.instance, SolverConfig(z0=want["z0"],
+                                               rho=want["rho"], tol=1e-12))
+    ref = _reference_iterates(named.instance, want["z0"], want["rho"],
+                              trace.iterations)
+    for rec, u in zip(trace.records, ref):
+        np.testing.assert_allclose(rec.u, u, rtol=0, atol=1e-12)
+
+
+def test_solve_factors_composite_once(monkeypatch):
+    counts = {"lu_factor": 0, "svd": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(scipy.linalg, "lu_factor")
+    counting(np.linalg, "svd")
+    trace = solve(example_4_7().instance,
+                  SolverConfig(z0=[1.0, 1.0], tol=1e-12))
+    assert trace.iterations == 282
+    assert counts == {"lu_factor": 1, "svd": 1}
+
+
+def test_solve_propagates_unexpected_theta_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("a bug, not a missing constant")
+    monkeypatch.setattr(vincl.solver, "theta", broken)
+    with pytest.raises(ZeroDivisionError):
+        solve(example_4_7().instance, SolverConfig(z0=[1.0, 1.0]))
 
 
 def test_trace_csv_schema_and_determinism():

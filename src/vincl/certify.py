@@ -10,16 +10,21 @@ Two evidence paths:
 
 * exact_affine - matrix analysis (eigenvalues of symmetric parts, singular
   values, generalized eigenvalue pencils).  Can return verdict "pass".
-* sampled - the inequality is checked on a deterministic seeded sample.
-  A finite sample cannot prove a universally quantified inequality, so
-  this path returns at most "estimated" (or "fail" with the violating
-  pair as witness).
+* sampled - the inequality is checked on a deterministic seeded sample,
+  the rows of `SamplePlan.arrays`.  Each certificate evaluates the maps it
+  needs once per sample point and forms one array each of lhs, rhs and
+  quotient, one entry per candidate: a sample row, or a (row, u, v) choice
+  of set values.  One engine, `_sampled_cert`, turns these into the
+  certificate.  A finite sample cannot prove a universally quantified
+  inequality, so this path returns at most "estimated" (or "fail" with the
+  first violating pair in plan order as witness).
 
 Inequality checks ignore violations smaller than 1e-9 * (1 + |rhs|).
 """
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -40,16 +45,25 @@ from .operators import (
     pair_affine_parts,
     set_values,
 )
-from .space import duality_map, as_vector
+from .resolvent import (
+    NonSurjectiveError,
+    ResolventConfig,
+    ResolventIterationError,
+    _det,
+    _invertible,
+    resolve,
+)
 
 _ABS_TOL = 1e-9
+_DEGENERATE = 1e-12     # sample pairs closer than this carry no evidence
+_RANGE_PROBES = 8       # black-box range probes per rho
 
 
 class InsufficientEvidenceError(ValueError):
     """A non-affine map was certified with an empty sample plan."""
 
 
-def _slack(rhs: float) -> float:
+def _slack(rhs):
     return _ABS_TOL * (1.0 + abs(rhs))
 
 
@@ -84,29 +98,35 @@ class SamplePlan:
                 pts.append(self.scale * (eye[i] - eye[j]))
         return pts
 
-    def pairs(self, dim: int):
-        """Yield (x, y) sample pairs."""
-        for x, y, _ in self.triples(dim):
-            yield x, y
+    def arrays(self, dim: int):
+        """(X, Y, U), each of shape (n, dim): row i is the i-th sample.
 
-    def triples(self, dim: int):
-        """Yield (x, y, u) samples; u varies the fixed slots of H and F."""
-        count = 0
+        Lattice rows come first (consecutive lattice points, u two steps
+        on, wrapping), then `n_pairs` seeded rows; u varies the fixed
+        slots of H and F.  Raises InsufficientEvidenceError when the plan
+        has no samples.
+        """
+        blocks = []
         if self.include_lattice:
-            lat = self._lattice(dim)
-            for i in range(len(lat) - 1):
-                yield lat[i], lat[i + 1], lat[(i + 2) % len(lat)]
-                count += 1
+            lat = np.array(self._lattice(dim))
+            blocks.append(np.stack(
+                [lat[:-1], lat[1:], np.roll(lat, -2, axis=0)[:-1]], axis=1))
         rng = np.random.default_rng(self.seed)
-        for _ in range(self.n_pairs):
-            x = self.scale * rng.standard_normal(dim)
-            y = self.scale * rng.standard_normal(dim)
-            u = self.scale * rng.standard_normal(dim)
-            yield x, y, u
-            count += 1
-        if count == 0:
+        blocks.append(self.scale * rng.standard_normal((self.n_pairs, 3, dim)))
+        xyu = np.concatenate(blocks)
+        if not len(xyu):
             raise InsufficientEvidenceError(
                 "sample plan produced no samples (empty lattice and n_pairs=0)")
+        return xyu[:, 0], xyu[:, 1], xyu[:, 2]
+
+    def pairs(self, dim: int):
+        """Iterate over the (x, y) rows of `arrays`."""
+        x, y, _ = self.arrays(dim)
+        return zip(x, y)
+
+    def triples(self, dim: int):
+        """Iterate over the (x, y, u) rows of `arrays`."""
+        return zip(*self.arrays(dim))
 
 
 @dataclass(frozen=True)
@@ -130,15 +150,7 @@ class Certificate:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "property": self.property,
-            "constant": self.constant,
-            "claimed": self.claimed,
-            "method": self.method,
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "details": self.details,
-        }
+        return asdict(self)
 
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("sort_keys", True)
@@ -150,62 +162,156 @@ def _witness_pair(x, y, lhs, rhs) -> dict:
             "lhs": float(lhs), "rhs": float(rhs)}
 
 
-def _map_dim(m, plan_dim=None):
-    if isinstance(m, AffineMap):
-        return m.dim
-    if plan_dim is None:
+def _verdict(witness) -> str:
+    return "pass" if witness is None else "fail"
+
+
+def _min_eig(sym: np.ndarray, required: float):
+    """Smallest eigenvalue of `sym`, and a witness when it is below
+    `required`: its eigenvector paired with the origin."""
+    lam = float(np.linalg.eigvalsh(sym).min())
+    if lam >= required - _ABS_TOL:
+        return lam, None
+    d = np.linalg.eigh(sym)[1][:, 0]
+    return lam, _witness_pair(d, np.zeros_like(d), lam, required)
+
+
+# ---------------------------------------------------------------------------
+# The sampled-inequality engine
+# ---------------------------------------------------------------------------
+
+def _sampled_cert(prop, claimed, plan, x, y, lhs, rhs, quotient, keep,
+                  upper=False, sign=1.0, details=None) -> Certificate:
+    """Decide lhs >= rhs (lhs <= rhs when `upper`) on every candidate.
+
+    Entry k of the 1-D arrays is one candidate, in plan order, with sample
+    pair x[k], y[k]; candidates outside the mask `keep` are skipped.  The
+    first violation (beyond `_slack(rhs)`) is the witness and its quotient
+    the constant; otherwise the constant is the smallest (largest when
+    `upper`) kept quotient, or None.  Constants are reported times `sign`.
+    """
+    rhs = np.broadcast_to(rhs, lhs.shape)
+    slack = _slack(rhs)
+    bad = keep & ((lhs > rhs + slack) if upper else (lhs < rhs - slack))
+    details = dict(details or {})
+    if bad.any():
+        k = int(np.argmax(bad))
+        return Certificate(prop, sign * float(quotient[k]), claimed, "sampled",
+                           "fail", _witness_pair(x[k], y[k], lhs[k], rhs[k]),
+                           details)
+    kept = quotient[keep]
+    constant = None
+    if kept.size:
+        constant = sign * float(kept.max() if upper else kept.min())
+    details["seed"] = plan.seed
+    return Certificate(prop, constant, claimed, "sampled", "estimated", None,
+                       details)
+
+
+def _stack(vectors, dim: int) -> np.ndarray:
+    """The finite vectors `vectors` as the rows of one (k, dim) array."""
+    out = np.array(list(vectors), dtype=float)
+    if not len(out):
+        return np.empty((0, dim))
+    if out.ndim != 2 or out.shape[1] == 0 or not np.isfinite(out).all():
+        raise ValueError("map values must be finite 1-D vectors of one "
+                         f"length (stacked shape {out.shape})")
+    return out
+
+
+def _set_differences(us, vs):
+    """Every a - b with a in us[i], b in vs[i] ((k_i, dim) arrays), in
+    (i, a, b) order, and the row index i of each."""
+    diffs = [(a[:, None] - b[None]).reshape(-1, a.shape[1])
+             for a, b in zip(us, vs)]
+    rows = np.repeat(np.arange(len(diffs)), [len(d) for d in diffs])
+    return np.concatenate(diffs), rows
+
+
+def _norms(d: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(d, axis=1)
+
+
+def _dual_dots(a: np.ndarray, d: np.ndarray, nd: np.ndarray, q: float):
+    """<a_k, J_q(d_k)> for each row k, with J_q(d) = ||d||^(q-2) d."""
+    return np.einsum("ij,ij->i", a, d) * np.where(nd > 0, nd, 1.0) ** (q - 2.0)
+
+
+def _ratio(num, den, keep) -> np.ndarray:
+    """num / den where `keep`, 0 elsewhere."""
+    return np.divide(num, den, out=np.zeros(len(num)), where=keep)
+
+
+def _plan_arrays(plan, dim, prop):
+    """`plan.arrays(dim)` for a map with no exact path."""
+    if plan is None:
+        raise InsufficientEvidenceError(
+            f"{prop}: no exact path available and no sample plan")
+    if dim is None:
         raise ValueError("dim required for a black-box map")
-    return plan_dim
+    return plan.arrays(dim)
+
+
+def _map_samples(m, plan, dim, prop):
+    """Sample rows X, Y and the increments m(X) - m(Y) of a map."""
+    dim = m.dim if isinstance(m, AffineMap) else dim
+    x, y, _ = _plan_arrays(plan, dim, prop)
+    return x, y, _stack(map(m, x), dim) - _stack(map(m, y), dim)
+
+
+def _accretive_form(prop, claimed, plan, x, y, dm, q, sign=1, shift=0.0,
+                    dual=None, scale=None, details=None):
+    """<dm, J_q(d)> >= shift + sign*claimed*s^q, where d is `dual` (x - y
+    by default) and s is `scale` (||x - y|| by default).  The quotient is
+    (lhs - shift) / s^q, reported times `sign`; candidates with x = y or
+    s = 0 are skipped."""
+    dx = x - y
+    nx = _norms(dx)
+    d = dx if dual is None else dual
+    s = nx if scale is None else scale
+    keep = (nx >= _DEGENERATE) & (s >= _DEGENERATE)
+    lhs = _dual_dots(dm, d, _norms(d), q)
+    sq = s ** q
+    return _sampled_cert(prop, claimed, plan, x, y, lhs,
+                         shift + sign * claimed * sq,
+                         _ratio(lhs - shift, sq, keep), keep, sign=sign,
+                         details=details or {"q": q})
+
+
+def _ratio_form(prop, claimed, plan, x, y, num, upper):
+    """num / ||x-y|| <= claimed (>= unless `upper`), num a distance of
+    images; the quotient is the lhs itself."""
+    nx = _norms(x - y)
+    keep = nx >= _DEGENERATE
+    ratio = _ratio(num, nx, keep)
+    return _sampled_cert(prop, claimed, plan, x, y, ratio, claimed, ratio,
+                         keep, upper=upper)
 
 
 # ---------------------------------------------------------------------------
 # Accretivity family for single-valued maps
 # ---------------------------------------------------------------------------
 
-def _lower_bound_cert(m, claimed, q, plan, dim, prop, sign):
-    """Shared engine for strong (sign=+1) / relaxed (sign=-1) accretivity.
+def _accretive(m, claimed, q, plan, dim, prop, sign):
+    """Strong (sign=+1) / relaxed (sign=-1) accretivity.
 
     Checks <m(x)-m(y), J_q(x-y)> >= sign * claimed * ||x-y||^q.  The
     reported constant is the tight bound: the infimum of the quotient
     <dm, J_q(dx)> / ||dx||^q (times `sign` for the relaxed form, so that
     the constant is the smallest valid relaxation parameter).
     """
+    if not claimed > 0:
+        raise ValueError(f"claimed constant must be > 0, got {claimed}")
     parts = affine_parts(m)
     if parts is not None:
         # <L d, J_q(d)> / ||d||^q = <L d, d> / ||d||^2 for every q > 1
         # in the inner-product realization.
-        lam_min = float(np.linalg.eigvalsh(_sym(parts[0])).min())
-        constant = lam_min if sign > 0 else -lam_min
-        ok = (lam_min >= sign * claimed - _ABS_TOL)
-        witness = None
-        if not ok:
-            vecs = np.linalg.eigh(_sym(parts[0]))[1]
-            d = vecs[:, 0]
-            witness = _witness_pair(d, np.zeros_like(d), lam_min, sign * claimed)
-        return Certificate(prop, constant, claimed, "exact_affine",
-                           "pass" if ok else "fail", witness,
+        lam_min, witness = _min_eig(_sym(parts[0]), sign * claimed)
+        return Certificate(prop, sign * lam_min, claimed, "exact_affine",
+                           _verdict(witness), witness,
                            {"eig_min_sym": lam_min, "q": q})
-    if plan is None:
-        raise InsufficientEvidenceError(
-            f"{prop}: non-affine map requires a sample plan")
-    dim = _map_dim(m, dim)
-    best = np.inf
-    for x, y in plan.pairs(dim):
-        dx = np.asarray(x) - np.asarray(y)
-        nx = np.linalg.norm(dx)
-        if nx < 1e-12:
-            continue
-        lhs = float(np.dot(as_vector(m(x)) - as_vector(m(y)),
-                           duality_map(dx, q)))
-        rhs = sign * claimed * nx ** q
-        if lhs < rhs - _slack(rhs):
-            return Certificate(prop, lhs / nx ** q * (1 if sign > 0 else -1),
-                               claimed, "sampled", "fail",
-                               _witness_pair(x, y, lhs, rhs), {"q": q})
-        best = min(best, lhs / nx ** q)
-    constant = best if sign > 0 else -best
-    return Certificate(prop, float(constant), claimed, "sampled", "estimated",
-                       None, {"q": q, "seed": plan.seed})
+    x, y, dm = _map_samples(m, plan, dim, prop)
+    return _accretive_form(prop, claimed, plan, x, y, dm, q, sign)
 
 
 def certify_strong_accretive(m, claimed: float, q: float = 2.0,
@@ -217,9 +323,7 @@ def certify_strong_accretive(m, claimed: float, q: float = 2.0,
     Exact path (affine map): constant is the smallest eigenvalue of the
     symmetric part of the linear matrix.
     """
-    if not claimed > 0:
-        raise ValueError(f"claimed constant must be > 0, got {claimed}")
-    return _lower_bound_cert(m, claimed, q, plan, dim, prop, +1)
+    return _accretive(m, claimed, q, plan, dim, prop, +1)
 
 
 def certify_relaxed_accretive(m, claimed: float, q: float = 2.0,
@@ -231,9 +335,7 @@ def certify_relaxed_accretive(m, claimed: float, q: float = 2.0,
     Exact path: constant is minus the most negative eigenvalue of the
     symmetric part (the smallest valid relaxation constant).
     """
-    if not claimed > 0:
-        raise ValueError(f"claimed constant must be > 0, got {claimed}")
-    return _lower_bound_cert(m, claimed, q, plan, dim, prop, -1)
+    return _accretive(m, claimed, q, plan, dim, prop, -1)
 
 
 def _pencil_min(num: np.ndarray, den: np.ndarray):
@@ -250,9 +352,7 @@ def certify_cocoercive(m, claimed: float, q: float = 2.0,
                        dim: int | None = None,
                        prop: str = "cocoercive") -> Certificate:
     """Check <m(x)-m(y), J_q(x-y)> >= claimed * ||m(x)-m(y)||^q."""
-    if not claimed > 0:
-        raise ValueError(f"claimed constant must be > 0, got {claimed}")
-    return _cocoercive_cert(m, claimed, q, plan, dim, prop, +1)
+    return _cocoercive(m, claimed, q, plan, dim, prop, +1)
 
 
 def certify_relaxed_cocoercive(m, claimed: float, q: float = 2.0,
@@ -260,53 +360,32 @@ def certify_relaxed_cocoercive(m, claimed: float, q: float = 2.0,
                                dim: int | None = None,
                                prop: str = "relaxed_cocoercive") -> Certificate:
     """Check <m(x)-m(y), J_q(x-y)> >= -claimed * ||m(x)-m(y)||^q."""
+    return _cocoercive(m, claimed, q, plan, dim, prop, -1)
+
+
+def _cocoercive(m, claimed, q, plan, dim, prop, sign):
     if not claimed > 0:
         raise ValueError(f"claimed constant must be > 0, got {claimed}")
-    return _cocoercive_cert(m, claimed, q, plan, dim, prop, -1)
-
-
-def _cocoercive_cert(m, claimed, q, plan, dim, prop, sign):
     parts = affine_parts(m)
     if parts is not None and q == 2.0:
         lin = parts[0]
         ratio = _pencil_min(_sym(lin), lin.T @ lin)
         if ratio is not None:
-            constant = ratio if sign > 0 else -ratio
-            ok = ratio >= sign * claimed - _ABS_TOL
-            witness = None if ok else {"pencil_min": ratio,
-                                       "required": sign * claimed}
-            return Certificate(prop, constant, claimed, "exact_affine",
-                               "pass" if ok else "fail", witness, {"q": q})
+            witness = (None if ratio >= sign * claimed - _ABS_TOL
+                       else {"pencil_min": ratio, "required": sign * claimed})
+            return Certificate(prop, sign * ratio, claimed, "exact_affine",
+                               _verdict(witness), witness, {"q": q})
         # singular linear part: fall through to sampling
-    if plan is None:
-        raise InsufficientEvidenceError(
-            f"{prop}: no exact path available and no sample plan")
-    dim = _map_dim(m, dim)
-    best = np.inf
-    for x, y in plan.pairs(dim):
-        dm = as_vector(m(x)) - as_vector(m(y))
-        nm = np.linalg.norm(dm)
-        dx = np.asarray(x) - np.asarray(y)
-        if nm < 1e-12 or np.linalg.norm(dx) < 1e-12:
-            continue
-        lhs = float(np.dot(dm, duality_map(dx, q)))
-        rhs = sign * claimed * nm ** q
-        if lhs < rhs - _slack(rhs):
-            return Certificate(prop, lhs / nm ** q * (1 if sign > 0 else -1),
-                               claimed, "sampled", "fail",
-                               _witness_pair(x, y, lhs, rhs), {"q": q})
-        best = min(best, lhs / nm ** q)
-    constant = best if sign > 0 else -best
-    return Certificate(prop, float(constant) if np.isfinite(best) else None,
-                       claimed, "sampled", "estimated", None,
-                       {"q": q, "seed": plan.seed})
+    x, y, dm = _map_samples(m, plan, dim, prop)
+    return _accretive_form(prop, claimed, plan, x, y, dm, q, sign,
+                           scale=_norms(dm))
 
 
 # ---------------------------------------------------------------------------
 # Norm bounds: Lipschitz and expansive
 # ---------------------------------------------------------------------------
 
-def _norm_bound_cert(m, claimed, plan, dim, prop, upper):
+def _norm_bound(m, claimed, plan, dim, prop, upper):
     parts = affine_parts(m)
     if parts is not None:
         svals = np.linalg.svd(parts[0], compute_uv=False)
@@ -320,25 +399,8 @@ def _norm_bound_cert(m, claimed, plan, dim, prop, upper):
         return Certificate(prop, constant, claimed, "exact_affine",
                            "pass" if ok else "fail", witness,
                            {"singular_values": svals.tolist()})
-    if plan is None:
-        raise InsufficientEvidenceError(
-            f"{prop}: non-affine map requires a sample plan")
-    dim = _map_dim(m, dim)
-    best = -np.inf if upper else np.inf
-    for x, y in plan.pairs(dim):
-        dx = np.asarray(x) - np.asarray(y)
-        nx = np.linalg.norm(dx)
-        if nx < 1e-12:
-            continue
-        ratio = float(np.linalg.norm(as_vector(m(x)) - as_vector(m(y))) / nx)
-        bad = ratio > claimed + _slack(claimed) if upper else ratio < claimed - _slack(claimed)
-        if bad:
-            return Certificate(prop, ratio, claimed, "sampled", "fail",
-                               _witness_pair(x, y, ratio, claimed), {})
-        best = max(best, ratio) if upper else min(best, ratio)
-    return Certificate(prop, float(best) if np.isfinite(best) else None,
-                       claimed, "sampled", "estimated", None,
-                       {"seed": plan.seed})
+    x, y, dm = _map_samples(m, plan, dim, prop)
+    return _ratio_form(prop, claimed, plan, x, y, _norms(dm), upper)
 
 
 def certify_lipschitz(m, claimed: float, plan: SamplePlan | None = None,
@@ -347,7 +409,7 @@ def certify_lipschitz(m, claimed: float, plan: SamplePlan | None = None,
     """Check ||m(x)-m(y)|| <= claimed * ||x-y||; exact = largest singular value."""
     if not claimed > 0:
         raise ValueError(f"claimed constant must be > 0, got {claimed}")
-    return _norm_bound_cert(m, claimed, plan, dim, prop, upper=True)
+    return _norm_bound(m, claimed, plan, dim, prop, upper=True)
 
 
 def certify_expansive(m, claimed: float, plan: SamplePlan | None = None,
@@ -356,58 +418,12 @@ def certify_expansive(m, claimed: float, plan: SamplePlan | None = None,
     """Check ||m(x)-m(y)|| >= claimed * ||x-y||; exact = smallest singular value."""
     if not claimed > 0:
         raise ValueError(f"claimed constant must be > 0, got {claimed}")
-    return _norm_bound_cert(m, claimed, plan, dim, prop, upper=False)
+    return _norm_bound(m, claimed, plan, dim, prop, upper=False)
 
 
 # ---------------------------------------------------------------------------
 # Mixed cocoercivity and mixed Lipschitz of the four-slot bifunction
 # ---------------------------------------------------------------------------
-
-def _mixed_pair_exact(inst, slot_maps, mu, gamma, sign_mu, prop):
-    """Exact check of <(P+R)d, d> >= sign_mu*mu*||Pd||^2 + gamma*||d||^2."""
-    p_parts = affine_parts(slot_maps[0])
-    r_parts = affine_parts(slot_maps[1])
-    lp, lr = p_parts[0], r_parts[0]
-    shifted = _sym(lp + lr) - sign_mu * mu * (lp.T @ lp)
-    gamma_hat = float(np.linalg.eigvalsh(shifted).min())
-    ok = gamma_hat >= gamma - _ABS_TOL
-    witness = None
-    if not ok:
-        d = np.linalg.eigh(shifted)[1][:, 0]
-        witness = _witness_pair(d, np.zeros_like(d), gamma_hat, gamma)
-    return Certificate(prop, gamma_hat, gamma, "exact_affine",
-                       "pass" if ok else "fail", witness,
-                       {"mu": mu, "q": inst.space.q})
-
-
-def _mixed_pair_sampled(inst, which, mu, gamma, sign_mu, prop, plan):
-    q = inst.space.q
-    best = np.inf
-    for x, y, u in plan.triples(inst.dim):
-        dx = np.asarray(x) - np.asarray(y)
-        nx = np.linalg.norm(dx)
-        if nx < 1e-12:
-            continue
-        if which == "AC":
-            hx = inst.H(inst.A(x), u, inst.C(x), u)
-            hy = inst.H(inst.A(y), u, inst.C(y), u)
-            dslot = as_vector(inst.A(x)) - as_vector(inst.A(y))
-        else:
-            hx = inst.H(u, inst.B(x), u, inst.D(x))
-            hy = inst.H(u, inst.B(y), u, inst.D(y))
-            dslot = as_vector(inst.B(x)) - as_vector(inst.B(y))
-        lhs = float(np.dot(as_vector(hx) - as_vector(hy), duality_map(dx, q)))
-        rhs = sign_mu * mu * np.linalg.norm(dslot) ** q + gamma * nx ** q
-        if lhs < rhs - _slack(rhs):
-            return Certificate(prop, None, gamma, "sampled", "fail",
-                               _witness_pair(x, y, lhs, rhs),
-                               {"mu": mu, "q": q})
-        best = min(best, (lhs - sign_mu * mu * np.linalg.norm(dslot) ** q)
-                   / nx ** q)
-    return Certificate(prop, float(best) if np.isfinite(best) else None,
-                       gamma, "sampled", "estimated", None,
-                       {"mu": mu, "q": q, "seed": plan.seed})
-
 
 def certify_symmetric_mixed_cocoercive(inst: InclusionInstance,
                                        plan: SamplePlan | None = None):
@@ -421,26 +437,39 @@ def certify_symmetric_mixed_cocoercive(inst: InclusionInstance,
 
     The certified constant in each certificate is the best gamma the
     evidence supports for the claimed mu (reported in details["mu"]).
+    Exact path: the smallest eigenvalue of sym(P + R) -/+ mu*P'P for the
+    slot pair (P, R).
     """
-    c = inst.constants
-    got = c.require("mu1", "gamma1", "mu2", "gamma2")
-    exact_ok = (is_additive(inst.H) and inst.space.q == 2.0
-                and all(affine_parts(m) is not None
-                        for m in (inst.A, inst.B, inst.C, inst.D)))
-    if exact_ok:
-        strong = _mixed_pair_exact(inst, (inst.A, inst.C), got["mu1"],
-                                   got["gamma1"], +1,
-                                   "strongly_mixed_cocoercive")
-        relaxed = _mixed_pair_exact(inst, (inst.B, inst.D), got["mu2"],
-                                    got["gamma2"], -1,
-                                    "relaxed_mixed_cocoercive")
-        return strong, relaxed
-    plan = plan or SamplePlan()
-    strong = _mixed_pair_sampled(inst, "AC", got["mu1"], got["gamma1"], +1,
-                                 "strongly_mixed_cocoercive", plan)
-    relaxed = _mixed_pair_sampled(inst, "BD", got["mu2"], got["gamma2"], -1,
-                                  "relaxed_mixed_cocoercive", plan)
-    return strong, relaxed
+    got = inst.constants.require("mu1", "gamma1", "mu2", "gamma2")
+    q, dim = inst.space.q, inst.dim
+    halves = (("strongly_mixed_cocoercive", inst.A, inst.C, got["mu1"],
+               got["gamma1"], +1, lambda p, r, u: inst.H(p, u, r, u)),
+              ("relaxed_mixed_cocoercive", inst.B, inst.D, got["mu2"],
+               got["gamma2"], -1, lambda p, r, u: inst.H(u, p, u, r)))
+    exact = (is_additive(inst.H) and q == 2.0
+             and all(affine_parts(m) is not None
+                     for m in (inst.A, inst.B, inst.C, inst.D)))
+    if not exact:
+        plan = plan or SamplePlan()
+        x, y, u = plan.arrays(dim)
+    certs = []
+    for prop, p, r, mu, gamma, sign_mu, h in halves:
+        if exact:
+            lp = p.matrix
+            gamma_hat, witness = _min_eig(
+                _sym(lp + r.matrix) - sign_mu * mu * (lp.T @ lp), gamma)
+            certs.append(Certificate(prop, gamma_hat, gamma, "exact_affine",
+                                     _verdict(witness), witness,
+                                     {"mu": mu, "q": q}))
+            continue
+        px, py = _stack(map(p, x), dim), _stack(map(p, y), dim)
+        hx = _stack(map(h, px, _stack(map(r, x), dim), u), dim)
+        hy = _stack(map(h, py, _stack(map(r, y), dim), u), dim)
+        certs.append(_accretive_form(
+            prop, gamma, plan, x, y, hx - hy, q, +1,
+            shift=sign_mu * mu * _norms(px - py) ** q,
+            details={"mu": mu, "q": q}))
+    return tuple(certs)
 
 
 def certify_mixed_lipschitz(inst: InclusionInstance,
@@ -454,11 +483,11 @@ def certify_mixed_lipschitz(inst: InclusionInstance,
         claimed = inst.constants.require("tau")["tau"]
     hc = h_composite(inst)
     if hc is not None:
-        return _norm_bound_cert(hc, claimed, None, inst.dim, "mixed_lipschitz",
-                                upper=True)
-    plan = plan or SamplePlan()
-    return _norm_bound_cert(lambda x: eval_H_on_point(inst, x), claimed, plan,
-                            inst.dim, "mixed_lipschitz", upper=True)
+        return _norm_bound(hc, claimed, None, inst.dim, "mixed_lipschitz",
+                           upper=True)
+    return _norm_bound(functools.partial(eval_H_on_point, inst), claimed,
+                       plan or SamplePlan(), inst.dim, "mixed_lipschitz",
+                       upper=True)
 
 
 # ---------------------------------------------------------------------------
@@ -474,109 +503,70 @@ def _set_map_affine(s, dim):
     return None
 
 
-def _f_accretive_cert(inst, arg, claimed, plan, prop):
-    """Strong accretivity of F in one argument against the H increment.
-
-    The defining inequality normalizes by ||dH||^q; the worked-instance
-    constants are stated against ||u-v||^q.  Both quotients are certified:
-    `constant` carries the displacement-normalized value and
-    details["constant_vs_H_increment"] the H-increment-normalized one.
-    """
-    q = inst.space.q
-    hc = h_composite(inst)
-    fp = pair_affine_parts(inst.F)
-    sel = _set_map_affine(inst.S if arg == "first" else inst.T, inst.dim)
-    if hc is not None and fp is not None and sel is not None and q == 2.0:
-        lf = fp[0] if arg == "first" else fp[1]
-        lh, ls = hc.matrix, affine_parts(sel)[0]
-        num = _sym(ls.T @ lf.T @ lh)
-        vs_disp = float(np.linalg.eigvalsh(num).min())
-        vs_h = _pencil_min(num, lh.T @ lh)
-        ok = vs_disp >= claimed - _ABS_TOL
-        witness = None
-        if not ok:
-            d = np.linalg.eigh(num)[1][:, 0]
-            witness = _witness_pair(d, np.zeros_like(d), vs_disp, claimed)
-        return Certificate(prop, vs_disp, claimed, "exact_affine",
-                           "pass" if ok else "fail", witness,
-                           {"constant_vs_H_increment": vs_h, "q": q})
-    plan = plan or SamplePlan()
-    best_disp, best_h = np.inf, np.inf
-    for u, v, w_aux in plan.triples(inst.dim):
-        du = np.asarray(u) - np.asarray(v)
-        nu = np.linalg.norm(du)
-        if nu < 1e-12:
-            continue
-        dh = eval_H_on_point(inst, u) - eval_H_on_point(inst, v)
-        nh = np.linalg.norm(dh)
-        sel_u = set_values(inst.S if arg == "first" else inst.T, u)
-        sel_v = set_values(inst.S if arg == "first" else inst.T, v)
-        for p1 in sel_u:
-            for p2 in sel_v:
-                if arg == "first":
-                    df = as_vector(inst.F(p1, w_aux)) - as_vector(inst.F(p2, w_aux))
-                else:
-                    df = as_vector(inst.F(w_aux, p1)) - as_vector(inst.F(w_aux, p2))
-                lhs = float(np.dot(df, duality_map(dh, q))) if nh > 0 else 0.0
-                rhs = claimed * nu ** q
-                if lhs < rhs - _slack(rhs):
-                    return Certificate(prop, lhs / nu ** q, claimed, "sampled",
-                                       "fail", _witness_pair(u, v, lhs, rhs),
-                                       {"q": q})
-                best_disp = min(best_disp, lhs / nu ** q)
-                if nh > 1e-12:
-                    best_h = min(best_h, lhs / nh ** q)
-    return Certificate(prop, float(best_disp) if np.isfinite(best_disp) else None,
-                       claimed, "sampled", "estimated", None,
-                       {"constant_vs_H_increment":
-                        float(best_h) if np.isfinite(best_h) else None,
-                        "q": q, "seed": plan.seed})
-
-
-def _f_lipschitz_cert(inst, arg, claimed, plan, prop):
-    fp = pair_affine_parts(inst.F)
-    if fp is not None:
-        lin = fp[0] if arg == "first" else fp[1]
-        return _norm_bound_cert(AffineMap.linear(lin), claimed, None,
-                                inst.dim, prop, upper=True)
-    plan = plan or SamplePlan()
-    best = -np.inf
-    for x, y, w_aux in plan.triples(inst.dim):
-        dx = np.asarray(x) - np.asarray(y)
-        nx = np.linalg.norm(dx)
-        if nx < 1e-12:
-            continue
-        if arg == "first":
-            df = as_vector(inst.F(x, w_aux)) - as_vector(inst.F(y, w_aux))
-        else:
-            df = as_vector(inst.F(w_aux, x)) - as_vector(inst.F(w_aux, y))
-        ratio = float(np.linalg.norm(df) / nx)
-        if ratio > claimed + _slack(claimed):
-            return Certificate(prop, ratio, claimed, "sampled", "fail",
-                               _witness_pair(x, y, ratio, claimed), {})
-        best = max(best, ratio)
-    return Certificate(prop, float(best) if np.isfinite(best) else None,
-                       claimed, "sampled", "estimated", None,
-                       {"seed": plan.seed})
-
-
 def certify_F_properties(inst: InclusionInstance,
                          plan: SamplePlan | None = None):
     """Certify sigma, delta (strong accretivity of F against the H
     increment, via selections from S and T) and eps1, eps2 (argument-wise
     Lipschitz constants of F).  Returns four certificates in that order.
+
+    The accretivity inequality normalizes by ||dH||^q; the worked-instance
+    constants are stated against ||u-v||^q.  Both quotients are certified:
+    `constant` carries the displacement-normalized value and
+    details["constant_vs_H_increment"] the H-increment-normalized one.
+    The sampled path evaluates H once per sample point for both arguments.
     """
     got = inst.constants.require("sigma", "delta", "eps1", "eps2")
-    return [
-        _f_accretive_cert(inst, "first", got["sigma"], plan,
-                          "F_strongly_accretive_first"),
-        _f_accretive_cert(inst, "second", got["delta"], plan,
-                          "F_strongly_accretive_second"),
-        _f_lipschitz_cert(inst, "first", got["eps1"], plan,
-                          "F_lipschitz_first"),
-        _f_lipschitz_cert(inst, "second", got["eps2"], plan,
-                          "F_lipschitz_second"),
-    ]
+    q, dim = inst.space.q, inst.dim
+    hc, fp = h_composite(inst), pair_affine_parts(inst.F)
+    plan = plan or SamplePlan()
+    samples = functools.cache(lambda: plan.arrays(dim))
+
+    @functools.cache
+    def h_increments():
+        h = functools.partial(eval_H_on_point, inst)
+        x, y, _ = samples()
+        return _stack(map(h, x), dim) - _stack(map(h, y), dim)
+
+    args = (("first", inst.S, got["sigma"], got["eps1"],
+             lambda p, w: inst.F(p, w)),
+            ("second", inst.T, got["delta"], got["eps2"],
+             lambda p, w: inst.F(w, p)))
+    accretive, lipschitz = [], []
+    for k, (arg, set_map, claimed, eps, f) in enumerate(args):
+        prop = f"F_strongly_accretive_{arg}"
+        sel = _set_map_affine(set_map, dim)
+        if hc is not None and fp is not None and sel is not None and q == 2.0:
+            lh = hc.matrix
+            num = _sym(affine_parts(sel)[0].T @ fp[k].T @ lh)
+            vs_disp, witness = _min_eig(num, claimed)
+            accretive.append(Certificate(
+                prop, vs_disp, claimed, "exact_affine", _verdict(witness),
+                witness, {"constant_vs_H_increment": _pencil_min(num, lh.T @ lh),
+                          "q": q}))
+        else:
+            x, y, w = samples()
+            df, rows = _set_differences(*(
+                [_stack((f(p, wi) for p in set_values(set_map, zi)), dim)
+                 for zi, wi in zip(z, w)] for z in (x, y)))
+            x, y, dh = x[rows], y[rows], h_increments()[rows]
+            cert = _accretive_form(prop, claimed, plan, x, y, df, q, dual=dh)
+            if cert.verdict != "fail":
+                nh = _norms(dh)
+                vs_h = (_norms(x - y) >= _DEGENERATE) & (nh > _DEGENERATE)
+                cert.details["constant_vs_H_increment"] = (float(_ratio(
+                    _dual_dots(df, dh, nh, q), nh ** q, vs_h)[vs_h].min())
+                    if vs_h.any() else None)
+            accretive.append(cert)
+        prop = f"F_lipschitz_{arg}"
+        if fp is not None:
+            lipschitz.append(_norm_bound(AffineMap.linear(fp[k]), eps, None,
+                                         dim, prop, upper=True))
+        else:
+            x, y, w = samples()
+            df = _stack(map(f, x, w), dim) - _stack(map(f, y, w), dim)
+            lipschitz.append(_ratio_form(prop, eps, plan, x, y, _norms(df),
+                                         upper=True))
+    return accretive + lipschitz
 
 
 # ---------------------------------------------------------------------------
@@ -596,27 +586,12 @@ def certify_d_lipschitz(set_map, claimed: float,
                            "pass" if ok else "fail",
                            None if ok else {"identity_slope": 1.0}, {})
     if isinstance(set_map, SingletonSetMap) and affine_parts(set_map.map) is not None:
-        return _norm_bound_cert(set_map.map, claimed, None, dim, prop,
-                                upper=True)
-    if plan is None:
-        raise InsufficientEvidenceError(
-            "d_lipschitz: non-affine set map requires a sample plan")
-    if dim is None:
-        raise ValueError("dim required for a black-box set-valued map")
-    best = -np.inf
-    for x, y in plan.pairs(dim):
-        nx = np.linalg.norm(np.asarray(x) - np.asarray(y))
-        if nx < 1e-12:
-            continue
-        d = hausdorff_distance(set_values(set_map, x), set_values(set_map, y))
-        ratio = d / nx
-        if ratio > claimed + _slack(claimed):
-            return Certificate(prop, ratio, claimed, "sampled", "fail",
-                               _witness_pair(x, y, ratio, claimed), {})
-        best = max(best, ratio)
-    return Certificate(prop, float(best) if np.isfinite(best) else None,
-                       claimed, "sampled", "estimated", None,
-                       {"seed": plan.seed})
+        return _norm_bound(set_map.map, claimed, None, dim, prop, upper=True)
+    x, y, _ = _plan_arrays(plan, dim, prop)
+    dist = np.array([hausdorff_distance(set_values(set_map, xi),
+                                        set_values(set_map, yi))
+                     for xi, yi in zip(x, y)])
+    return _ratio_form(prop, claimed, plan, x, y, dist, upper=True)
 
 
 # ---------------------------------------------------------------------------
@@ -633,76 +608,120 @@ def certify_m_slot_accretive(inst: InclusionInstance, slot: str,
     For the difference coupling these reduce to the slot map itself
     (f, resp. -g), which keeps the exact path available.
     """
-    q = inst.space.q
-    if slot == "f":
-        if claimed is None:
-            claimed = inst.constants.require("alpha")["alpha"]
-        if is_difference_coupling(inst.M):
-            return certify_strong_accretive(inst.f, claimed, q, plan,
-                                            inst.dim)
-        return _m_slot_sampled(inst, "f", claimed, q,
-                               plan or SamplePlan(), "strongly_accretive", +1)
-    if slot == "g":
-        if claimed is None:
-            claimed = inst.constants.require("beta")["beta"]
-        if is_difference_coupling(inst.M):
-            return certify_relaxed_accretive(negate_map(inst.g), claimed, q,
-                                             plan, inst.dim)
-        return _m_slot_sampled(inst, "g", claimed, q,
-                               plan or SamplePlan(), "relaxed_accretive", -1)
-    raise ValueError(f"slot must be 'f' or 'g', got {slot!r}")
-
-
-def _m_slot_sampled(inst, slot, claimed, q, plan, prop, sign):
-    best = np.inf
-    for x, y, w in plan.triples(inst.dim):
-        dx = np.asarray(x) - np.asarray(y)
-        nx = np.linalg.norm(dx)
-        if nx < 1e-12:
-            continue
+    if slot not in ("f", "g"):
+        raise ValueError(f"slot must be 'f' or 'g', got {slot!r}")
+    q, dim = inst.space.q, inst.dim
+    name = "alpha" if slot == "f" else "beta"
+    if claimed is None:
+        claimed = inst.constants.require(name)[name]
+    if is_difference_coupling(inst.M):
         if slot == "f":
-            us = inst.M(inst.f(x), w)
-            vs = inst.M(inst.f(y), w)
-        else:
-            us = inst.M(w, inst.g(x))
-            vs = inst.M(w, inst.g(y))
-        jq = duality_map(dx, q)
-        for uu in us:
-            for vv in vs:
-                lhs = float(np.dot(as_vector(uu) - as_vector(vv), jq))
-                rhs = sign * claimed * nx ** q
-                if lhs < rhs - _slack(rhs):
-                    return Certificate(prop, None, claimed, "sampled", "fail",
-                                       _witness_pair(x, y, lhs, rhs), {"q": q})
-                best = min(best, lhs / nx ** q)
-    constant = best if sign > 0 else -best
-    return Certificate(prop, float(constant) if np.isfinite(best) else None,
-                       claimed, "sampled", "estimated", None,
-                       {"q": q, "seed": plan.seed})
+            return certify_strong_accretive(inst.f, claimed, q, plan, dim)
+        return certify_relaxed_accretive(negate_map(inst.g), claimed, q,
+                                         plan, dim)
+    plan = plan or SamplePlan()
+    x, y, w = plan.arrays(dim)
+    slot_map = inst.f if slot == "f" else inst.g
+
+    def values(z):
+        """The value sets M(slot_map(z), w) (M(w, slot_map(z)) for g)."""
+        s = _stack(map(slot_map, z), dim)
+        return [_stack(inst.M(si, wi) if slot == "f" else inst.M(wi, si), dim)
+                for si, wi in zip(s, w)]
+
+    du, rows = _set_differences(values(x), values(y))
+    prop, sign = (("strongly_accretive", +1) if slot == "f"
+                  else ("relaxed_accretive", -1))
+    return _accretive_form(prop, claimed, plan, x[rows], y[rows], du, q, sign)
 
 
-def _det_polynomial_roots(lh: np.ndarray, lm: np.ndarray):
-    """Positive real roots of rho -> det(lh + rho*lm).
+def _det_polynomial_roots(lh: np.ndarray, lm: np.ndarray, nonzero: bool):
+    """Positive real roots of rho -> det(lh + rho*lm), or None when the
+    determinant vanishes identically.
 
-    det(lh + rho*lm) = 0 exactly when rho is a generalized eigenvalue of
-    the pencil (lh, -lm), which handles repeated roots and singular lm
-    robustly (infinite eigenvalues are discarded).
+    The determinant has degree at most dim in rho, so it is not the zero
+    polynomial once the composite is invertible at one of dim + 1 distinct
+    nodes (or at any rho, which the caller asserts with `nonzero`); the
+    scan stops at the first such node.  det(lh + rho*lm) = 0
+    exactly when rho is a generalized eigenvalue of the pencil (lh, -lm),
+    which handles repeated roots and singular lm robustly (infinite
+    eigenvalues are discarded).
     """
     dim = lh.shape[0]
-    nodes = np.linspace(0.0, max(1.0, dim), dim + 1)
-    vals = np.array([np.linalg.det(lh + t * lm) for t in nodes])
-    if np.allclose(vals, 0.0, atol=1e-14):
-        return ["all rho (determinant identically zero)"]
+    if not (nonzero or any(
+            _invertible(np.linalg.svd(lh + t * lm, compute_uv=False))
+            for t in np.linspace(0.0, max(1.0, dim), dim + 1))):
+        return None
     if np.linalg.norm(lm) == 0.0:
         return []
     eigs = scipy.linalg.eig(lh, -lm, right=False)
-    out = []
-    for lam in eigs:
-        if not np.isfinite(lam):
+    eigs = eigs[np.isfinite(eigs)]
+    real = ((np.abs(eigs.imag) <= 1e-8 * (1.0 + np.abs(eigs.real)))
+            & (eigs.real > 1e-12))
+    return sorted(set(round(float(r), 10) for r in eigs.real[real]))
+
+
+def _affine_range_defect(hc, mc, rho_grid, details):
+    """Part (ii) for an affine composite: the first defect found (or
+    None) and the smallest singular value over the grid."""
+    lh, lm = hc.matrix, mc.matrix
+    grid, witness, min_sv = [], None, np.inf
+    for rho in rho_grid:
+        comp = lh + rho * lm
+        sv = np.linalg.svd(comp, compute_uv=False)
+        nrm = float(sv[0])
+        cond = nrm / float(sv[-1]) if sv[-1] > 0 else np.inf
+        min_sv = min(min_sv, float(sv[-1]))
+        singular = not _invertible(sv)
+        grid.append({"rho": float(rho), "det": _det(comp),
+                     "cond": None if np.isinf(cond) else cond,
+                     "singular": singular})
+        if not singular or witness is not None:
             continue
-        if abs(lam.imag) <= 1e-8 * (1.0 + abs(lam.real)) and lam.real > 1e-12:
-            out.append(float(lam.real))
-    return sorted(set(round(r, 10) for r in out))
+        if nrm <= 1e-12:
+            off = hc.offset + rho * mc.offset
+            witness = {"rho": float(rho),
+                       "defect": "zero linear part: image is a single point",
+                       "image_point": off.tolist(),
+                       "image_norm": float(np.linalg.norm(off))}
+        else:
+            witness = {"rho": float(rho),
+                       "defect": "singular linear part: image is a proper affine subspace",
+                       "null_direction": np.linalg.svd(comp)[2][-1].tolist(),
+                       "image_norm": None}
+    roots = _det_polynomial_roots(
+        lh, lm, nonzero=not all(g["singular"] for g in grid))
+    details["grid"] = grid
+    details["determinant_positive_roots"] = roots
+    if witness is None and roots is None:
+        witness = {"rho": None, "defect": "determinant vanishes at every rho",
+                   "image_norm": None}
+    if witness is None and roots:
+        witness = {"rho": roots[0],
+                   "defect": "determinant vanishes at a positive rho",
+                   "image_norm": None}
+    return witness, (float(min_sv) if np.isfinite(min_sv) else None)
+
+
+def _probed_range_defect(inst, rho_grid, plan, details):
+    """Part (ii) for a black-box composite: a damped resolve must reach
+    the first sample points at each grid rho.  Returns the defect of the
+    last failed probe, or None."""
+    targets = (plan or SamplePlan()).arrays(inst.dim)[0][:_RANGE_PROBES]
+    probes, witness = [], None
+    for rho in rho_grid:
+        cfg = ResolventConfig(rho=float(rho), solver="damped_fixed_point")
+        for x in targets:
+            try:
+                resolve(inst, cfg, x)
+                probes.append({"rho": float(rho), "reached": True})
+            except (NonSurjectiveError, ResolventIterationError) as exc:
+                witness = {"rho": float(rho), "target": x.tolist(),
+                           "defect": f"range probe failed: {exc}"}
+                probes.append({"rho": float(rho), "reached": False})
+                break
+    details["range_probes"] = probes
+    return witness
 
 
 def certify_generalized_mixed_accretive(inst: InclusionInstance,
@@ -713,16 +732,26 @@ def certify_generalized_mixed_accretive(inst: InclusionInstance,
     Part (i): M is symmetric accretive through (f, g) -- the strong and
     relaxed slot certificates plus alpha >= beta.  Part (ii): H + rho*M is
     surjective; for affine instances the composite linear map must be
-    invertible on the rho grid, and the determinant (a polynomial in rho)
-    must have no positive real root.  The witness on failure carries the
-    defect, e.g. a constant affine image and its norm.
+    invertible on the rho grid (by the test `Resolvent` applies), and the
+    determinant (a polynomial in rho) must neither vanish identically nor
+    have a positive real root.  Black-box composites are probed instead:
+    a damped resolve must reach the first 8 sample points at each grid
+    rho.  The witness on failure carries the first defect: of part (ii),
+    then alpha < beta, then the slot certificates' witnesses.
     """
-    c = inst.constants
-    got = c.require("alpha", "beta")
+    got = inst.constants.require("alpha", "beta")
+    return _surjectivity_cert(
+        inst, rho_grid, plan,
+        certify_m_slot_accretive(inst, "f", got["alpha"], plan),
+        certify_m_slot_accretive(inst, "g", got["beta"], plan))
+
+
+def _surjectivity_cert(inst, rho_grid, plan, cert_f, cert_g) -> Certificate:
+    """`certify_generalized_mixed_accretive` given the alpha and beta slot
+    certificates."""
+    got = inst.constants.require("alpha", "beta")
     if rho_grid is None:
         rho_grid = sorted({0.5, 1.0, 2.0, inst.rho})
-    cert_f = certify_m_slot_accretive(inst, "f", got["alpha"], plan)
-    cert_g = certify_m_slot_accretive(inst, "g", got["beta"], plan)
     symmetric_ok = got["alpha"] >= got["beta"] - _ABS_TOL
     details = {
         "alpha_certificate": cert_f.to_dict(),
@@ -732,87 +761,20 @@ def certify_generalized_mixed_accretive(inst: InclusionInstance,
     }
     hc, mc = h_composite(inst), m_composite(inst)
     if hc is not None and mc is not None:
-        lh, lm = hc.matrix, mc.matrix
-        grid_info, witness, surj_ok = [], None, True
-        min_sv = np.inf
-        for rho in rho_grid:
-            comp = lh + rho * lm
-            off = hc.offset + rho * mc.offset
-            nrm = float(np.linalg.norm(comp, 2))
-            det = float(np.linalg.det(comp))
-            cond = float(np.linalg.cond(comp)) if nrm > 0 else np.inf
-            sv_min = float(np.linalg.svd(comp, compute_uv=False).min())
-            min_sv = min(min_sv, sv_min)
-            singular = (nrm == 0.0 or cond > 1e12
-                        or abs(det) <= 1e-12 * nrm ** inst.dim)
-            grid_info.append({"rho": float(rho), "det": det,
-                              "cond": None if np.isinf(cond) else cond,
-                              "singular": bool(singular)})
-            if singular and surj_ok:
-                surj_ok = False
-                if nrm <= 1e-12:
-                    witness = {"rho": float(rho),
-                               "defect": "zero linear part: image is a single point",
-                               "image_point": off.tolist(),
-                               "image_norm": float(np.linalg.norm(off))}
-                else:
-                    null = np.linalg.svd(comp)[2][-1]
-                    witness = {"rho": float(rho),
-                               "defect": "singular linear part: image is a proper affine subspace",
-                               "null_direction": null.tolist(),
-                               "image_norm": None}
-        pos_roots = _det_polynomial_roots(lh, lm)
-        details["grid"] = grid_info
-        details["determinant_positive_roots"] = pos_roots
-        if pos_roots and surj_ok:
-            surj_ok = False
-            witness = {"rho": pos_roots[0],
-                       "defect": "determinant vanishes at a positive rho",
-                       "image_norm": None}
-        part_i_ok = (cert_f.verdict != "fail" and cert_g.verdict != "fail"
-                     and symmetric_ok)
-        if not symmetric_ok and witness is None:
-            witness = {"defect": "alpha < beta breaks symmetric accretivity",
-                       "alpha": got["alpha"], "beta": got["beta"]}
-        if cert_f.verdict == "fail" and witness is None:
-            witness = cert_f.witness
-        if cert_g.verdict == "fail" and witness is None:
-            witness = cert_g.witness
-        exact_slots = (cert_f.method == "exact_affine"
-                       and cert_g.method == "exact_affine")
-        if surj_ok and part_i_ok:
-            verdict = "pass" if exact_slots else "estimated"
-        else:
-            verdict = "fail"
-        return Certificate("surjective_H_plus_rhoM",
-                           float(min_sv) if np.isfinite(min_sv) else None,
-                           None, "exact_affine", verdict, witness, details)
-    # black-box composite: probe the range on the sample lattice
-    from .resolvent import ResolventConfig, resolve, NonSurjectiveError, ResolventIterationError
-    plan = plan or SamplePlan()
-    probes, witness, ok = [], None, True
-    for rho in rho_grid:
-        cfg = ResolventConfig(rho=float(rho), solver="damped_fixed_point")
-        for x, _, _ in plan.triples(inst.dim):
-            try:
-                resolve(inst, cfg, x)
-                probes.append({"rho": float(rho), "reached": True})
-            except (NonSurjectiveError, ResolventIterationError) as exc:
-                ok = False
-                witness = {"rho": float(rho), "target": np.asarray(x).tolist(),
-                           "defect": f"range probe failed: {exc}"}
-                probes.append({"rho": float(rho), "reached": False})
-                break
-            if len(probes) >= 8:
-                break
-    details["range_probes"] = probes
-    part_i_ok = (cert_f.verdict != "fail" and cert_g.verdict != "fail"
-                 and symmetric_ok)
-    verdict = "estimated" if (ok and part_i_ok) else "fail"
-    if witness is None and not part_i_ok:
-        witness = (cert_f.witness or cert_g.witness
-                   or {"defect": "alpha < beta"})
-    return Certificate("surjective_H_plus_rhoM", None, None, "sampled",
+        method = "exact_affine"
+        witness, constant = _affine_range_defect(hc, mc, rho_grid, details)
+    else:
+        method, constant = "sampled", None
+        witness = _probed_range_defect(inst, rho_grid, plan, details)
+    ok = (witness is None and symmetric_ok and cert_f.verdict != "fail"
+          and cert_g.verdict != "fail")
+    if not symmetric_ok and witness is None:
+        witness = {"defect": "alpha < beta breaks symmetric accretivity",
+                   "alpha": got["alpha"], "beta": got["beta"]}
+    witness = witness or cert_f.witness or cert_g.witness
+    exact = method == cert_f.method == cert_g.method == "exact_affine"
+    verdict = ("pass" if exact else "estimated") if ok else "fail"
+    return Certificate("surjective_H_plus_rhoM", constant, None, method,
                        verdict, witness, details)
 
 
@@ -872,9 +834,8 @@ def certify_instance(inst: InclusionInstance,
         certs["relaxed_accretive"] = certify_m_slot_accretive(inst, "g",
                                                               c.beta, plan)
     if None not in (c.mu1, c.gamma1, c.mu2, c.gamma2):
-        strong, relaxed = certify_symmetric_mixed_cocoercive(inst, plan)
-        certs["strongly_mixed_cocoercive"] = strong
-        certs["relaxed_mixed_cocoercive"] = relaxed
+        certs.update((cert.property, cert) for cert in
+                     certify_symmetric_mixed_cocoercive(inst, plan))
     if c.tau is not None:
         certs["mixed_lipschitz"] = certify_mixed_lipschitz(inst, c.tau, plan)
     if c.alpha1 is not None:
@@ -884,11 +845,8 @@ def certify_instance(inst: InclusionInstance,
         certs["lipschitz"] = certify_lipschitz(inst.B, c.beta1, plan,
                                                inst.dim)
     if None not in (c.sigma, c.delta, c.eps1, c.eps2):
-        fs = certify_F_properties(inst, plan)
-        certs["F_strongly_accretive_first"] = fs[0]
-        certs["F_strongly_accretive_second"] = fs[1]
-        certs["F_lipschitz_first"] = fs[2]
-        certs["F_lipschitz_second"] = fs[3]
+        certs.update((cert.property, cert) for cert in
+                     certify_F_properties(inst, plan))
     if c.l1 is not None:
         certs["d_lipschitz_S"] = certify_d_lipschitz(inst.S, c.l1, plan,
                                                      inst.dim)
@@ -896,25 +854,25 @@ def certify_instance(inst: InclusionInstance,
         certs["d_lipschitz_T"] = certify_d_lipschitz(inst.T, c.l2, plan,
                                                      inst.dim)
     if c.alpha is not None and c.beta is not None:
-        certs["surjective_H_plus_rhoM"] = certify_generalized_mixed_accretive(
-            inst, rho_grid, plan)
+        certs["surjective_H_plus_rhoM"] = _surjectivity_cert(
+            inst, rho_grid, plan, certs["strongly_accretive"],
+            certs["relaxed_accretive"])
+    # certified constants where there are some, declared ones otherwise
+    sources = {"mu1": None, "mu2": None, "alpha1": "expansive",
+               "beta1": "lipschitz", "gamma1": "strongly_mixed_cocoercive",
+               "gamma2": "relaxed_mixed_cocoercive",
+               "alpha": "strongly_accretive", "beta": "relaxed_accretive"}
+    v = {}
+    for n, key in sources.items():
+        cert = certs.get(key)
+        v[n] = (getattr(c, n) if cert is None or cert.constant is None
+                else cert.constant)
     derived = {}
-    needed = ("mu1", "mu2", "gamma1", "gamma2", "alpha", "beta")
-    if all(getattr(c, n) is not None for n in needed):
-        alpha1 = certs["expansive"].constant if "expansive" in certs else c.alpha1
-        beta1 = certs["lipschitz"].constant if "lipschitz" in certs else c.beta1
-        gamma1 = certs.get("strongly_mixed_cocoercive")
-        gamma2 = certs.get("relaxed_mixed_cocoercive")
-        g1 = gamma1.constant if gamma1 is not None else c.gamma1
-        g2 = gamma2.constant if gamma2 is not None else c.gamma2
-        alpha = certs.get("strongly_accretive")
-        beta = certs.get("relaxed_accretive")
-        a = alpha.constant if alpha is not None and alpha.constant is not None else c.alpha
-        b = beta.constant if beta is not None and beta.constant is not None else c.beta
-        if alpha1 is not None and beta1 is not None:
-            derived["r"] = float(c.mu1 * alpha1 ** q - c.mu2 * beta1 ** q
-                                 + g1 + g2)
-            derived["m"] = float(a - b)
+    if None not in v.values():
+        derived["r"] = float(v["mu1"] * v["alpha1"] ** q
+                             - v["mu2"] * v["beta1"] ** q
+                             + v["gamma1"] + v["gamma2"])
+        derived["m"] = float(v["alpha"] - v["beta"])
     return CertificateBundle(certificates=certs,
                              ordering_flags=tuple(_flags(c)),
                              derived=derived, seed=plan.seed)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .certify import SamplePlan, certify_instance
 from .instances import builtin_names, get_instance
-from .operators import MissingConstantsError, load_instance
+from .operators import MissingConstantsError, _write_atomic, load_instance
 from .resolvent import NonSurjectiveError, ResolventIterationError
 from .solver import (
     DivergenceError,
@@ -52,17 +52,12 @@ def _parse_floats(text: str):
 
 
 def _emit(text: str, output: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if output is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return
-    tmp = output + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
-    os.replace(tmp, output)
+    else:
+        _write_atomic(output, text)
 
 
 def _load(name_or_path: str):

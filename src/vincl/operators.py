@@ -567,8 +567,14 @@ def load_instance(path: str) -> InclusionInstance:
 
 
 def dump_instance(inst: InclusionInstance, path: str) -> None:
+    _write_atomic(path, json.dumps(instance_to_dict(inst), indent=2,
+                                   sort_keys=True) + "\n")
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write `text` to `path` via a temporary file and `os.replace`, so
+    `path` never holds a partial write."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
     os.replace(tmp, path)

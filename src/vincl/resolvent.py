@@ -94,26 +94,38 @@ def _composite_parts(inst: InclusionInstance, rho: float):
     return hc.matrix + rho * mc.matrix, hc.offset + rho * mc.offset
 
 
+def _invertible(sv: np.ndarray) -> bool:
+    """Whether a composite H + rho*M with singular values `sv` (largest
+    first) is invertible: sigma_max > 0, cond <= _COND_LIMIT and
+    |det| > _DET_FLOOR * sigma_max^dim, the last in logs (log|det| is the
+    sum of the log singular values), so it holds at any dim and scale.
+    `Resolvent` and the surjectivity certificate both decide with it.
+    """
+    nrm, low = float(sv[0]), float(sv[-1])
+    if not (nrm > 0 and low > 0 and nrm / low <= _COND_LIMIT):
+        return False
+    return float(np.sum(np.log(sv))) > np.log(_DET_FLOOR) + len(sv) * np.log(nrm)
+
+
+def _det(matrix: np.ndarray) -> float:
+    """det(matrix) from slogdet: inf where it overflows, without a warning."""
+    sign, log_abs = np.linalg.slogdet(matrix)
+    with np.errstate(over="ignore"):
+        return float(sign * np.exp(log_abs))
+
+
 def _factor_composite(matrix: np.ndarray, offset: np.ndarray, rho: float):
     """LU factors and singular values of the composite `matrix`.
 
-    The composite is invertible when sigma_max > 0, cond <= _COND_LIMIT and
-    |det| > _DET_FLOOR * sigma_max^dim; the determinant test runs in logs
-    on the LU diagonal, so it neither overflows nor underflows at large
-    dim.  The first two conditions are decided from the singular values
-    before factoring, so a singular composite is never handed to
-    `lu_factor`.
+    The composite is decided by `_invertible` before it is factored, so a
+    singular composite is never handed to `lu_factor`.
 
     Raises NonSurjectiveError, with a `defect` dict, otherwise.
     """
     sv = np.linalg.svd(matrix, compute_uv=False)
-    nrm, dim = float(sv[0]), matrix.shape[0]
-    cond = nrm / float(sv[-1]) if sv[-1] > 0 else np.inf
-    if nrm > 0 and cond <= _COND_LIMIT:
-        lu = scipy.linalg.lu_factor(matrix, check_finite=False)
-        log_det = float(np.sum(np.log(np.abs(np.diag(lu[0])))))
-        if log_det > np.log(_DET_FLOOR) + dim * np.log(nrm):
-            return lu, sv
+    if _invertible(sv):
+        return scipy.linalg.lu_factor(matrix, check_finite=False), sv
+    nrm = float(sv[0])
     if nrm <= 1e-12:
         defect = {"rho": rho,
                   "kind": "zero linear part",
@@ -122,16 +134,14 @@ def _factor_composite(matrix: np.ndarray, offset: np.ndarray, rho: float):
                   "image_point": offset.tolist(),
                   "image_norm": float(np.linalg.norm(offset))}
     else:
-        sign, log_abs = np.linalg.slogdet(matrix)
-        with np.errstate(over="ignore"):
-            det = float(sign * np.exp(log_abs))
+        cond = nrm / float(sv[-1]) if sv[-1] > 0 else np.inf
         defect = {"rho": rho,
                   "kind": "singular linear part",
                   "description": "the composite image is a proper affine "
                                  "subspace",
                   "null_direction": np.linalg.svd(matrix)[2][-1].tolist(),
                   "cond": None if np.isinf(cond) else cond,
-                  "det": det}
+                  "det": _det(matrix)}
     raise NonSurjectiveError(
         f"composite H + rho*M is not invertible at rho={rho}: "
         f"{defect['description']}", defect)
@@ -297,9 +307,7 @@ def audit_lipschitz(inst: InclusionInstance, cfg: ResolventConfig,
     r, m = theoretical_r_m(inst)
     bound = 1.0 / (r + cfg.rho * m)
     resolvent = Resolvent(inst, cfg)
-    pairs = list(plan.pairs(inst.dim))
-    u = np.array([p[0] for p in pairs], dtype=float)
-    v = np.array([p[1] for p in pairs], dtype=float)
+    u, v, _ = plan.arrays(inst.dim)
     du = np.linalg.norm(u - v, axis=1)
     keep = du >= 1e-12
     u, v, du = u[keep], v[keep], du[keep]

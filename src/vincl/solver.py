@@ -27,7 +27,6 @@ import csv
 import io
 import json
 import math
-import os
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -35,6 +34,7 @@ import numpy as np
 
 from .operators import (
     InclusionInstance,
+    _write_atomic,
     eval_H_on_point,
     inclusion_residual,
     set_values,
@@ -86,19 +86,34 @@ class GeometricErrors:
 # theta and the two-sided rate condition
 # ---------------------------------------------------------------------------
 
-def _theta_terms(inst: InclusionInstance, rho: float, n: int | None,
-                 sigma: float, delta: float) -> dict:
-    c = inst.constants
-    got = c.require("tau", "eps1", "eps2", "l1", "l2")
+def _rate(inst: InclusionInstance, rho: float | None, n: int | None,
+          renormalized: bool):
+    """The rate formula's terms, radicand and q-th root (None when the
+    radicand is negative), with rho, r and m.
+
+    `renormalized` divides sigma, delta by tau^q, the H-increment
+    normalization; (sigma/tau^q + delta/tau^q) * tau^q = sigma + delta, so
+    the tau^q of the coupling term cancels.
+    """
+    rho = inst.rho if rho is None else rho
+    got = inst.constants.require("sigma", "delta")
+    r, m = theoretical_r_m(inst)
+    got.update(inst.constants.require("tau", "eps1", "eps2", "l1", "l2"))
     q, c_q = inst.space.q, inst.space.c_q
     k = 1.0 + 1.0 / n if n is not None else 1.0
     tau_term = got["tau"] ** q
     err_term = c_q * rho ** q * (got["eps1"] * got["l1"] * k
                                  + got["eps2"] * got["l2"] * k) ** q
-    coupling_term = rho * q * (sigma + delta) * got["tau"] ** q
-    return {"tau_term": tau_term, "error_term": err_term,
-            "coupling_term": coupling_term,
-            "radicand": tau_term + err_term - coupling_term}
+    sigma_delta = got["sigma"] + got["delta"]
+    coupling_term = rho * q * sigma_delta * tau_term
+    terms = {"tau_term": tau_term, "error_term": err_term,
+             "coupling_term": coupling_term,
+             "radicand": tau_term + err_term - coupling_term}
+    radicand = terms["radicand"]
+    if renormalized:
+        radicand = tau_term + err_term - rho * q * sigma_delta
+    root = radicand ** (1.0 / q) if radicand >= 0 else None
+    return rho, terms, radicand, root, r, m
 
 
 def theta(inst: InclusionInstance, rho: float | None = None,
@@ -108,14 +123,11 @@ def theta(inst: InclusionInstance, rho: float | None = None,
     theta_n when `n` is given, the limit theta otherwise.  Raises
     ValueError when the radicand is negative (the condition is broken).
     """
-    rho = inst.rho if rho is None else rho
-    got = inst.constants.require("sigma", "delta")
-    terms = _theta_terms(inst, rho, n, got["sigma"], got["delta"])
-    if terms["radicand"] < 0:
-        raise ValueError(f"negative radicand {terms['radicand']:.6g}: the "
+    rho, _, radicand, root, r, m = _rate(inst, rho, n, renormalized=False)
+    if root is None:
+        raise ValueError(f"negative radicand {radicand:.6g}: the "
                          "rate formula is undefined at this rho")
-    r, m = theoretical_r_m(inst)
-    return float(terms["radicand"] ** (1.0 / inst.space.q) / (r + rho * m))
+    return float(root / (r + rho * m))
 
 
 def contraction_factor_bound(inst: InclusionInstance,
@@ -128,18 +140,8 @@ def contraction_factor_bound(inst: InclusionInstance,
     derivation consumes.  This is the bound observed ratios satisfy.
     Returns None when the renormalized radicand is negative.
     """
-    rho = inst.rho if rho is None else rho
-    got = inst.constants.require("sigma", "delta", "tau")
-    q = inst.space.q
-    # (sigma/tau^q + delta/tau^q) * tau^q = sigma + delta: the tau^q of the
-    # coupling term cancels against the renormalization.
-    terms = _theta_terms(inst, rho, n, got["sigma"], got["delta"])
-    radicand = (terms["tau_term"] + terms["error_term"]
-                - rho * q * (got["sigma"] + got["delta"]))
-    if radicand < 0:
-        return None
-    r, m = theoretical_r_m(inst)
-    return float(radicand ** (1.0 / q) / (r + rho * m))
+    rho, _, _, root, r, m = _rate(inst, rho, n, renormalized=True)
+    return None if root is None else float(root / (r + rho * m))
 
 
 @dataclass(frozen=True)
@@ -190,28 +192,21 @@ def check_condition_vi(inst: InclusionInstance,
     else "satisfied".  Missing constants raise MissingConstantsError
     naming them.
     """
-    rho = inst.rho if rho is None else rho
-    got = inst.constants.require("sigma", "delta")
-    r, m = theoretical_r_m(inst)
-    terms = _theta_terms(inst, rho, None, got["sigma"], got["delta"])
-    rad = terms["radicand"]
+    rho, terms, rad, root, r, m = _rate(inst, rho, None, renormalized=False)
     denom = r + rho * m
-    rate_bound = contraction_factor_bound(inst, rho)
-    if rad < 0:
-        return ConditionReport(rho, inst.space.q, inst.space.c_q, rad, None,
-                               r, m, denom, None, rate_bound, terms,
-                               "violated_radicand")
-    root = rad ** (1.0 / inst.space.q)
-    th = root / denom
-    if root <= 0.0:
+    if root is None:
+        verdict = "violated_radicand"
+    elif root <= 0.0:
         verdict = "violated_lower"
     elif root >= denom:
         verdict = "violated_upper"
     else:
         verdict = "satisfied"
-    return ConditionReport(rho, inst.space.q, inst.space.c_q, rad,
-                           float(root), r, m, float(denom), float(th),
-                           rate_bound, terms, verdict)
+    return ConditionReport(
+        rho, inst.space.q, inst.space.c_q, rad,
+        None if root is None else float(root), r, m, float(denom),
+        None if root is None else float(root / denom),
+        contraction_factor_bound(inst, rho), terms, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +318,7 @@ class SolveTrace:
                 + [repr(float(c)) for c in rec.u])
         text = buf.getvalue()
         if path is not None:
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
+            _write_atomic(path, text)
         return text
 
 
@@ -360,17 +352,12 @@ class SolverConfig:
             object.__setattr__(self, "u0", as_vector(self.u0))
 
 
-def _try_theta(inst, rho, n):
+def _or_none(fn, *args):
+    """fn(*args), or None on ValueError (missing constants, negative
+    radicand)."""
     try:
-        return theta(inst, rho, n)
-    except ValueError:      # missing constants or a negative radicand
-        return None
-
-
-def _try_rate_bound(inst, rho):
-    try:
-        return contraction_factor_bound(inst, rho)
-    except ValueError:      # missing constants
+        return fn(*args)
+    except ValueError:
         return None
 
 
@@ -391,8 +378,8 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
     resolvent = Resolvent(inst, ResolventConfig(rho=rho,
                                                 inner_tol=cfg.inner_tol))
     trace = SolveTrace(rho=rho, tol=cfg.tol)
-    trace.theta_declared = _try_theta(inst, rho, None)
-    trace.theta_rate_bound = _try_rate_bound(inst, rho)
+    trace.theta_declared = _or_none(theta, inst, rho, None)
+    trace.theta_rate_bound = _or_none(contraction_factor_bound, inst, rho)
     if cfg.errors is not None:
         trace.varpi = cfg.errors.varpi
     res_bound = 10.0 * cfg.tol * (1.0 + float(np.linalg.norm(inst.omega)))
@@ -419,7 +406,7 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
         trace.records.append(IterationRecord(
             n=n, z=z_next, u=u_next, v=v_next, w=w_next, step=step,
             ratio=ratio, residual=res.value,
-            theta_n=_try_theta(inst, rho, n + 1),
+            theta_n=_or_none(theta, inst, rho, n + 1),
             error_norm=float(np.linalg.norm(e_n))))
 
         if not np.all(np.isfinite(u_next)):

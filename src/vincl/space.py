@@ -40,7 +40,7 @@ def as_vector(x) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     if v.size == 0:
         raise ValueError("empty vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite coordinates")
     return v
 

@@ -46,12 +46,10 @@ from .operators import (
     set_values,
 )
 from .resolvent import (
-    NonSurjectiveError,
+    Composite,
+    Resolvent,
     ResolventConfig,
     ResolventIterationError,
-    _det,
-    _invertible,
-    resolve,
 )
 
 _ABS_TOL = 1e-9
@@ -118,15 +116,6 @@ class SamplePlan:
             raise InsufficientEvidenceError(
                 "sample plan produced no samples (empty lattice and n_pairs=0)")
         return xyu[:, 0], xyu[:, 1], xyu[:, 2]
-
-    def pairs(self, dim: int):
-        """Iterate over the (x, y) rows of `arrays`."""
-        x, y, _ = self.arrays(dim)
-        return zip(x, y)
-
-    def triples(self, dim: int):
-        """Iterate over the (x, y, u) rows of `arrays`."""
-        return zip(*self.arrays(dim))
 
 
 @dataclass(frozen=True)
@@ -635,9 +624,10 @@ def certify_m_slot_accretive(inst: InclusionInstance, slot: str,
     return _accretive_form(prop, claimed, plan, x[rows], y[rows], du, q, sign)
 
 
-def _det_polynomial_roots(lh: np.ndarray, lm: np.ndarray, nonzero: bool):
-    """Positive real roots of rho -> det(lh + rho*lm), or None when the
-    determinant vanishes identically.
+def _det_polynomial_roots(hc, mc, nonzero: bool):
+    """Positive real roots of rho -> det(lh + rho*lm), the linear parts of
+    the H and M composites `hc` and `mc`, or None when the determinant
+    vanishes identically.
 
     The determinant has degree at most dim in rho, so it is not the zero
     polynomial once the composite is invertible at one of dim + 1 distinct
@@ -647,9 +637,10 @@ def _det_polynomial_roots(lh: np.ndarray, lm: np.ndarray, nonzero: bool):
     which handles repeated roots and singular lm robustly (infinite
     eigenvalues are discarded).
     """
+    lh, lm = hc.matrix, mc.matrix
     dim = lh.shape[0]
     if not (nonzero or any(
-            _invertible(np.linalg.svd(lh + t * lm, compute_uv=False))
+            Composite(hc, mc, t).invertible
             for t in np.linspace(0.0, max(1.0, dim), dim + 1))):
         return None
     if np.linalg.norm(lm) == 0.0:
@@ -661,36 +652,32 @@ def _det_polynomial_roots(lh: np.ndarray, lm: np.ndarray, nonzero: bool):
     return sorted(set(round(float(r), 10) for r in eigs.real[real]))
 
 
+def _range_witness(defect: dict) -> dict:
+    """The certificate's witness for a `Composite.defect`."""
+    if defect["kind"] == "zero linear part":
+        return {"rho": defect["rho"],
+                "defect": "zero linear part: image is a single point",
+                "image_point": defect["image_point"],
+                "image_norm": defect["image_norm"]}
+    return {"rho": defect["rho"],
+            "defect": "singular linear part: image is a proper affine subspace",
+            "null_direction": defect["null_direction"],
+            "image_norm": None}
+
+
 def _affine_range_defect(hc, mc, rho_grid, details):
     """Part (ii) for an affine composite: the first defect found (or
     None) and the smallest singular value over the grid."""
-    lh, lm = hc.matrix, mc.matrix
     grid, witness, min_sv = [], None, np.inf
     for rho in rho_grid:
-        comp = lh + rho * lm
-        sv = np.linalg.svd(comp, compute_uv=False)
-        nrm = float(sv[0])
-        cond = nrm / float(sv[-1]) if sv[-1] > 0 else np.inf
-        min_sv = min(min_sv, float(sv[-1]))
-        singular = not _invertible(sv)
-        grid.append({"rho": float(rho), "det": _det(comp),
-                     "cond": None if np.isinf(cond) else cond,
-                     "singular": singular})
-        if not singular or witness is not None:
-            continue
-        if nrm <= 1e-12:
-            off = hc.offset + rho * mc.offset
-            witness = {"rho": float(rho),
-                       "defect": "zero linear part: image is a single point",
-                       "image_point": off.tolist(),
-                       "image_norm": float(np.linalg.norm(off))}
-        else:
-            witness = {"rho": float(rho),
-                       "defect": "singular linear part: image is a proper affine subspace",
-                       "null_direction": np.linalg.svd(comp)[2][-1].tolist(),
-                       "image_norm": None}
+        k = Composite(hc, mc, float(rho))
+        min_sv = min(min_sv, float(k.sv[-1]))
+        grid.append({"rho": k.rho, "det": k.det, "cond": k.cond,
+                     "singular": not k.invertible})
+        if witness is None and not k.invertible:
+            witness = _range_witness(k.defect())
     roots = _det_polynomial_roots(
-        lh, lm, nonzero=not all(g["singular"] for g in grid))
+        hc, mc, nonzero=not all(g["singular"] for g in grid))
     details["grid"] = grid
     details["determinant_positive_roots"] = roots
     if witness is None and roots is None:
@@ -706,18 +693,18 @@ def _affine_range_defect(hc, mc, rho_grid, details):
 def _probed_range_defect(inst, rho_grid, plan, details):
     """Part (ii) for a black-box composite: a damped resolve must reach
     the first sample points at each grid rho.  Returns the defect of the
-    last failed probe, or None."""
+    first failed probe, or None."""
     targets = (plan or SamplePlan()).arrays(inst.dim)[0][:_RANGE_PROBES]
     probes, witness = [], None
     for rho in rho_grid:
-        cfg = ResolventConfig(rho=float(rho), solver="damped_fixed_point")
+        resolvent = Resolvent(inst, ResolventConfig(rho=float(rho)))
         for x in targets:
             try:
-                resolve(inst, cfg, x)
+                resolvent(x)
                 probes.append({"rho": float(rho), "reached": True})
-            except (NonSurjectiveError, ResolventIterationError) as exc:
-                witness = {"rho": float(rho), "target": x.tolist(),
-                           "defect": f"range probe failed: {exc}"}
+            except ResolventIterationError as exc:
+                witness = witness or {"rho": float(rho), "target": x.tolist(),
+                                      "defect": f"range probe failed: {exc}"}
                 probes.append({"rho": float(rho), "reached": False})
                 break
     details["range_probes"] = probes
@@ -732,12 +719,13 @@ def certify_generalized_mixed_accretive(inst: InclusionInstance,
     Part (i): M is symmetric accretive through (f, g) -- the strong and
     relaxed slot certificates plus alpha >= beta.  Part (ii): H + rho*M is
     surjective; for affine instances the composite linear map must be
-    invertible on the rho grid (by the test `Resolvent` applies), and the
-    determinant (a polynomial in rho) must neither vanish identically nor
-    have a positive real root.  Black-box composites are probed instead:
-    a damped resolve must reach the first 8 sample points at each grid
-    rho.  The witness on failure carries the first defect: of part (ii),
-    then alpha < beta, then the slot certificates' witnesses.
+    invertible on the rho grid, decided by `Composite` as in `Resolvent`
+    (sigma_max > 0 and cond <= 1e12), and the determinant (a polynomial
+    in rho) must neither vanish identically nor have a positive real
+    root.  Black-box composites are probed instead: a damped resolve must
+    reach the first 8 sample points at each grid rho.  The witness on
+    failure carries the first defect: of part (ii), then alpha < beta,
+    then the slot certificates' witnesses.
     """
     got = inst.constants.require("alpha", "beta")
     return _surjectivity_cert(

@@ -11,8 +11,10 @@ call; black-box operators fall back to a damped fixed-point iteration.
 against the worst observed quotient over a seeded sample.
 """
 
+import functools
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -24,10 +26,9 @@ from .operators import (
     h_composite,
     m_composite,
 )
-from .space import as_vector
+from .space import NonFiniteError, as_vector
 
 _COND_LIMIT = 1e12
-_DET_FLOOR = 1e-12
 
 
 class NonSurjectiveError(RuntimeError):
@@ -52,16 +53,13 @@ class ResolventIterationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ResolventConfig:
-    """How to invert the composite.
+    """How to invert the composite at step size `rho`.
 
-    solver
-        "exact_affine" forces the dense solve, "damped_fixed_point" the
-        iterative fallback, "auto" picks the exact path when the instance
-        is affine.
+    The instance decides the path (see `Resolvent`); the damped path
+    stops at residual `inner_tol` or after `max_inner_iters` iterations.
     """
 
     rho: float
-    solver: str = "auto"
     max_inner_iters: int = 20000
     inner_tol: float = 1e-12
 
@@ -70,8 +68,6 @@ class ResolventConfig:
             raise ValueError(f"rho must be > 0, got {self.rho}")
         if not self.inner_tol > 0:
             raise ValueError(f"inner_tol must be > 0, got {self.inner_tol}")
-        if self.solver not in ("auto", "exact_affine", "damped_fixed_point"):
-            raise ValueError(f"unknown solver {self.solver!r}")
 
 
 def forward(inst: InclusionInstance, x, rho: float | None = None) -> np.ndarray:
@@ -87,69 +83,63 @@ def forward(inst: InclusionInstance, x, rho: float | None = None) -> np.ndarray:
     return hx + rho * m_vals[0]
 
 
-def _composite_parts(inst: InclusionInstance, rho: float):
-    hc, mc = h_composite(inst), m_composite(inst)
-    if hc is None or mc is None:
-        return None
-    return hc.matrix + rho * mc.matrix, hc.offset + rho * mc.offset
+class Composite:
+    """K = H + rho*M of an affine instance at one rho: x -> matrix @ x +
+    offset, with the singular values `sv` of `matrix` (largest first),
+    `cond` = sigma_max / sigma_min (None where infinite) and `invertible`.
 
-
-def _invertible(sv: np.ndarray) -> bool:
-    """Whether a composite H + rho*M with singular values `sv` (largest
-    first) is invertible: sigma_max > 0, cond <= _COND_LIMIT and
-    |det| > _DET_FLOOR * sigma_max^dim, the last in logs (log|det| is the
-    sum of the log singular values), so it holds at any dim and scale.
-    `Resolvent` and the surjectivity certificate both decide with it.
+    This is the one test of whether H + rho*M is invertible, for
+    `Resolvent` and for the surjectivity certificate: sigma_max > 0 and
+    cond <= 1e12.  A condition number does not change when K is scaled or
+    its dimension grows, so neither changes the decision.  The
+    constructor takes one values-only SVD; `det` (one `slogdet`) and the
+    null direction of a singular `defect` (one full SVD) are computed
+    only when asked for.
     """
-    nrm, low = float(sv[0]), float(sv[-1])
-    if not (nrm > 0 and low > 0 and nrm / low <= _COND_LIMIT):
-        return False
-    return float(np.sum(np.log(sv))) > np.log(_DET_FLOOR) + len(sv) * np.log(nrm)
+
+    def __init__(self, hc, mc, rho: float):
+        self.rho = rho
+        self.matrix = hc.matrix + rho * mc.matrix
+        self.offset = hc.offset + rho * mc.offset
+        self.sv = np.linalg.svd(self.matrix, compute_uv=False)
+        low = float(self.sv[-1])
+        cond = float(self.sv[0]) / low if low > 0 else np.inf
+        self.cond = None if np.isinf(cond) else cond
+        self.invertible = self.cond is not None and self.cond <= _COND_LIMIT
+
+    @functools.cached_property
+    def det(self) -> float:
+        """det(matrix) from slogdet: inf where it overflows, without a
+        warning."""
+        sign, log_abs = np.linalg.slogdet(self.matrix)
+        with np.errstate(over="ignore"):
+            return float(sign * np.exp(log_abs))
+
+    def defect(self) -> dict | None:
+        """None when K is invertible.  Otherwise why H + rho*M is not onto:
+        a zero linear part (sigma_max <= 1e-12; the image is the single
+        point `offset`) or a singular one (the image is a proper affine
+        subspace; `null_direction` is the right singular vector of
+        sigma_min)."""
+        if self.invertible:
+            return None
+        if float(self.sv[0]) <= 1e-12:
+            return {"rho": self.rho,
+                    "kind": "zero linear part",
+                    "description": "the composite image is the single point "
+                                   f"{self.offset.tolist()}",
+                    "image_point": self.offset.tolist(),
+                    "image_norm": float(np.linalg.norm(self.offset))}
+        return {"rho": self.rho,
+                "kind": "singular linear part",
+                "description": "the composite image is a proper affine "
+                               "subspace",
+                "null_direction": np.linalg.svd(self.matrix)[2][-1].tolist(),
+                "cond": self.cond,
+                "det": self.det}
 
 
-def _det(matrix: np.ndarray) -> float:
-    """det(matrix) from slogdet: inf where it overflows, without a warning."""
-    sign, log_abs = np.linalg.slogdet(matrix)
-    with np.errstate(over="ignore"):
-        return float(sign * np.exp(log_abs))
-
-
-def _factor_composite(matrix: np.ndarray, offset: np.ndarray, rho: float):
-    """LU factors and singular values of the composite `matrix`.
-
-    The composite is decided by `_invertible` before it is factored, so a
-    singular composite is never handed to `lu_factor`.
-
-    Raises NonSurjectiveError, with a `defect` dict, otherwise.
-    """
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if _invertible(sv):
-        return scipy.linalg.lu_factor(matrix, check_finite=False), sv
-    nrm = float(sv[0])
-    if nrm <= 1e-12:
-        defect = {"rho": rho,
-                  "kind": "zero linear part",
-                  "description": "the composite image is the single point "
-                                 f"{offset.tolist()}",
-                  "image_point": offset.tolist(),
-                  "image_norm": float(np.linalg.norm(offset))}
-    else:
-        cond = nrm / float(sv[-1]) if sv[-1] > 0 else np.inf
-        defect = {"rho": rho,
-                  "kind": "singular linear part",
-                  "description": "the composite image is a proper affine "
-                                 "subspace",
-                  "null_direction": np.linalg.svd(matrix)[2][-1].tolist(),
-                  "cond": None if np.isinf(cond) else cond,
-                  "det": _det(matrix)}
-    raise NonSurjectiveError(
-        f"composite H + rho*M is not invertible at rho={rho}: "
-        f"{defect['description']}", defect)
-
-
-def _damping(inst: InclusionInstance, rho: float) -> float:
-    tau = inst.constants.tau
-    mc = m_composite(inst)
+def _damping(tau: float | None, mc, rho: float) -> float:
     if tau is not None and mc is not None:
         lip_m = float(np.linalg.norm(mc.matrix, 2))
         return 1.0 / (tau + rho * lip_m)
@@ -159,11 +149,14 @@ def _damping(inst: InclusionInstance, rho: float) -> float:
 class Resolvent:
     """R = (H((A,B),(C,D)) + rho*M(f,g))^(-1) of one instance at one rho.
 
-    Built once and applied many times.  On the exact path the constructor
-    assembles the affine composite K, decides its invertibility and
-    LU-factors it, so each call is a triangular solve; on the damped path
-    it fixes the step size of the fixed-point iteration.  A call takes a
-    vector or an `(n, dim)` batch of rows and returns the same shape.
+    Built once and applied many times.  The instance decides the path.
+    When H is additive, M the difference coupling and A..D, f, g affine,
+    the constructor assembles the composite K as a `Composite`, decides
+    its invertibility (sigma_max > 0 and cond(K) <= 1e12) and LU-factors
+    it, so each call is a triangular solve.  Black-box maps take the
+    damped path: the constructor fixes the step size of a fixed-point
+    iteration that each call runs.  A call takes a vector or an
+    `(n, dim)` batch of rows and returns the same shape.
 
     `singular_values` holds those of K, largest first, on the exact path
     (so `1 / singular_values[-1]` is R's exact Lipschitz constant) and is
@@ -174,28 +167,27 @@ class Resolvent:
     NonSurjectiveError
         From the constructor, if the affine composite is (numerically)
         singular, so some z lie outside the range.
-    ValueError
-        From the constructor, if `cfg.solver` is "exact_affine" and the
-        instance has no affine realization of the composite.
     ResolventIterationError
-        From a call, if the damped fixed-point fallback stalls above
-        `inner_tol`.
+        From a call on the damped path, if the iteration stalls above
+        `inner_tol` or its residual or a map image becomes non-finite.
     """
 
     def __init__(self, inst: InclusionInstance, cfg: ResolventConfig):
         self.inst, self.cfg = inst, cfg
         self.singular_values = None
-        parts = _composite_parts(inst, cfg.rho)
-        if parts is None and cfg.solver == "exact_affine":
-            raise ValueError("exact_affine solver requires affine "
-                             "realizations of H, A..D, f, g and the "
-                             "difference coupling")
-        if parts is not None and cfg.solver in ("auto", "exact_affine"):
-            matrix, self._offset = parts
-            self._lu, self.singular_values = _factor_composite(
-                matrix, self._offset, cfg.rho)
-        else:
-            self._lam = _damping(inst, cfg.rho)
+        hc, mc = h_composite(inst), m_composite(inst)
+        if hc is None or mc is None:
+            self._lam = _damping(inst.constants.tau, mc, cfg.rho)
+            return
+        k = Composite(hc, mc, cfg.rho)
+        defect = k.defect()
+        if defect is not None:
+            raise NonSurjectiveError(
+                f"composite H + rho*M is not invertible at rho={cfg.rho}: "
+                f"{defect['description']}", defect)
+        # decided before factoring, so lu_factor never sees a singular K
+        self._lu = scipy.linalg.lu_factor(k.matrix, check_finite=False)
+        self._offset, self.singular_values = k.offset, k.sv
 
     @property
     def exact(self) -> bool:
@@ -231,21 +223,29 @@ def _resolve_damped(inst: InclusionInstance, cfg: ResolventConfig,
                     z: np.ndarray, lam: float) -> np.ndarray:
     x = np.array(z, dtype=float)
     last = np.inf
-    for _ in range(cfg.max_inner_iters):
-        hx = eval_H_on_point(inst, x)
-        m_vals = eval_M_on_point(inst, x)
-        # target the selection that minimizes the current residual
-        residuals = [hx + cfg.rho * m - z for m in m_vals]
-        norms = [float(np.linalg.norm(r)) for r in residuals]
-        k = int(np.argmin(norms))
-        last = norms[k]
-        if last <= cfg.inner_tol:
-            return x
-        x = x - lam * residuals[k]
-        if not np.all(np.isfinite(x)):
-            raise ResolventIterationError(
-                "damped fixed-point iteration diverged to non-finite values",
-                last)
+    # a diverging iterate overflows; the checks below turn the inf it
+    # leaves in the residual, a map image or x into ResolventIterationError
+    with np.errstate(over="ignore"):
+        for _ in range(cfg.max_inner_iters):
+            try:
+                hx = eval_H_on_point(inst, x)
+                m_vals = eval_M_on_point(inst, x)
+            except NonFiniteError:
+                raise ResolventIterationError(
+                    "damped fixed-point iteration diverged: a map image "
+                    "is non-finite", last) from None
+            # target the selection that minimizes the current residual
+            residuals = [hx + cfg.rho * m - z for m in m_vals]
+            norms = [float(np.linalg.norm(r)) for r in residuals]
+            k = int(np.argmin(norms))
+            last = norms[k]
+            if last <= cfg.inner_tol:
+                return x
+            x = x - lam * residuals[k]
+            if not (math.isfinite(last) and np.all(np.isfinite(x))):
+                raise ResolventIterationError(
+                    "damped fixed-point iteration diverged to non-finite "
+                    "values", last)
     raise ResolventIterationError(
         f"damped fixed-point iteration exceeded {cfg.max_inner_iters} "
         f"iterations (last residual {last:.3e} > {cfg.inner_tol:.3e})", last)
@@ -282,12 +282,7 @@ class AuditReport:
     exact_ratio: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "rho": self.rho, "r": self.r, "m": self.m, "bound": self.bound,
-            "worst_ratio": self.worst_ratio, "worst_pair": self.worst_pair,
-            "n_pairs": self.n_pairs, "passed": self.passed,
-            "exact_ratio": self.exact_ratio,
-        }
+        return asdict(self)
 
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("sort_keys", True)

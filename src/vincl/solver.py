@@ -28,7 +28,7 @@ import io
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .resolvent import Resolvent, ResolventConfig, theoretical_r_m
 from .space import as_vector
 
 TRACE_SCHEMA = "vincl.trace.v1"
+_INNER_TOL = 1e-13      # damped-path tolerance of the resolvent `solve` builds
 
 
 class DivergenceError(RuntimeError):
@@ -170,13 +171,7 @@ class ConditionReport:
         return self.verdict == "satisfied"
 
     def to_dict(self) -> dict:
-        return {
-            "rho": self.rho, "q": self.q, "c_q": self.c_q,
-            "radicand": self.radicand, "root": self.root,
-            "r": self.r, "m": self.m, "r_plus_rho_m": self.r_plus_rho_m,
-            "theta": self.theta, "theta_rate_bound": self.theta_rate_bound,
-            "terms": self.terms, "verdict": self.verdict,
-        }
+        return asdict(self)
 
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("sort_keys", True)
@@ -340,7 +335,6 @@ class SolverConfig:
     tol: float = 1e-10
     errors: GeometricErrors | None = None
     u0: np.ndarray | None = None
-    inner_tol: float = 1e-13
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -376,7 +370,7 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
     """
     rho = inst.rho if cfg.rho is None else cfg.rho
     resolvent = Resolvent(inst, ResolventConfig(rho=rho,
-                                                inner_tol=cfg.inner_tol))
+                                                inner_tol=_INNER_TOL))
     trace = SolveTrace(rho=rho, tol=cfg.tol)
     trace.theta_declared = _or_none(theta, inst, rho, None)
     trace.theta_rate_bound = _or_none(contraction_factor_bound, inst, rho)

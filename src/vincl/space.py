@@ -27,13 +27,18 @@ class InvalidExponentError(ValueError):
     """Smoothness exponent q must be > 1."""
 
 
+class NonFiniteError(ValueError):
+    """A vector with NaN or Inf coordinates."""
+
+
 def as_vector(x) -> np.ndarray:
     """Coerce `x` to a finite 1-D float64 array.
 
     Raises
     ------
     ValueError
-        If the input is not 1-D, is empty, or contains NaN/Inf.
+        If the input is not 1-D or is empty; NonFiniteError (a ValueError)
+        if it contains NaN/Inf.
     """
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
@@ -41,7 +46,7 @@ def as_vector(x) -> np.ndarray:
     if v.size == 0:
         raise ValueError("empty vector")
     if not np.isfinite(v).all():
-        raise ValueError("vector has non-finite coordinates")
+        raise NonFiniteError("vector has non-finite coordinates")
     return v
 
 

@@ -77,6 +77,14 @@ def _diagonal_instance(diag):
         omega=np.zeros(dim), rho=1.0)
 
 
+def _opaque_h(inst):
+    """The instance with A..D as black boxes: the composite is no longer
+    affine, so resolves take the damped path; f and g stay affine, so the
+    damping step is the one the affine instance gets."""
+    return inst.with_(**{s: (lambda m: (lambda x: m(x)))(getattr(inst, s))
+                         for s in ("A", "B", "C", "D")})
+
+
 def test_resolve_degenerate_composite_raises():
     inst = example_3_3().instance
     with warnings.catch_warnings(), pytest.raises(NonSurjectiveError) as exc:
@@ -96,7 +104,7 @@ def test_resolve_degenerate_composite_fine_at_other_rho():
 
 @pytest.mark.parametrize("diag", [
     [1.0, 0.0, 2.0],            # cond infinite: rejected before factoring
-    [1.0, 1e-6, 1e-7],          # cond 1e7, but |det| <= 1e-12 * sigma_max^3
+    [1.0, 1e-6, 1e-13],         # cond 1e13, above the condition limit
 ])
 def test_resolve_singular_linear_part_raises(diag):
     inst = _diagonal_instance(diag)
@@ -112,10 +120,22 @@ def test_resolve_singular_linear_part_raises(diag):
         pytest.approx(1.0)
 
 
+def test_resolve_cond_1e7_composite_round_trips():
+    # |det| = 1e-13 <= 1e-12 * sigma_max^3, but cond 1e7 is within the limit
+    diag = np.array([1.0, 1e-6, 1e-7])
+    inst = _diagonal_instance(diag)
+    z = np.array([0.5, -2.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = resolve(inst, ResolventConfig(rho=1.0), z)
+    np.testing.assert_allclose(x, z / diag, rtol=1e-14)
+    np.testing.assert_allclose(forward(inst, x, rho=1.0), z, rtol=1e-14)
+
+
 @pytest.mark.parametrize("scale", [7.0, 0.1])
 def test_resolve_large_well_conditioned_composite(scale):
-    # scale*I at dim 400 has cond 1; sigma_max^dim overflows (7^400) or
-    # underflows (0.1^400) a float, the log-space determinant test does not
+    # scale*I at dim 400 has cond 1; its determinant overflows (7^400) or
+    # underflows (0.1^400) a float, and the test looks at cond only
     inst = _diagonal_instance(np.full(400, scale))
     z = np.linspace(-1.0, 1.0, 400)
     with warnings.catch_warnings():
@@ -133,10 +153,9 @@ _BATCH = st.lists(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
 def test_batched_call_matches_rows(rows):
     inst = example_4_7().instance
     z = np.array(rows)
-    for cfg in (ResolventConfig(rho=0.35),
-                ResolventConfig(rho=0.35, solver="damped_fixed_point",
-                                inner_tol=1e-10)):
-        res = Resolvent(inst, cfg)
+    for res in (Resolvent(inst, ResolventConfig(rho=0.35)),
+                Resolvent(_opaque_h(inst),
+                          ResolventConfig(rho=0.35, inner_tol=1e-10))):
         batch = res(z)
         assert batch.shape == z.shape
         for row, out in zip(z, batch):
@@ -149,34 +168,43 @@ def test_resolvent_paths_and_singular_values():
     assert exact.exact
     sv = exact.singular_values
     assert np.all(np.diff(sv) <= 0) and sv[-1] > 0
-    damped = Resolvent(inst, ResolventConfig(rho=0.35,
-                                             solver="damped_fixed_point"))
-    assert not damped.exact and damped.singular_values is None
     blackbox = inst.with_(A=lambda x: inst.A(x))
-    with pytest.raises(ValueError):
-        Resolvent(blackbox, ResolventConfig(rho=0.35, solver="exact_affine"))
-    assert not Resolvent(blackbox, ResolventConfig(rho=0.35)).exact
+    damped = Resolvent(blackbox, ResolventConfig(rho=0.35))
+    assert not damped.exact and damped.singular_values is None
 
 
 def test_damped_fixed_point_agrees_with_exact():
     inst = example_4_7().instance
-    exact = ResolventConfig(rho=0.35)
-    damped = ResolventConfig(rho=0.35, solver="damped_fixed_point",
-                             inner_tol=1e-13)
+    exact = Resolvent(inst, ResolventConfig(rho=0.35))
+    damped = Resolvent(_opaque_h(inst),
+                       ResolventConfig(rho=0.35, inner_tol=1e-13))
     rng = np.random.default_rng(11)
     for _ in range(5):
         z = rng.standard_normal(2)
-        np.testing.assert_allclose(resolve(inst, damped, z),
-                                   resolve(inst, exact, z), atol=1e-10)
+        np.testing.assert_allclose(damped(z), exact(z), atol=1e-10)
 
 
 def test_damped_fixed_point_iteration_limit():
-    inst = example_4_7().instance
-    cfg = ResolventConfig(rho=0.35, solver="damped_fixed_point",
-                          max_inner_iters=2, inner_tol=1e-15)
+    inst = _opaque_h(example_4_7().instance)
+    cfg = ResolventConfig(rho=0.35, max_inner_iters=2, inner_tol=1e-15)
     with pytest.raises(ResolventIterationError) as exc:
         resolve(inst, cfg, np.array([5.0, 5.0]))
     assert exc.value.last_residual > 0
+
+
+@pytest.mark.parametrize("image, error", [
+    (lambda x: np.full_like(x, np.nan), ResolventIterationError),
+    (lambda x: np.outer(x, x), ValueError),       # not a vector
+    (lambda x: np.ones(3), ValueError),           # wrong length
+])
+def test_damped_map_output_errors(image, error):
+    # a non-finite image ends the iteration; malformed output is not
+    # mistaken for divergence
+    inst = example_4_7().instance.with_(A=image)
+    with pytest.raises(error) as exc:
+        resolve(inst, ResolventConfig(rho=0.35), np.ones(2))
+    assert isinstance(exc.value, ResolventIterationError) == \
+        (error is ResolventIterationError)
 
 
 def test_theoretical_r_m():
@@ -216,9 +244,8 @@ def test_audit_exact_ratio(named, rho):
 
 
 def test_audit_damped_has_no_exact_ratio():
-    rep = audit_lipschitz(example_4_7().instance,
-                          ResolventConfig(rho=0.35,
-                                          solver="damped_fixed_point"),
+    rep = audit_lipschitz(_opaque_h(example_4_7().instance),
+                          ResolventConfig(rho=0.35),
                           SamplePlan(seed=12, n_pairs=4))
     assert rep.exact_ratio is None
     assert rep.passed
@@ -239,5 +266,3 @@ def test_resolvent_config_validation():
         ResolventConfig(rho=0.0)
     with pytest.raises(ValueError):
         ResolventConfig(rho=1.0, inner_tol=0.0)
-    with pytest.raises(ValueError):
-        ResolventConfig(rho=1.0, solver="newton")

@@ -20,13 +20,16 @@ import numpy as np
 import scipy.linalg
 
 from .operators import (
+    AdditiveBiSlot,
+    DifferenceCoupling,
+    EmptySetError,
     InclusionInstance,
     eval_H_on_point,
     eval_M_on_point,
     h_composite,
     m_composite,
 )
-from .space import NonFiniteError, as_vector
+from .space import DimensionMismatchError, NonFiniteError, as_vector
 
 _COND_LIMIT = 1e12
 
@@ -44,11 +47,17 @@ class NonSurjectiveError(RuntimeError):
 
 
 class ResolventIterationError(RuntimeError):
-    """The damped fixed-point solver did not reach the inner tolerance."""
+    """The damped fixed-point solver did not reach the inner tolerance.
 
-    def __init__(self, message: str, last_residual: float):
+    `last_residual` is the residual norm of the last completed iteration
+    (inf if none completed) and `iterations` the number of iterations run,
+    the one that raised included.
+    """
+
+    def __init__(self, message: str, last_residual: float, iterations: int):
         super().__init__(message)
         self.last_residual = last_residual
+        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -160,13 +169,18 @@ class Resolvent:
 
     `singular_values` holds those of K, largest first, on the exact path
     (so `1 / singular_values[-1]` is R's exact Lipschitz constant) and is
-    None on the damped path.
+    None on the damped path.  `inner_iterations` is the running total of
+    damped iterations over every call that returned or raised
+    `ResolventIterationError`; it stays 0 on the exact path.
 
     Raises
     ------
     NonSurjectiveError
         From the constructor, if the affine composite is (numerically)
         singular, so some z lie outside the range.
+    DimensionMismatchError
+        From a call whose vector, or batch row, is not of the instance's
+        dimension.
     ResolventIterationError
         From a call on the damped path, if the iteration stalls above
         `inner_tol` or its residual or a map image becomes non-finite.
@@ -175,6 +189,7 @@ class Resolvent:
     def __init__(self, inst: InclusionInstance, cfg: ResolventConfig):
         self.inst, self.cfg = inst, cfg
         self.singular_values = None
+        self.inner_iterations = 0
         hc, mc = h_composite(inst), m_composite(inst)
         if hc is None or mc is None:
             self._lam = _damping(inst.constants.tau, mc, cfg.rho)
@@ -199,15 +214,28 @@ class Resolvent:
         if z.ndim == 2:
             if not np.all(np.isfinite(z)):
                 raise ValueError("batch has non-finite coordinates")
+            self._check_dim(z.shape[1])
             if not self.exact:
                 return np.array([self(row) for row in z]).reshape(z.shape)
             return scipy.linalg.lu_solve(self._lu, (z - self._offset).T,
                                          check_finite=False).T
         zv = as_vector(z)
+        self._check_dim(zv.shape[0])
         if self.exact:
             return scipy.linalg.lu_solve(self._lu, zv - self._offset,
                                          check_finite=False)
-        return _resolve_damped(self.inst, self.cfg, zv, self._lam)
+        try:
+            x, iterations = _resolve_damped(self.inst, self.cfg, zv,
+                                            self._lam)
+        except ResolventIterationError as exc:
+            self.inner_iterations += exc.iterations
+            raise
+        self.inner_iterations += iterations
+        return x
+
+    def _check_dim(self, n: int) -> None:
+        if n != self.inst.dim:
+            raise DimensionMismatchError(self.inst.dim, n, "resolvent")
 
 
 def resolve(inst: InclusionInstance, cfg: ResolventConfig, z) -> np.ndarray:
@@ -220,35 +248,119 @@ def resolve(inst: InclusionInstance, cfg: ResolventConfig, z) -> np.ndarray:
 
 
 def _resolve_damped(inst: InclusionInstance, cfg: ResolventConfig,
-                    z: np.ndarray, lam: float) -> np.ndarray:
+                    z: np.ndarray, lam: float):
+    """R(z) by the damped iteration x <- x - lam*(H(x) + rho*m - z), m the
+    member of M(f(x), g(x)) with the smallest residual; returns (x, the
+    number of iterations run).
+
+    `z` is finite and of the instance's dimension, and each update is
+    checked to keep x finite and of that length, so no map sees a bad
+    iterate.
+    Each iteration calls each map once (`_images`) and checks only the
+    shape of the images; finiteness is decided once, on the residual
+    norms, which a non-finite image makes non-finite.  When they are not
+    finite, or the iteration raises, `_recheck` passes the images through
+    `as_vector` in the order `eval_H_on_point` and `eval_M_on_point`
+    would, so the error is the one those would raise.
+    """
     x = np.array(z, dtype=float)
-    last = np.inf
+    dim, last = inst.dim, np.inf
     # a diverging iterate overflows; the checks below turn the inf it
-    # leaves in the residual, a map image or x into ResolventIterationError
+    # leaves in the residual, a map image or x into ResolventIterationError.
+    # Images are summed before their finiteness is known, so inf - inf can
+    # warn "invalid value" in the iteration that then raises that error.
     with np.errstate(over="ignore"):
-        for _ in range(cfg.max_inner_iters):
+        for n in range(1, cfg.max_inner_iters + 1):
+            if x.shape[0] != dim:
+                # a dim-1 x broadcast to a longer residual's length; refused
+                # with the error eval_H_on_point gives for it
+                raise DimensionMismatchError(dim, x.shape[0],
+                                             "eval_H_on_point")
+            seen = []
             try:
-                hx = eval_H_on_point(inst, x)
-                m_vals = eval_M_on_point(inst, x)
-            except NonFiniteError:
-                raise ResolventIterationError(
-                    "damped fixed-point iteration diverged: a map image "
-                    "is non-finite", last) from None
-            # target the selection that minimizes the current residual
-            residuals = [hx + cfg.rho * m - z for m in m_vals]
+                hx, members = _images(inst, x, seen)
+                residuals = [hx + cfg.rho * m - z for m in members]
+            except Exception:
+                # whatever was raised, a non-finite image before it is
+                # the error; the raised one only if there is none
+                error = _recheck(seen, last, n)
+                if error is None:
+                    raise
+                raise error from None
             norms = [float(np.linalg.norm(r)) for r in residuals]
-            k = int(np.argmin(norms))
+            if not all(map(math.isfinite, norms)):
+                error = _recheck(seen, last, n)
+                if error is not None:
+                    raise error
+            # target the selection that minimizes the current residual
+            k = int(np.argmin(norms)) if len(norms) > 1 else 0
             last = norms[k]
             if last <= cfg.inner_tol:
-                return x
+                return x, n
             x = x - lam * residuals[k]
-            if not (math.isfinite(last) and np.all(np.isfinite(x))):
+            if not (math.isfinite(last) and np.isfinite(x).all()):
                 raise ResolventIterationError(
                     "damped fixed-point iteration diverged to non-finite "
-                    "values", last)
+                    "values", last, n)
     raise ResolventIterationError(
         f"damped fixed-point iteration exceeded {cfg.max_inner_iters} "
-        f"iterations (last residual {last:.3e} > {cfg.inner_tol:.3e})", last)
+        f"iterations (last residual {last:.3e} > {cfg.inner_tol:.3e})", last,
+        cfg.max_inner_iters)
+
+
+def _shape(v) -> np.ndarray:
+    """`v` as a float array if it is 1-D and non-empty, the shape half of
+    `as_vector`; otherwise a ValueError, which `_recheck` replaces with
+    the one `as_vector` gives."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or not v.size:
+        raise ValueError("malformed map image")
+    return v
+
+
+def _images(inst: InclusionInstance, x: np.ndarray, seen: list):
+    """(H((Ax,Bx),(Cx,Dx)), the members of M(f(x), g(x))): the maps called
+    in the order of `eval_H_on_point` and `eval_M_on_point`, with their
+    arithmetic, but each image shape-checked only.  Every image those pass
+    through `as_vector` is appended to `seen`, in their order."""
+    a, b, c, d = inst.A(x), inst.B(x), inst.C(x), inst.D(x)
+    if type(inst.H) is AdditiveBiSlot:          # AdditiveBiSlot.__call__
+        seen += (a, b, c, d)
+        h = _shape(a) + _shape(b) + _shape(c) + _shape(d)
+    else:
+        h = inst.H(a, b, c, d)
+    seen.append(h)
+    h = _shape(h)
+    fu, gu = inst.f(x), inst.g(x)
+    if type(inst.M) is DifferenceCoupling:      # DifferenceCoupling.__call__
+        seen += (fu, gu)
+        vals = (_shape(fu) - _shape(gu),)
+    else:
+        vals = inst.M(fu, gu)
+    members = []
+    for v in vals:
+        seen.append(v)
+        members.append(_shape(v))
+    if not members:
+        raise EmptySetError(f"M(f(x), g(x)) empty at x={x}")
+    return h, members
+
+
+def _recheck(seen: list, last: float, iterations: int):
+    """The error `as_vector` gives on the first image in `seen` it rejects,
+    as the damped loop raises it: ResolventIterationError for a non-finite
+    image, `as_vector`'s ValueError for a malformed one; None if it
+    rejects none."""
+    for v in seen:
+        try:
+            as_vector(v)
+        except NonFiniteError:
+            return ResolventIterationError(
+                "damped fixed-point iteration diverged: a map image is "
+                "non-finite", last, iterations)
+        except ValueError as exc:
+            return exc
+    return None
 
 
 def theoretical_r_m(inst: InclusionInstance):

@@ -27,7 +27,7 @@ from vincl.resolvent import (
     resolve,
     theoretical_r_m,
 )
-from vincl.space import SpaceConfig
+from vincl.space import DimensionMismatchError, SpaceConfig
 
 
 def test_resolve_inverts_forward_image():
@@ -187,9 +187,37 @@ def test_damped_fixed_point_agrees_with_exact():
 def test_damped_fixed_point_iteration_limit():
     inst = _opaque_h(example_4_7().instance)
     cfg = ResolventConfig(rho=0.35, max_inner_iters=2, inner_tol=1e-15)
+    res = Resolvent(inst, cfg)
     with pytest.raises(ResolventIterationError) as exc:
-        resolve(inst, cfg, np.array([5.0, 5.0]))
+        res(np.array([5.0, 5.0]))
     assert exc.value.last_residual > 0
+    assert exc.value.iterations == 2 and res.inner_iterations == 2
+
+
+def test_inner_iterations_counted():
+    damped = Resolvent(_opaque_h(example_4_7().instance),
+                       ResolventConfig(rho=0.35))
+    z = np.array([0.3, -0.8])
+    damped(z)
+    n = damped.inner_iterations
+    assert n > 1
+    damped(np.array([z, z]))
+    assert damped.inner_iterations == 3 * n
+    exact = Resolvent(example_4_7().instance, ResolventConfig(rho=0.35))
+    exact(z)
+    assert exact.inner_iterations == 0
+
+
+@pytest.mark.parametrize("opaque", [False, True], ids=["exact", "damped"])
+@pytest.mark.parametrize("batch", [False, True], ids=["vector", "batch"])
+def test_resolvent_checks_the_length_of_z(opaque, batch):
+    inst = example_4_7().instance
+    res = Resolvent(_opaque_h(inst) if opaque else inst,
+                    ResolventConfig(rho=0.35))
+    assert res.exact is not opaque
+    with pytest.raises(DimensionMismatchError) as exc:
+        res(np.ones((3, 4)) if batch else np.ones(4))
+    assert str(exc.value) == "dimension mismatch: 2 vs 4 (resolvent)"
 
 
 @pytest.mark.parametrize("image, error", [
@@ -205,6 +233,9 @@ def test_damped_map_output_errors(image, error):
         resolve(inst, ResolventConfig(rho=0.35), np.ones(2))
     assert isinstance(exc.value, ResolventIterationError) == \
         (error is ResolventIterationError)
+    if error is ResolventIterationError:
+        assert exc.value.iterations == 1
+        assert exc.value.last_residual == np.inf
 
 
 def test_theoretical_r_m():

@@ -95,15 +95,29 @@ def negate_map(m):
 # ---------------------------------------------------------------------------
 
 class AdditiveBiSlot:
-    """H((a, b), (c, d)) = a + b + c + d, the additive slot combination."""
+    """H((a, b), (c, d)) = a + b + c + d, the additive slot combination,
+    of four images of one length."""
 
     additive = True
 
     def __call__(self, a, b, c, d) -> np.ndarray:
-        return as_vector(a) + as_vector(b) + as_vector(c) + as_vector(d)
+        a = as_vector(a)
+        n = a.shape[0]
+        return (a + _image(b, n, "images of A and B")
+                + _image(c, n, "images of A and C")
+                + _image(d, n, "images of A and D"))
 
     def __repr__(self):
         return "AdditiveBiSlot()"
+
+
+def _image(v, dim: int, context: str) -> np.ndarray:
+    """`as_vector(v)`, refused unless of length `dim`: numpy would
+    broadcast a length-1 image against a longer vector."""
+    v = as_vector(v)
+    if v.shape[0] != dim:
+        raise DimensionMismatchError(dim, v.shape[0], context)
+    return v
 
 
 def is_additive(h) -> bool:
@@ -147,12 +161,14 @@ def pair_affine_parts(f):
 
 
 class DifferenceCoupling:
-    """M(fu, gu) = {fu - gu}: single-valued difference of the two slots."""
+    """M(fu, gu) = {fu - gu}: single-valued difference of the two slots,
+    of one length."""
 
     f_minus_g = True
 
     def __call__(self, fu, gu):
-        return (as_vector(fu) - as_vector(gu),)
+        fu = as_vector(fu)
+        return (fu - _image(gu, fu.shape[0], "images of f and g"),)
 
     def __repr__(self):
         return "DifferenceCoupling()"
@@ -351,11 +367,15 @@ class InclusionInstance:
 
 
 def eval_H_on_point(inst: InclusionInstance, x) -> np.ndarray:
-    """Evaluate the composed bifunction H((A(x), B(x)), (C(x), D(x)))."""
+    """Evaluate the composed bifunction H((A(x), B(x)), (C(x), D(x))).
+
+    Raises DimensionMismatchError, naming the map, when x or H's image is
+    not of the instance's dimension."""
     xv = as_vector(x)
     if xv.shape[0] != inst.dim:
         raise DimensionMismatchError(inst.dim, xv.shape[0], "eval_H_on_point")
-    return as_vector(inst.H(inst.A(xv), inst.B(xv), inst.C(xv), inst.D(xv)))
+    return _image(inst.H(inst.A(xv), inst.B(xv), inst.C(xv), inst.D(xv)),
+                  inst.dim, "image of H")
 
 
 def h_composite(inst: InclusionInstance):
@@ -383,10 +403,11 @@ def m_composite(inst: InclusionInstance):
 
 
 def eval_M_on_point(inst: InclusionInstance, x):
-    """The finite value set M(f(x), g(x))."""
+    """The finite value set M(f(x), g(x)); DimensionMismatchError when a
+    member is not of the instance's dimension."""
     xv = as_vector(x)
     vals = inst.M(inst.f(xv), inst.g(xv))
-    out = tuple(as_vector(v) for v in vals)
+    out = tuple(_image(v, inst.dim, "image of M") for v in vals)
     if not out:
         raise EmptySetError(f"M(f(x), g(x)) empty at x={xv}")
     return out

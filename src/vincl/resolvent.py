@@ -2,7 +2,8 @@
 
 A `Resolvent` is prepared once per (instance, rho).  For affine instances
 the composite is a dense linear system, LU-factored once and solved per
-call; black-box operators fall back to a damped fixed-point iteration.
+call; black-box operators fall back to a damped fixed-point iteration
+under Anderson mixing.
 `audit_lipschitz` checks the theoretical contraction bound
 
     ||R(u) - R(v)|| <= ||u - v|| / (r + rho*m),
@@ -14,15 +15,13 @@ against the worst observed quotient over a seeded sample.
 import functools
 import json
 import math
+from collections import deque
 from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .operators import (
-    AdditiveBiSlot,
-    DifferenceCoupling,
-    EmptySetError,
     InclusionInstance,
     eval_H_on_point,
     eval_M_on_point,
@@ -32,6 +31,15 @@ from .operators import (
 from .space import DimensionMismatchError, NonFiniteError, as_vector
 
 _COND_LIMIT = 1e12
+# Anderson mixing on the damped path: the number of (iterate, residual)
+# differences it keeps, and the one-iteration residual growth that
+# clears them
+_ANDERSON_MEMORY = 5
+_RESTART_GROWTH = 1e3
+# the stall test: a damped resolve fails when its best residual is not
+# below _STALL_FACTOR times its best of _STALL_WINDOW iterations before
+_STALL_FACTOR = 0.5
+_STALL_WINDOW = 100
 
 
 class NonSurjectiveError(RuntimeError):
@@ -183,7 +191,8 @@ class Resolvent:
         dimension.
     ResolventIterationError
         From a call on the damped path, if the iteration stalls above
-        `inner_tol` or its residual or a map image becomes non-finite.
+        `inner_tol`, runs out of iterations, or its residual or a map
+        image becomes non-finite.
     """
 
     def __init__(self, inst: InclusionInstance, cfg: ResolventConfig):
@@ -249,56 +258,81 @@ def resolve(inst: InclusionInstance, cfg: ResolventConfig, z) -> np.ndarray:
 
 def _resolve_damped(inst: InclusionInstance, cfg: ResolventConfig,
                     z: np.ndarray, lam: float):
-    """R(z) by the damped iteration x <- x - lam*(H(x) + rho*m - z), m the
-    member of M(f(x), g(x)) with the smallest residual; returns (x, the
-    number of iterations run).
+    """R(z) by the damped iteration g(x) = x - lam*r(x), r(x) = H(x) +
+    rho*m - z with m the member of M(f(x), g(x)) of the smallest residual,
+    under type-II Anderson mixing (Walker & Ni, "Anderson acceleration for
+    fixed-point iterations", SIAM J. Numer. Anal. 49, 2011); returns (x,
+    the number of iterations run).
 
-    `z` is finite and of the instance's dimension, and each update is
-    checked to keep x finite and of that length, so no map sees a bad
-    iterate.
-    Each iteration calls each map once (`_images`) and checks only the
-    shape of the images; finiteness is decided once, on the residual
-    norms, which a non-finite image makes non-finite.  When they are not
-    finite, or the iteration raises, `_recheck` passes the images through
-    `as_vector` in the order `eval_H_on_point` and `eval_M_on_point`
-    would, so the error is the one those would raise.
+    The history holds up to `_ANDERSON_MEMORY` differences dX, dR of
+    consecutive iterates and residuals.  gamma minimizes ||r - dR @ gamma||
+    and x <- x - lam*r - (dX - lam*dR) @ gamma, the plain step when the
+    history is empty.  The history is cleared when the selected member
+    changes or the residual grows more than `_RESTART_GROWTH`-fold in one
+    iteration.  A difference along which the composite is flatter than
+    1 / (lam * _COND_LIMIT), beyond the condition limit for the slope 1/lam
+    the step assumes, is left out: there dR is rounding noise, and mixing
+    it would leap to where the maps' images cancel to rounding.
+
+    The iteration stops at residual `inner_tol`.  It raises
+    `ResolventIterationError` when the residual, a map image or x becomes
+    non-finite, when the best residual is not below `_STALL_FACTOR` times
+    the best of `_STALL_WINDOW` iterations before, and after
+    `max_inner_iters` iterations.  Images go through `eval_H_on_point` and
+    `eval_M_on_point`, so malformed map output raises their errors.
     """
     x = np.array(z, dtype=float)
-    dim, last = inst.dim, np.inf
+    last = np.inf
+    dx, dr = deque(maxlen=_ANDERSON_MEMORY), deque(maxlen=_ANDERSON_MEMORY)
+    best = deque(maxlen=_STALL_WINDOW + 1)      # best residual, per iteration
+    prev = None                                 # (x, r, member, residual)
     # a diverging iterate overflows; the checks below turn the inf it
-    # leaves in the residual, a map image or x into ResolventIterationError.
-    # Images are summed before their finiteness is known, so inf - inf can
-    # warn "invalid value" in the iteration that then raises that error.
+    # leaves in the residual, a map image or x into ResolventIterationError
     with np.errstate(over="ignore"):
         for n in range(1, cfg.max_inner_iters + 1):
-            if x.shape[0] != dim:
-                # a dim-1 x broadcast to a longer residual's length; refused
-                # with the error eval_H_on_point gives for it
-                raise DimensionMismatchError(dim, x.shape[0],
-                                             "eval_H_on_point")
-            seen = []
             try:
-                hx, members = _images(inst, x, seen)
-                residuals = [hx + cfg.rho * m - z for m in members]
-            except Exception:
-                # whatever was raised, a non-finite image before it is
-                # the error; the raised one only if there is none
-                error = _recheck(seen, last, n)
-                if error is None:
-                    raise
-                raise error from None
+                hx = eval_H_on_point(inst, x)
+                members = eval_M_on_point(inst, x)
+            except NonFiniteError:
+                raise ResolventIterationError(
+                    "damped fixed-point iteration diverged: a map image is "
+                    "non-finite", last, n) from None
+            residuals = [hx + cfg.rho * m - z for m in members]
             norms = [float(np.linalg.norm(r)) for r in residuals]
-            if not all(map(math.isfinite, norms)):
-                error = _recheck(seen, last, n)
-                if error is not None:
-                    raise error
             # target the selection that minimizes the current residual
             k = int(np.argmin(norms)) if len(norms) > 1 else 0
-            last = norms[k]
+            r, last = residuals[k], norms[k]
             if last <= cfg.inner_tol:
                 return x, n
-            x = x - lam * residuals[k]
-            if not (math.isfinite(last) and np.isfinite(x).all()):
+            if not math.isfinite(last):
+                raise ResolventIterationError(
+                    "damped fixed-point iteration diverged to non-finite "
+                    "values", last, n)
+            best.append(min(last, best[-1]) if best else last)
+            if len(best) == best.maxlen and best[-1] > _STALL_FACTOR * best[0]:
+                raise ResolventIterationError(
+                    f"damped fixed-point iteration stalled: residual "
+                    f"{best[-1]:.3e} not below {_STALL_FACTOR} x "
+                    f"{best[0]:.3e} within {_STALL_WINDOW} iterations", last,
+                    n)
+            if prev is not None:
+                px, pr, pk, plast = prev
+                if k != pk or last > _RESTART_GROWTH * plast:
+                    dx.clear()
+                    dr.clear()
+                else:
+                    step_x, step_r = x - px, r - pr
+                    if (np.linalg.norm(step_r) * lam * _COND_LIMIT
+                            > np.linalg.norm(step_x)):
+                        dx.append(step_x)
+                        dr.append(step_r)
+            prev = x, r, k, last
+            x = x - lam * r
+            if dr:
+                dR = np.column_stack(dr)
+                gamma = np.linalg.lstsq(dR, r, rcond=None)[0]
+                x = x - (np.column_stack(dx) - lam * dR) @ gamma
+            if not np.isfinite(x).all():
                 raise ResolventIterationError(
                     "damped fixed-point iteration diverged to non-finite "
                     "values", last, n)
@@ -306,61 +340,6 @@ def _resolve_damped(inst: InclusionInstance, cfg: ResolventConfig,
         f"damped fixed-point iteration exceeded {cfg.max_inner_iters} "
         f"iterations (last residual {last:.3e} > {cfg.inner_tol:.3e})", last,
         cfg.max_inner_iters)
-
-
-def _shape(v) -> np.ndarray:
-    """`v` as a float array if it is 1-D and non-empty, the shape half of
-    `as_vector`; otherwise a ValueError, which `_recheck` replaces with
-    the one `as_vector` gives."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or not v.size:
-        raise ValueError("malformed map image")
-    return v
-
-
-def _images(inst: InclusionInstance, x: np.ndarray, seen: list):
-    """(H((Ax,Bx),(Cx,Dx)), the members of M(f(x), g(x))): the maps called
-    in the order of `eval_H_on_point` and `eval_M_on_point`, with their
-    arithmetic, but each image shape-checked only.  Every image those pass
-    through `as_vector` is appended to `seen`, in their order."""
-    a, b, c, d = inst.A(x), inst.B(x), inst.C(x), inst.D(x)
-    if type(inst.H) is AdditiveBiSlot:          # AdditiveBiSlot.__call__
-        seen += (a, b, c, d)
-        h = _shape(a) + _shape(b) + _shape(c) + _shape(d)
-    else:
-        h = inst.H(a, b, c, d)
-    seen.append(h)
-    h = _shape(h)
-    fu, gu = inst.f(x), inst.g(x)
-    if type(inst.M) is DifferenceCoupling:      # DifferenceCoupling.__call__
-        seen += (fu, gu)
-        vals = (_shape(fu) - _shape(gu),)
-    else:
-        vals = inst.M(fu, gu)
-    members = []
-    for v in vals:
-        seen.append(v)
-        members.append(_shape(v))
-    if not members:
-        raise EmptySetError(f"M(f(x), g(x)) empty at x={x}")
-    return h, members
-
-
-def _recheck(seen: list, last: float, iterations: int):
-    """The error `as_vector` gives on the first image in `seen` it rejects,
-    as the damped loop raises it: ResolventIterationError for a non-finite
-    image, `as_vector`'s ValueError for a malformed one; None if it
-    rejects none."""
-    for v in seen:
-        try:
-            as_vector(v)
-        except NonFiniteError:
-            return ResolventIterationError(
-                "damped fixed-point iteration diverged: a map image is "
-                "non-finite", last, iterations)
-        except ValueError as exc:
-            return exc
-    return None
 
 
 def theoretical_r_m(inst: InclusionInstance):

@@ -1,15 +1,18 @@
-"""The damped resolvent loop against a reference loop that validates
-every map image with `as_vector` through `eval_H_on_point` and
-`eval_M_on_point`: same iterates bit for bit, and the same error (type,
-message, last residual, iteration count) when a map returns a NaN, an
-Inf, a 2-D, an empty or a wrong-length image, or M an empty set."""
+"""The damped resolvent loop against a reference loop written plainly:
+it keeps every iterate, residual and selected member in lists and takes
+the Anderson history and the stall test from them.  Same iterates bit for
+bit, and the same error (type, message, last residual, iteration count)
+when a map returns a NaN, an Inf, a 2-D, an empty or a wrong-length
+image, or M an empty set, when the residual stalls and when the iteration
+runs out.  Then, on random affine instances given as black boxes, the
+damped result against the exact resolvent."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vincl.operators import (
@@ -23,6 +26,12 @@ from vincl.operators import (
     eval_M_on_point,
 )
 from vincl.resolvent import (
+    _ANDERSON_MEMORY,
+    _COND_LIMIT,
+    _RESTART_GROWTH,
+    _STALL_FACTOR,
+    _STALL_WINDOW,
+    Resolvent,
     ResolventConfig,
     ResolventIterationError,
     _resolve_damped,
@@ -33,10 +42,13 @@ SLOTS = ("A", "B", "C", "D", "f", "g")
 
 
 def reference_resolve_damped(inst, cfg, z, lam):
-    """The damped loop with every image checked by `as_vector`; it also
-    returns and raises with the number of iterations run."""
+    """The damped loop under Anderson mixing, from the full record of the
+    run; it also returns and raises with the number of iterations run."""
     x = np.array(z, dtype=float)
     last = np.inf
+    xs, rs, ks, norms_seen = [], [], [], []
+    kept = []                   # i where (x_i, x_i+1) joined the history
+    start = 0                   # the first iterate of the current history
     with np.errstate(over="ignore"):
         for n in range(1, cfg.max_inner_iters + 1):
             try:
@@ -49,11 +61,42 @@ def reference_resolve_damped(inst, cfg, z, lam):
             residuals = [hx + cfg.rho * m - z for m in m_vals]
             norms = [float(np.linalg.norm(r)) for r in residuals]
             k = int(np.argmin(norms))
-            last = norms[k]
+            r, last = residuals[k], norms[k]
             if last <= cfg.inner_tol:
                 return x, n
-            x = x - lam * residuals[k]
-            if not (math.isfinite(last) and np.all(np.isfinite(x))):
+            if not math.isfinite(last):
+                raise ResolventIterationError(
+                    "damped fixed-point iteration diverged to non-finite "
+                    "values", last, n)
+            norms_seen.append(last)
+            if n > _STALL_WINDOW:
+                now = min(norms_seen)
+                before = min(norms_seen[:-_STALL_WINDOW])
+                if now > _STALL_FACTOR * before:
+                    raise ResolventIterationError(
+                        f"damped fixed-point iteration stalled: residual "
+                        f"{now:.3e} not below {_STALL_FACTOR} x "
+                        f"{before:.3e} within {_STALL_WINDOW} iterations",
+                        last, n)
+            if ks and (k != ks[-1]
+                       or last > _RESTART_GROWTH * norms_seen[-2]):
+                start = len(xs)
+            elif ks and (np.linalg.norm(r - rs[-1]) * lam * _COND_LIMIT
+                         > np.linalg.norm(x - xs[-1])):
+                kept.append(len(xs) - 1)
+            xs.append(x)
+            rs.append(r)
+            ks.append(k)
+            pairs = [i for i in kept if i >= start][-_ANDERSON_MEMORY:]
+            dx = [xs[i + 1] - xs[i] for i in pairs]
+            dr = [rs[i + 1] - rs[i] for i in pairs]
+            x = x - lam * r
+            if dr:
+                gamma = np.linalg.lstsq(np.column_stack(dr), r,
+                                        rcond=None)[0]
+                x = x - (np.column_stack(dx)
+                         - lam * np.column_stack(dr)) @ gamma
+            if not np.all(np.isfinite(x)):
                 raise ResolventIterationError(
                     "damped fixed-point iteration diverged to non-finite "
                     "values", last, n)
@@ -99,13 +142,20 @@ class _Faulty:
         return _fault(kind, out)
 
 
-def _black_box(seed, dim, scale, additive, two_valued, faults):
+def _black_box(seed, dim, scale, additive, two_valued, faults,
+               cancel_at=None):
     """A random affine instance with its maps wrapped as callables; H is
     optionally non-additive and M optionally two-valued.  `faults` maps a
-    slot to {call number: fault kind}."""
+    slot to {call number: fault kind}.  With `cancel_at` a rho, g's matrix
+    makes the linear part of A + B + C + D + rho*(f - g) zero, so the
+    composite's images cancel down to rounding."""
     rng = np.random.default_rng(seed)
     maps = {s: AffineMap(scale * rng.standard_normal((dim, dim)),
                          rng.standard_normal(dim)) for s in SLOTS}
+    if cancel_at is not None:
+        total = sum(maps[s].matrix for s in "ABCD")
+        maps["g"] = AffineMap(maps["f"].matrix + total / cancel_at,
+                              maps["g"].offset)
     shift = rng.standard_normal(dim)
     H = AdditiveBiSlot() if additive else \
         (lambda a, b, c, d: a + b + c + d + 0.1 * np.sin(a))
@@ -138,12 +188,17 @@ _FAULT = st.tuples(
                      "emptyset")))
 
 
-_EXAMPLE = dict(seed=0, dim=1, scale=0.3, rho=1.0, lam=0.5, tol=1e-12)
+_EXAMPLE = dict(seed=0, dim=1, scale=0.3, rho=1.0, lam=0.5, tol=1e-12,
+                iters=25, cancel=False)
+_LONG_RUN = _STALL_WINDOW + 20
 
 
 @settings(max_examples=300, deadline=None)
-# a length-2 image of A broadcast through H into the dim-1 iterate
+# a length-2 image of A through a non-additive H: H's image is too long
 @example(additive=False, two_valued=False, faults=[("A", 1, "long")],
+         **_EXAMPLE)
+# a length-2 image of f against g's length-1 image
+@example(additive=True, two_valued=False, faults=[("f", 2, "long")],
          **_EXAMPLE)
 # a 2-D image of A before a NaN image of B: A's error comes first
 @example(additive=True, two_valued=False,
@@ -153,15 +208,28 @@ _EXAMPLE = dict(seed=0, dim=1, scale=0.3, rho=1.0, lam=0.5, tol=1e-12)
          faults=[("H", 2, "nan"), ("M", 2, "emptyset")], **_EXAMPLE)
 @example(additive=True, two_valued=True, faults=[("M", 3, "emptyset")],
          **_EXAMPLE)
+# zero matrices: the residual never moves, and the stall test ends the run
+@example(additive=True, two_valued=False, faults=[],
+         **{**_EXAMPLE, "scale": 0.0, "iters": _LONG_RUN})
+# a composite that cancels to rounding: the flat differences stay out of
+# the history, and the stall test ends the run
+@example(additive=True, two_valued=False, faults=[],
+         **{**_EXAMPLE, "dim": 3, "scale": 1.0, "lam": 0.1,
+            "iters": _LONG_RUN, "cancel": True})
+# the plain step overshoots 1000-fold: the history is cleared
+@example(additive=True, two_valued=False, faults=[],
+         **{**_EXAMPLE, "dim": 2, "scale": 1e4})
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
-       scale=st.sampled_from([0.3, 1.0, 1e80, 1e160]),
+       scale=st.sampled_from([0.0, 0.3, 1.0, 1e4, 1e80, 1e160]),
        additive=st.booleans(), two_valued=st.booleans(),
        rho=st.floats(0.1, 2.0), lam=st.floats(0.01, 0.5),
        tol=st.sampled_from([1e-12, 1e-3, 10.0]),
+       iters=st.sampled_from([25, _LONG_RUN]), cancel=st.booleans(),
        faults=st.lists(_FAULT, max_size=2))
 def test_damped_loop_matches_reference(seed, dim, scale, additive,
-                                       two_valued, rho, lam, tol, faults):
-    cfg = ResolventConfig(rho=rho, max_inner_iters=25, inner_tol=tol)
+                                       two_valued, rho, lam, tol, iters,
+                                       cancel, faults):
+    cfg = ResolventConfig(rho=rho, max_inner_iters=iters, inner_tol=tol)
     at = {}
     for slot, call, kind in faults:
         if (slot == "H" and additive) or (slot == "M" and not two_valued):
@@ -172,7 +240,8 @@ def test_damped_loop_matches_reference(seed, dim, scale, additive,
     z = np.random.default_rng(seed + 1).standard_normal(dim)
 
     def run(loop):
-        inst = _black_box(seed, dim, scale, additive, two_valued, at)
+        inst = _black_box(seed, dim, scale, additive, two_valued, at,
+                          rho if cancel else None)
         return _outcome(loop, inst, cfg, z, lam)
 
     assert run(_resolve_damped) == run(reference_resolve_damped)
@@ -180,10 +249,9 @@ def test_damped_loop_matches_reference(seed, dim, scale, additive,
 
 @pytest.mark.parametrize("action", ["error", "ignore"])
 def test_opposite_infinities_raise_the_non_finite_image_error(action):
-    # A and B return +inf and -inf in one coordinate: the reference stops
-    # at A's image, _resolve_damped sums them first (inf - inf warns
-    # "invalid value"); with that warning raised or not, the error is the
-    # same
+    # A and B return +inf and -inf in one coordinate: A's image ends the
+    # iteration before the two are summed (inf - inf would warn "invalid
+    # value"), with that warning raised or not
     faults = {"A": {2: "inf"}, "B": {2: "-inf"}}
     cfg = ResolventConfig(rho=0.5, max_inner_iters=10)
     with warnings.catch_warnings():
@@ -193,3 +261,54 @@ def test_opposite_infinities_raise_the_non_finite_image_error(action):
                     for loop in (_resolve_damped, reference_resolve_damped))
     assert got == ref
     assert got[1] is ResolventIterationError and got[4] == 2
+
+
+def _affine_and_black_box(seed, dim, kind, rho):
+    """A random affine instance whose composite K = H + rho*M is "general"
+    (a Gaussian matrix), "negative" (negative definite symmetric part) or
+    "positive" definite, the last two with a skew part, split over A..D, f
+    and g at random; the same instance with those maps as black boxes; and
+    K."""
+    rng = np.random.default_rng(seed)
+    g, s = rng.standard_normal((2, dim, dim))
+    if kind == "general":
+        k = g
+    else:
+        sign = -1.0 if kind == "negative" else 1.0
+        k = sign * (g @ g.T / dim + 0.1 * np.eye(dim)) + (s - s.T) / 2
+    mats = dict(zip(("B", "C", "D", "f", "g"),
+                    rng.standard_normal((5, dim, dim))))
+    mats["A"] = k - mats["B"] - mats["C"] - mats["D"] \
+        - rho * (mats["f"] - mats["g"])
+    maps = {n: AffineMap(m, rng.standard_normal(dim)) for n, m in mats.items()}
+    zero = np.zeros((dim, dim))
+    inst = InclusionInstance(
+        space=SpaceConfig(dim=dim), H=AdditiveBiSlot(), M=DifferenceCoupling(),
+        F=AffinePairMap(zero, zero, np.zeros(dim)), S=IdentitySetMap(),
+        T=IdentitySetMap(), omega=np.zeros(dim), rho=rho, **maps)
+    opaque = inst.with_(**{n: (lambda m: (lambda x: m(x)))(m)
+                           for n, m in maps.items()})
+    return inst, opaque, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       dim=st.integers(1, _ANDERSON_MEMORY),
+       kind=st.sampled_from(["general", "negative", "positive"]),
+       rho=st.floats(0.1, 2.0), tol=st.sampled_from([1e-6, 1e-10]))
+def test_damped_resolve_matches_exact_within_inner_tol(seed, dim, kind, rho,
+                                                       tol):
+    # with at most _ANDERSON_MEMORY coordinates the mixing solves a linear
+    # system like GMRES, definite or not: every resolve of an invertible,
+    # well-conditioned K converges, and a residual below inner_tol puts x
+    # within inner_tol / sigma_min(K) of the exact solution
+    inst, opaque, k = _affine_and_black_box(seed, dim, kind, rho)
+    sv = np.linalg.svd(k, compute_uv=False)
+    assume(sv[0] <= 1e3 * sv[-1])
+    cfg = ResolventConfig(rho=rho, inner_tol=tol)
+    exact, damped = Resolvent(inst, cfg), Resolvent(opaque, cfg)
+    assert exact.exact and not damped.exact     # K passed the exact test
+    z = np.random.default_rng(seed + 1).standard_normal((3, dim))
+    xd, xe = damped(z), exact(z)
+    slack = 1e-12 * (1.0 + np.linalg.norm(xe, axis=1))
+    assert np.all(np.linalg.norm(xd - xe, axis=1) <= tol / sv[-1] + slack)

@@ -5,9 +5,11 @@ import pytest
 
 from vincl.instances import example_3_2, example_3_3, example_4_7
 from vincl.operators import (
+    AdditiveBiSlot,
     AffineMap,
     ConstantSetMap,
     Constants,
+    DifferenceCoupling,
     EmptySetError,
     NearestNodeSetMap,
     eval_H_on_point,
@@ -90,6 +92,45 @@ def test_eval_H_dimension_mismatch():
     inst = example_3_2().instance
     with pytest.raises(DimensionMismatchError):
         eval_H_on_point(inst, [1.0, 2.0, 3.0])
+
+
+def test_slot_forms_refuse_images_of_different_lengths():
+    # numpy would broadcast the length-1 image against the others
+    v, one = np.ones(3), np.ones(1)
+    h = AdditiveBiSlot()
+    np.testing.assert_array_equal(h(v, v, v, v), 4 * v)
+    for k, name in enumerate("BCD", start=1):
+        args = [v] * 4
+        args[k] = one
+        with pytest.raises(DimensionMismatchError) as exc:
+            h(*args)
+        assert str(exc.value) == \
+            f"dimension mismatch: 3 vs 1 (images of A and {name})"
+    with pytest.raises(DimensionMismatchError) as exc:
+        DifferenceCoupling()(v, one)
+    assert str(exc.value) == "dimension mismatch: 3 vs 1 (images of f and g)"
+
+
+@pytest.mark.parametrize("maps, message", [
+    ("ABCD", "2 vs 1 (image of H)"),     # four length-1 images add up
+    ("H", "2 vs 1 (image of H)"),
+    ("A", "1 vs 2 (images of A and B)"),
+    ("fg", "2 vs 1 (image of M)"),
+    ("M", "2 vs 1 (image of M)"),
+    ("f", "1 vs 2 (images of f and g)"),
+])
+def test_eval_refuses_an_image_not_of_the_instance_dim(maps, message):
+    # a length-1 image: numpy would broadcast it to the instance's dim
+    short = {s: (lambda x: np.ones(1)) for s in maps if s in "ABCDfg"}
+    if "H" in maps:
+        short["H"] = lambda a, b, c, d: np.ones(1)
+    if "M" in maps:
+        short["M"] = lambda fu, gu: (fu - gu, np.ones(1))
+    inst = example_4_7().instance.with_(**short)
+    ev = eval_M_on_point if maps in ("fg", "M", "f") else eval_H_on_point
+    with pytest.raises(DimensionMismatchError) as exc:
+        ev(inst, [1.0, 2.0])
+    assert str(exc.value) == f"dimension mismatch: {message}"
 
 
 def test_inclusion_residual_constructed_solution():

@@ -18,6 +18,7 @@ from vincl.operators import (
     MissingConstantsError,
 )
 from vincl.resolvent import (
+    _STALL_WINDOW,
     NonSurjectiveError,
     Resolvent,
     ResolventConfig,
@@ -236,6 +237,29 @@ def test_damped_map_output_errors(image, error):
     if error is ResolventIterationError:
         assert exc.value.iterations == 1
         assert exc.value.last_residual == np.inf
+
+
+def test_damped_loop_refuses_a_length_1_image():
+    # numpy would broadcast B's image to the instance's dim
+    inst = _opaque_h(example_4_7().instance).with_(B=lambda x: np.ones(1))
+    with pytest.raises(DimensionMismatchError) as exc:
+        resolve(inst, ResolventConfig(rho=0.35), np.ones(2))
+    assert str(exc.value) == "dimension mismatch: 2 vs 1 (images of A and B)"
+
+
+def test_damped_resolve_stalls_on_a_zero_linear_part():
+    # example_3_3's composite at rho = 1 is the constant map to a point of
+    # norm 2: given as black boxes, the residual never moves and the stall
+    # test ends the resolve one window in
+    inst = example_3_3().instance
+    opaque = inst.with_(**{s: (lambda m: (lambda x: m(x)))(getattr(inst, s))
+                           for s in ("A", "B", "C", "D", "f", "g")})
+    res = Resolvent(opaque, ResolventConfig(rho=1.0))
+    with pytest.raises(ResolventIterationError) as exc:
+        res(np.zeros(inst.dim))
+    assert str(exc.value).startswith("damped fixed-point iteration stalled")
+    assert exc.value.iterations == _STALL_WINDOW + 1
+    assert exc.value.last_residual == pytest.approx(2.0, abs=1e-12)
 
 
 def test_theoretical_r_m():

@@ -31,8 +31,10 @@ from vincl.operators import (
     DifferenceCoupling,
     IdentitySetMap,
     InclusionInstance,
+    h_composite,
+    m_composite,
 )
-from vincl.resolvent import Resolvent, ResolventConfig, forward
+from vincl.resolvent import Composite, Resolvent, ResolventConfig, forward
 from vincl.space import SpaceConfig, duality_map
 
 DIM = 3
@@ -366,18 +368,23 @@ def test_identically_singular_pencil_has_numeric_witness():
 
 
 def test_diverging_range_probe_fails_the_certificate():
-    # at rho = 0.5 the damped iteration on this composite diverges; the
-    # probe must report it instead of crashing, and later rhos still probe
-    inst = _opaque_instance(example_3_3())
-    bundle = certify_instance(inst)
+    # K = H + rho*M is -0.5*I at rho = 0.5: negative definite but
+    # invertible, so every probe there is reached.  At rho = 1 K = 0, the
+    # residual never moves, and the probe fails on the stall test
+    named = example_3_3()
+    bundle = certify_instance(_opaque_instance(named))
     cert = bundle.certificates["surjective_H_plus_rhoM"]
     assert cert.method == "sampled" and cert.verdict == "fail"
-    assert cert.witness["rho"] == 0.5
-    assert cert.witness["defect"].startswith("range probe failed")
+    assert cert.witness["rho"] == 1.0
+    assert cert.witness["defect"].startswith("range probe failed: damped "
+                                             "fixed-point iteration stalled")
     probes = cert.details["range_probes"]
-    assert {"rho": 0.5, "reached": False} in probes
-    assert [p for p in probes if p["rho"] == 2.0] == \
-        [{"rho": 2.0, "reached": True}] * 8
+    assert {"rho": 1.0, "reached": False} in probes
+    hc, mc = h_composite(named.instance), m_composite(named.instance)
+    for rho in {p["rho"] for p in probes}:
+        if Composite(hc, mc, rho).invertible:
+            assert [p for p in probes if p["rho"] == rho] == \
+                [{"rho": rho, "reached": True}] * 8
 
 
 def test_degenerate_composite_keeps_root_and_witness():

@@ -19,12 +19,16 @@ Two evidence paths:
   inequality, so this path returns at most "estimated" (or "fail" with the
   first violating pair in plan order as witness).
 
-Inequality checks ignore violations smaller than 1e-9 * (1 + |rhs|).
+Every comparison ignores violations up to `space.slack(size, spread)`,
+size |lhs| + |rhs| and spread dim times: the largest |eigenvalue| or
+singular value of the analysed matrix (exact), (||m(x)|| + ||m(y)||)
+||d||^(q-1) for a pairing <m(x) - m(y), J_q(d)>, or those image norms over
+||x - y|| for a ratio (sampled).  So no verdict depends on the scale of
+the maps, their offsets or their conditioning.
 """
 
 import functools
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -33,6 +37,7 @@ from .operators import (
     AffineMap,
     IdentitySetMap,
     InclusionInstance,
+    JsonRecord,
     SingletonSetMap,
     affine_parts,
     eval_H_on_point,
@@ -50,19 +55,17 @@ from .resolvent import (
     Resolvent,
     ResolventConfig,
     ResolventIterationError,
+    theoretical_r_m,
 )
+from .space import DEGENERATE, slack
 
-_ABS_TOL = 1e-9
-_DEGENERATE = 1e-12     # sample pairs closer than this carry no evidence
 _RANGE_PROBES = 8       # black-box range probes per rho
+_REAL_ROOT = 1e-8       # pencil eigenvalues with |imag| <= this*(1+|real|)
+_POSITIVE_ROOT = 1e-12  # real ones above this are positive roots of det
 
 
 class InsufficientEvidenceError(ValueError):
     """A non-affine map was certified with an empty sample plan."""
-
-
-def _slack(rhs):
-    return _ABS_TOL * (1.0 + abs(rhs))
 
 
 def _sym(mat: np.ndarray) -> np.ndarray:
@@ -119,7 +122,7 @@ class SamplePlan:
 
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(JsonRecord):
     """Outcome of one property check.
 
     constant
@@ -138,50 +141,53 @@ class Certificate:
     witness: dict | None = None
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
-
 
 def _witness_pair(x, y, lhs, rhs) -> dict:
     return {"x": np.asarray(x).tolist(), "y": np.asarray(y).tolist(),
             "lhs": float(lhs), "rhs": float(rhs)}
 
 
-def _verdict(witness) -> str:
-    return "pass" if witness is None else "fail"
+def _exact_cert(prop, claimed, value, spread, witness, details, sign=1,
+                upper=False) -> Certificate:
+    """The exact certificate of value >= sign*claimed (<= when `upper`) up
+    to `slack(|value| + |claimed|, spread)`, with constant sign*value;
+    `witness()` is called only when the comparison fails."""
+    required, tol = sign * claimed, slack(abs(value) + abs(claimed), spread)
+    ok = value <= required + tol if upper else value >= required - tol
+    return Certificate(prop, sign * value, claimed, "exact_affine",
+                       "pass" if ok else "fail", None if ok else witness(),
+                       details)
 
 
 def _min_eig(sym: np.ndarray, required: float):
-    """Smallest eigenvalue of `sym`, and a witness when it is below
-    `required`: its eigenvector paired with the origin."""
-    lam = float(np.linalg.eigvalsh(sym).min())
-    if lam >= required - _ABS_TOL:
-        return lam, None
-    d = np.linalg.eigh(sym)[1][:, 0]
-    return lam, _witness_pair(d, np.zeros_like(d), lam, required)
+    """The smallest eigenvalue of `sym`, dim times the largest |.| one, and
+    a witness builder: the smallest one's eigenvector and the origin."""
+    vals = np.linalg.eigvalsh(sym)
+    lam = float(vals[0])
+
+    def witness():
+        d = np.linalg.eigh(sym)[1][:, 0]
+        return _witness_pair(d, np.zeros_like(d), lam, required)
+    return lam, len(vals) * float(max(-vals[0], vals[-1])), witness
 
 
 # ---------------------------------------------------------------------------
 # The sampled-inequality engine
 # ---------------------------------------------------------------------------
 
-def _sampled_cert(prop, claimed, plan, x, y, lhs, rhs, quotient, keep,
+def _sampled_cert(prop, claimed, plan, x, y, lhs, rhs, tol, quotient, keep,
                   upper=False, sign=1.0, details=None) -> Certificate:
     """Decide lhs >= rhs (lhs <= rhs when `upper`) on every candidate.
 
     Entry k of the 1-D arrays is one candidate, in plan order, with sample
-    pair x[k], y[k]; candidates outside the mask `keep` are skipped.  The
-    first violation (beyond `_slack(rhs)`) is the witness and its quotient
-    the constant; otherwise the constant is the smallest (largest when
-    `upper`) kept quotient, or None.  Constants are reported times `sign`.
+    pair x[k], y[k] and `tol[k]` its `slack`; candidates outside the mask
+    `keep` are skipped.  The first violation beyond `tol` is the witness
+    and its quotient the constant; otherwise the constant is the smallest
+    (largest when `upper`) kept quotient, or None.  Constants are reported
+    times `sign`.
     """
     rhs = np.broadcast_to(rhs, lhs.shape)
-    slack = _slack(rhs)
-    bad = keep & ((lhs > rhs + slack) if upper else (lhs < rhs - slack))
+    bad = keep & ((lhs > rhs + tol) if upper else (lhs < rhs - tol))
     details = dict(details or {})
     if bad.any():
         k = int(np.argmax(bad))
@@ -208,17 +214,20 @@ def _stack(vectors, dim: int) -> np.ndarray:
     return out
 
 
-def _set_differences(us, vs):
-    """Every a - b with a in us[i], b in vs[i] ((k_i, dim) arrays), in
-    (i, a, b) order, and the row index i of each."""
-    diffs = [(a[:, None] - b[None]).reshape(-1, a.shape[1])
-             for a, b in zip(us, vs)]
-    rows = np.repeat(np.arange(len(diffs)), [len(d) for d in diffs])
-    return np.concatenate(diffs), rows
-
-
 def _norms(d: np.ndarray) -> np.ndarray:
     return np.linalg.norm(d, axis=1)
+
+
+def _set_differences(us, vs):
+    """Every a - b with a in us[i], b in vs[i] ((k_i, dim) arrays), in
+    (i, a, b) order, with ||a|| + ||b|| and the row index i of each."""
+    na, nb = (np.split(_norms(np.concatenate(s)),
+                       np.cumsum([len(v) for v in s])[:-1]) for s in (us, vs))
+    diffs = [(a[:, None] - b[None]).reshape(-1, a.shape[1])
+             for a, b in zip(us, vs)]
+    mags = [(a[:, None] + b[None]).ravel() for a, b in zip(na, nb)]
+    rows = np.repeat(np.arange(len(diffs)), [len(d) for d in diffs])
+    return np.concatenate(diffs), np.concatenate(mags), rows
 
 
 def _dual_dots(a: np.ndarray, d: np.ndarray, nd: np.ndarray, q: float):
@@ -242,39 +251,45 @@ def _plan_arrays(plan, dim, prop):
 
 
 def _map_samples(m, plan, dim, prop):
-    """Sample rows X, Y and the increments m(X) - m(Y) of a map."""
+    """Sample rows X, Y, the increments m(X) - m(Y) of a map and the
+    image norms ||m(X)|| + ||m(Y)||."""
     dim = m.dim if isinstance(m, AffineMap) else dim
     x, y, _ = _plan_arrays(plan, dim, prop)
-    return x, y, _stack(map(m, x), dim) - _stack(map(m, y), dim)
+    mx, my = _stack(map(m, x), dim), _stack(map(m, y), dim)
+    return x, y, mx - my, _norms(mx) + _norms(my)
 
 
-def _accretive_form(prop, claimed, plan, x, y, dm, q, sign=1, shift=0.0,
-                    dual=None, scale=None, details=None):
-    """<dm, J_q(d)> >= shift + sign*claimed*s^q, where d is `dual` (x - y
-    by default) and s is `scale` (||x - y|| by default).  The quotient is
-    (lhs - shift) / s^q, reported times `sign`; candidates with x = y or
-    s = 0 are skipped."""
+def _accretive_form(prop, claimed, plan, x, y, dm, mag, q, sign=1,
+                    shift=0.0, dual=None, scale=None, details=None):
+    """<dm, J_q(d)> >= shift + sign*claimed*s^q, with d `dual` (x - y by
+    default), s `scale` (||x - y|| by default) and dm an increment of
+    images whose norms add up to `mag`.  The quotient is (lhs - shift) /
+    s^q, reported times `sign`; candidates with x = y or s = 0 are skipped."""
     dx = x - y
     nx = _norms(dx)
     d = dx if dual is None else dual
     s = nx if scale is None else scale
-    keep = (nx >= _DEGENERATE) & (s >= _DEGENERATE)
-    lhs = _dual_dots(dm, d, _norms(d), q)
+    keep = (nx >= DEGENERATE) & (s >= DEGENERATE)
+    nd = _norms(d)
+    lhs = _dual_dots(dm, d, nd, q)
     sq = s ** q
+    tol = slack(np.abs(lhs) + np.abs(shift) + abs(claimed) * sq,
+                d.shape[1] * mag * nd ** (q - 1.0))
     return _sampled_cert(prop, claimed, plan, x, y, lhs,
-                         shift + sign * claimed * sq,
+                         shift + sign * claimed * sq, tol,
                          _ratio(lhs - shift, sq, keep), keep, sign=sign,
                          details=details or {"q": q})
 
 
-def _ratio_form(prop, claimed, plan, x, y, num, upper):
+def _ratio_form(prop, claimed, plan, x, y, num, mag, upper):
     """num / ||x-y|| <= claimed (>= unless `upper`), num a distance of
-    images; the quotient is the lhs itself."""
+    images whose norms add up to `mag`; the quotient is the lhs itself."""
     nx = _norms(x - y)
-    keep = nx >= _DEGENERATE
+    keep = nx >= DEGENERATE
     ratio = _ratio(num, nx, keep)
-    return _sampled_cert(prop, claimed, plan, x, y, ratio, claimed, ratio,
-                         keep, upper=upper)
+    tol = slack(ratio + abs(claimed), x.shape[1] * _ratio(mag, nx, keep))
+    return _sampled_cert(prop, claimed, plan, x, y, ratio, claimed, tol,
+                         ratio, keep, upper=upper)
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +310,11 @@ def _accretive(m, claimed, q, plan, dim, prop, sign):
     if parts is not None:
         # <L d, J_q(d)> / ||d||^q = <L d, d> / ||d||^2 for every q > 1
         # in the inner-product realization.
-        lam_min, witness = _min_eig(_sym(parts[0]), sign * claimed)
-        return Certificate(prop, sign * lam_min, claimed, "exact_affine",
-                           _verdict(witness), witness,
-                           {"eig_min_sym": lam_min, "q": q})
-    x, y, dm = _map_samples(m, plan, dim, prop)
-    return _accretive_form(prop, claimed, plan, x, y, dm, q, sign)
+        lam, size, witness = _min_eig(_sym(parts[0]), sign * claimed)
+        return _exact_cert(prop, claimed, lam, size, witness,
+                           {"eig_min_sym": lam, "q": q}, sign)
+    x, y, dm, mag = _map_samples(m, plan, dim, prop)
+    return _accretive_form(prop, claimed, plan, x, y, dm, mag, q, sign)
 
 
 def certify_strong_accretive(m, claimed: float, q: float = 2.0,
@@ -327,13 +341,14 @@ def certify_relaxed_accretive(m, claimed: float, q: float = 2.0,
     return _accretive(m, claimed, q, plan, dim, prop, -1)
 
 
-def _pencil_min(num: np.ndarray, den: np.ndarray):
-    """min over d != 0 of (d' num d) / (d' den d); None if den is singular."""
+def _pencil(num: np.ndarray, den: np.ndarray):
+    """The smallest stationary value of (d' num d) / (d' den d) and dim
+    times the largest |.| one, pencil eigenvalues; None if den is singular."""
     try:
         vals = scipy.linalg.eigh(num, den, eigvals_only=True)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
         return None
-    return float(vals.min())
+    return float(vals[0]), len(vals) * float(max(-vals[0], vals[-1]))
 
 
 def certify_cocoercive(m, claimed: float, q: float = 2.0,
@@ -358,15 +373,16 @@ def _cocoercive(m, claimed, q, plan, dim, prop, sign):
     parts = affine_parts(m)
     if parts is not None and q == 2.0:
         lin = parts[0]
-        ratio = _pencil_min(_sym(lin), lin.T @ lin)
-        if ratio is not None:
-            witness = (None if ratio >= sign * claimed - _ABS_TOL
-                       else {"pencil_min": ratio, "required": sign * claimed})
-            return Certificate(prop, sign * ratio, claimed, "exact_affine",
-                               _verdict(witness), witness, {"q": q})
+        pencil = _pencil(_sym(lin), lin.T @ lin)
+        if pencil is not None:
+            ratio, spread = pencil
+            return _exact_cert(
+                prop, claimed, ratio, spread,
+                lambda: {"pencil_min": ratio, "required": sign * claimed},
+                {"q": q}, sign)
         # singular linear part: fall through to sampling
-    x, y, dm = _map_samples(m, plan, dim, prop)
-    return _accretive_form(prop, claimed, plan, x, y, dm, q, sign,
+    x, y, dm, mag = _map_samples(m, plan, dim, prop)
+    return _accretive_form(prop, claimed, plan, x, y, dm, mag, q, sign,
                            scale=_norms(dm))
 
 
@@ -379,17 +395,15 @@ def _norm_bound(m, claimed, plan, dim, prop, upper):
     if parts is not None:
         svals = np.linalg.svd(parts[0], compute_uv=False)
         constant = float(svals.max() if upper else svals.min())
-        ok = constant <= claimed + _ABS_TOL if upper else constant >= claimed - _ABS_TOL
-        witness = None
-        if not ok:
-            u_, s_, vt = np.linalg.svd(parts[0])
-            d = vt[0] if upper else vt[-1]
-            witness = _witness_pair(d, np.zeros_like(d), constant, claimed)
-        return Certificate(prop, constant, claimed, "exact_affine",
-                           "pass" if ok else "fail", witness,
-                           {"singular_values": svals.tolist()})
-    x, y, dm = _map_samples(m, plan, dim, prop)
-    return _ratio_form(prop, claimed, plan, x, y, _norms(dm), upper)
+
+        def witness():
+            d = np.linalg.svd(parts[0])[2][0 if upper else -1]
+            return _witness_pair(d, np.zeros_like(d), constant, claimed)
+        return _exact_cert(prop, claimed, constant,
+                           len(svals) * svals.max(), witness,
+                           {"singular_values": svals.tolist()}, upper=upper)
+    x, y, dm, mag = _map_samples(m, plan, dim, prop)
+    return _ratio_form(prop, claimed, plan, x, y, _norms(dm), mag, upper)
 
 
 def certify_lipschitz(m, claimed: float, plan: SamplePlan | None = None,
@@ -445,17 +459,15 @@ def certify_symmetric_mixed_cocoercive(inst: InclusionInstance,
     for prop, p, r, mu, gamma, sign_mu, h in halves:
         if exact:
             lp = p.matrix
-            gamma_hat, witness = _min_eig(
-                _sym(lp + r.matrix) - sign_mu * mu * (lp.T @ lp), gamma)
-            certs.append(Certificate(prop, gamma_hat, gamma, "exact_affine",
-                                     _verdict(witness), witness,
-                                     {"mu": mu, "q": q}))
+            certs.append(_exact_cert(prop, gamma, *_min_eig(
+                _sym(lp + r.matrix) - sign_mu * mu * (lp.T @ lp), gamma),
+                {"mu": mu, "q": q}))
             continue
         px, py = _stack(map(p, x), dim), _stack(map(p, y), dim)
         hx = _stack(map(h, px, _stack(map(r, x), dim), u), dim)
         hy = _stack(map(h, py, _stack(map(r, y), dim), u), dim)
         certs.append(_accretive_form(
-            prop, gamma, plan, x, y, hx - hy, q, +1,
+            prop, gamma, plan, x, y, hx - hy, _norms(hx) + _norms(hy), q,
             shift=sign_mu * mu * _norms(px - py) ** q,
             details={"mu": mu, "q": q}))
     return tuple(certs)
@@ -471,12 +483,9 @@ def certify_mixed_lipschitz(inst: InclusionInstance,
     if claimed is None:
         claimed = inst.constants.require("tau")["tau"]
     hc = h_composite(inst)
-    if hc is not None:
-        return _norm_bound(hc, claimed, None, inst.dim, "mixed_lipschitz",
-                           upper=True)
-    return _norm_bound(functools.partial(eval_H_on_point, inst), claimed,
-                       plan or SamplePlan(), inst.dim, "mixed_lipschitz",
-                       upper=True)
+    m = functools.partial(eval_H_on_point, inst) if hc is None else hc
+    return _norm_bound(m, claimed, plan or SamplePlan(), inst.dim,
+                       "mixed_lipschitz", upper=True)
 
 
 # ---------------------------------------------------------------------------
@@ -527,21 +536,21 @@ def certify_F_properties(inst: InclusionInstance,
         if hc is not None and fp is not None and sel is not None and q == 2.0:
             lh = hc.matrix
             num = _sym(affine_parts(sel)[0].T @ fp[k].T @ lh)
-            vs_disp, witness = _min_eig(num, claimed)
-            accretive.append(Certificate(
-                prop, vs_disp, claimed, "exact_affine", _verdict(witness),
-                witness, {"constant_vs_H_increment": _pencil_min(num, lh.T @ lh),
-                          "q": q}))
+            vs_h = _pencil(num, lh.T @ lh)
+            accretive.append(_exact_cert(prop, claimed, *_min_eig(
+                num, claimed), {"constant_vs_H_increment":
+                                None if vs_h is None else vs_h[0], "q": q}))
         else:
             x, y, w = samples()
-            df, rows = _set_differences(*(
+            df, mag, rows = _set_differences(*(
                 [_stack((f(p, wi) for p in set_values(set_map, zi)), dim)
                  for zi, wi in zip(z, w)] for z in (x, y)))
             x, y, dh = x[rows], y[rows], h_increments()[rows]
-            cert = _accretive_form(prop, claimed, plan, x, y, df, q, dual=dh)
+            cert = _accretive_form(prop, claimed, plan, x, y, df, mag, q,
+                                   dual=dh)
             if cert.verdict != "fail":
                 nh = _norms(dh)
-                vs_h = (_norms(x - y) >= _DEGENERATE) & (nh > _DEGENERATE)
+                vs_h = (_norms(x - y) >= DEGENERATE) & (nh > DEGENERATE)
                 cert.details["constant_vs_H_increment"] = (float(_ratio(
                     _dual_dots(df, dh, nh, q), nh ** q, vs_h)[vs_h].min())
                     if vs_h.any() else None)
@@ -552,9 +561,10 @@ def certify_F_properties(inst: InclusionInstance,
                                          dim, prop, upper=True))
         else:
             x, y, w = samples()
-            df = _stack(map(f, x, w), dim) - _stack(map(f, y, w), dim)
-            lipschitz.append(_ratio_form(prop, eps, plan, x, y, _norms(df),
-                                         upper=True))
+            fx, fy = _stack(map(f, x, w), dim), _stack(map(f, y, w), dim)
+            lipschitz.append(_ratio_form(prop, eps, plan, x, y,
+                                         _norms(fx - fy),
+                                         _norms(fx) + _norms(fy), upper=True))
     return accretive + lipschitz
 
 
@@ -570,17 +580,18 @@ def certify_d_lipschitz(set_map, claimed: float,
     if not claimed > 0:
         raise ValueError(f"claimed constant must be > 0, got {claimed}")
     if isinstance(set_map, IdentitySetMap):
-        ok = 1.0 <= claimed + _ABS_TOL
-        return Certificate(prop, 1.0, claimed, "exact_affine",
-                           "pass" if ok else "fail",
-                           None if ok else {"identity_slope": 1.0}, {})
+        return _exact_cert(prop, claimed, 1.0, 0.0,
+                           lambda: {"identity_slope": 1.0}, {}, upper=True)
     if isinstance(set_map, SingletonSetMap) and affine_parts(set_map.map) is not None:
         return _norm_bound(set_map.map, claimed, None, dim, prop, upper=True)
     x, y, _ = _plan_arrays(plan, dim, prop)
-    dist = np.array([hausdorff_distance(set_values(set_map, xi),
-                                        set_values(set_map, yi))
-                     for xi, yi in zip(x, y)])
-    return _ratio_form(prop, claimed, plan, x, y, dist, upper=True)
+    sets = [(set_values(set_map, xi), set_values(set_map, yi))
+            for xi, yi in zip(x, y)]
+    return _ratio_form(
+        prop, claimed, plan, x, y,
+        np.array([hausdorff_distance(a, b) for a, b in sets]),
+        np.array([max(map(np.linalg.norm, a)) + max(map(np.linalg.norm, b))
+                  for a, b in sets]), upper=True)
 
 
 # ---------------------------------------------------------------------------
@@ -618,10 +629,11 @@ def certify_m_slot_accretive(inst: InclusionInstance, slot: str,
         return [_stack(inst.M(si, wi) if slot == "f" else inst.M(wi, si), dim)
                 for si, wi in zip(s, w)]
 
-    du, rows = _set_differences(values(x), values(y))
+    du, mag, rows = _set_differences(values(x), values(y))
     prop, sign = (("strongly_accretive", +1) if slot == "f"
                   else ("relaxed_accretive", -1))
-    return _accretive_form(prop, claimed, plan, x[rows], y[rows], du, q, sign)
+    return _accretive_form(prop, claimed, plan, x[rows], y[rows], du, mag, q,
+                           sign)
 
 
 def _det_polynomial_roots(hc, mc, nonzero: bool):
@@ -647,8 +659,8 @@ def _det_polynomial_roots(hc, mc, nonzero: bool):
         return []
     eigs = scipy.linalg.eig(lh, -lm, right=False)
     eigs = eigs[np.isfinite(eigs)]
-    real = ((np.abs(eigs.imag) <= 1e-8 * (1.0 + np.abs(eigs.real)))
-            & (eigs.real > 1e-12))
+    real = ((np.abs(eigs.imag) <= _REAL_ROOT * (1.0 + np.abs(eigs.real)))
+            & (eigs.real > _POSITIVE_ROOT))
     return sorted(set(round(float(r), 10) for r in eigs.real[real]))
 
 
@@ -740,7 +752,8 @@ def _surjectivity_cert(inst, rho_grid, plan, cert_f, cert_g) -> Certificate:
     got = inst.constants.require("alpha", "beta")
     if rho_grid is None:
         rho_grid = sorted({0.5, 1.0, 2.0, inst.rho})
-    symmetric_ok = got["alpha"] >= got["beta"] - _ABS_TOL
+    symmetric_ok = got["alpha"] >= got["beta"] - slack(
+        abs(got["alpha"]) + abs(got["beta"]))
     details = {
         "alpha_certificate": cert_f.to_dict(),
         "beta_certificate": cert_g.to_dict(),
@@ -771,7 +784,7 @@ def _surjectivity_cert(inst, rho_grid, plan, cert_f, cert_g) -> Certificate:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CertificateBundle:
+class CertificateBundle(JsonRecord):
     """All certificates the instance's declared constants support."""
 
     certificates: dict
@@ -786,19 +799,9 @@ class CertificateBundle:
         return {k: c for k, c in self.certificates.items()
                 if c.verdict == "fail"}
 
-    def to_dict(self) -> dict:
-        return {
-            "certificates": {k: c.to_dict()
-                             for k, c in sorted(self.certificates.items())},
-            "ordering_flags": list(self.ordering_flags),
-            "derived": self.derived,
-            "seed": self.seed,
-        }
-
     def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
         kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_dict(), **kwargs)
+        return super().to_json(**kwargs)
 
 
 def certify_instance(inst: InclusionInstance,
@@ -806,14 +809,13 @@ def certify_instance(inst: InclusionInstance,
                      rho_grid=None) -> CertificateBundle:
     """Run every certificate the declared constants make possible.
 
-    The derived block reports r = mu1*alpha1^q - mu2*beta1^q + gamma1 +
-    gamma2 and m = alpha - beta, evaluated from the certified constants
-    (claimed mu's, certified slopes) when all ingredients are present.
+    The derived block reports `theoretical_r_m`'s r and m, evaluated from
+    the certified constants (claimed mu's, certified slopes) when all
+    ingredients are present.
     """
     from .operators import ordering_flags as _flags
     plan = plan or SamplePlan()
     c = inst.constants
-    q = inst.space.q
     certs = {}
     if c.alpha is not None:
         certs["strongly_accretive"] = certify_m_slot_accretive(inst, "f",
@@ -835,12 +837,10 @@ def certify_instance(inst: InclusionInstance,
     if None not in (c.sigma, c.delta, c.eps1, c.eps2):
         certs.update((cert.property, cert) for cert in
                      certify_F_properties(inst, plan))
-    if c.l1 is not None:
-        certs["d_lipschitz_S"] = certify_d_lipschitz(inst.S, c.l1, plan,
-                                                     inst.dim)
-    if c.l2 is not None:
-        certs["d_lipschitz_T"] = certify_d_lipschitz(inst.T, c.l2, plan,
-                                                     inst.dim)
+    for name, set_map, lip in (("S", inst.S, c.l1), ("T", inst.T, c.l2)):
+        if lip is not None:
+            certs[f"d_lipschitz_{name}"] = certify_d_lipschitz(
+                set_map, lip, plan, inst.dim)
     if c.alpha is not None and c.beta is not None:
         certs["surjective_H_plus_rhoM"] = _surjectivity_cert(
             inst, rho_grid, plan, certs["strongly_accretive"],
@@ -850,17 +850,11 @@ def certify_instance(inst: InclusionInstance,
                "beta1": "lipschitz", "gamma1": "strongly_mixed_cocoercive",
                "gamma2": "relaxed_mixed_cocoercive",
                "alpha": "strongly_accretive", "beta": "relaxed_accretive"}
-    v = {}
-    for n, key in sources.items():
-        cert = certs.get(key)
-        v[n] = (getattr(c, n) if cert is None or cert.constant is None
-                else cert.constant)
-    derived = {}
-    if None not in v.values():
-        derived["r"] = float(v["mu1"] * v["alpha1"] ** q
-                             - v["mu2"] * v["beta1"] ** q
-                             + v["gamma1"] + v["gamma2"])
-        derived["m"] = float(v["alpha"] - v["beta"])
+    got = {n: getattr(certs.get(key), "constant", None)
+           for n, key in sources.items()}
+    v = {n: getattr(c, n) if x is None else x for n, x in got.items()}
+    derived = ({} if None in v.values()
+               else dict(zip(("r", "m"), theoretical_r_m(inst, v))))
     return CertificateBundle(certificates=certs,
                              ordering_flags=tuple(_flags(c)),
                              derived=derived, seed=plan.seed)

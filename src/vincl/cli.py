@@ -31,6 +31,7 @@ from .solver import (
     check_condition_vi,
     solve,
 )
+from .space import ConfigError, DimensionMismatchError
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -189,10 +190,8 @@ def _cmd_verify(args) -> int:
     inst, _ = _load(args.instance)
     plan = SamplePlan(seed=args.seed, n_pairs=args.samples)
     bundle = certify_instance(inst, plan, rho_grid=args.rho_grid)
-    if args.format == "json":
-        _emit(bundle.to_json(), args.output)
-    else:
-        _emit(_human_certificates(bundle), args.output)
+    _emit(bundle.to_json() if args.format == "json"
+          else _human_certificates(bundle), args.output)
     return EXIT_OK if bundle.all_ok() else EXIT_VERIFY_FAILED
 
 
@@ -220,14 +219,9 @@ def _human_condition(rep) -> str:
 
 def _cmd_check_condition(args) -> int:
     inst, _ = _load(args.instance)
-    try:
-        rep = check_condition_vi(inst, rho=args.rho)
-    except MissingConstantsError as exc:
-        raise SystemExit2(EXIT_PARSE, str(exc))
-    if args.format == "json":
-        _emit(json.dumps(rep.to_dict(), indent=2, sort_keys=True), args.output)
-    else:
-        _emit(_human_condition(rep), args.output)
+    rep = check_condition_vi(inst, rho=args.rho)
+    _emit(rep.to_json(indent=2) if args.format == "json"
+          else _human_condition(rep), args.output)
     return EXIT_OK if rep.satisfied else EXIT_CONDITION_VIOLATED
 
 
@@ -319,7 +313,7 @@ def main(argv=None) -> int:
     except (DivergenceError, ResolventIterationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except MissingConstantsError as exc:
+    except (ConfigError, DimensionMismatchError, MissingConstantsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

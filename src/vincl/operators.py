@@ -14,12 +14,12 @@ analysis, with black-box callables as the general fallback.
 
 import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .space import SpaceConfig, DimensionMismatchError, as_vector
+from .space import ConfigError, DimensionMismatchError, SpaceConfig, as_vector
 
 
 class EmptySetError(ValueError):
@@ -355,7 +355,7 @@ class InclusionInstance:
         if om.shape[0] != self.space.dim:
             raise DimensionMismatchError(self.space.dim, om.shape[0], "omega")
         if not self.rho > 0:
-            raise ValueError(f"rho must be > 0, got {self.rho}")
+            raise ConfigError(f"rho must be > 0, got {self.rho}")
         object.__setattr__(self, "omega", om)
 
     @property
@@ -534,12 +534,7 @@ def instance_to_dict(inst: InclusionInstance) -> dict:
         "c_q": inst.space.c_q,
         "rho": inst.rho,
         "omega": inst.omega.tolist(),
-        "A": _map_to_dict(inst.A, "A"),
-        "B": _map_to_dict(inst.B, "B"),
-        "C": _map_to_dict(inst.C, "C"),
-        "D": _map_to_dict(inst.D, "D"),
-        "f": _map_to_dict(inst.f, "f"),
-        "g": _map_to_dict(inst.g, "g"),
+        **{s: _map_to_dict(getattr(inst, s), s) for s in "ABCDfg"},
         "H": "additive",
         "M": "f-minus-g",
         "F": {"first": fp[0].tolist(), "second": fp[1].tolist(),
@@ -569,10 +564,7 @@ def instance_from_dict(d: dict) -> InclusionInstance:
                                  dtype=float))
     consts = Constants(**{k: float(v) for k, v in d.get("constants", {}).items()})
     return InclusionInstance(
-        space=space,
-        A=_map_from_dict(d["A"]), B=_map_from_dict(d["B"]),
-        C=_map_from_dict(d["C"]), D=_map_from_dict(d["D"]),
-        f=_map_from_dict(d["f"]), g=_map_from_dict(d["g"]),
+        space=space, **{s: _map_from_dict(d[s]) for s in "ABCDfg"},
         H=AdditiveBiSlot(), F=F, M=DifferenceCoupling(),
         S=_set_map_from_obj(d.get("S", "identity"), "S"),
         T=_set_map_from_obj(d.get("T", "identity"), "T"),
@@ -590,6 +582,17 @@ def load_instance(path: str) -> InclusionInstance:
 def dump_instance(inst: InclusionInstance, path: str) -> None:
     _write_atomic(path, json.dumps(instance_to_dict(inst), indent=2,
                                    sort_keys=True) + "\n")
+
+
+class JsonRecord:
+    """`to_dict` and sorted-key `to_json` of a dataclass result record."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    def to_json(self, **kwargs) -> str:
+        kwargs.setdefault("sort_keys", True)
+        return json.dumps(self.to_dict(), **kwargs)
 
 
 def _write_atomic(path: str, text: str) -> None:

@@ -13,22 +13,23 @@ against the worst observed quotient over a seeded sample.
 """
 
 import functools
-import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .operators import (
     InclusionInstance,
+    JsonRecord,
     eval_H_on_point,
     eval_M_on_point,
     h_composite,
     m_composite,
 )
-from .space import DimensionMismatchError, NonFiniteError, as_vector
+from .space import (DEGENERATE, ConfigError, DimensionMismatchError,
+                    NonFiniteError, as_vector, slack)
 
 _COND_LIMIT = 1e12
 # Anderson mixing on the damped path: the number of (iterate, residual)
@@ -82,9 +83,9 @@ class ResolventConfig:
 
     def __post_init__(self):
         if not self.rho > 0:
-            raise ValueError(f"rho must be > 0, got {self.rho}")
+            raise ConfigError(f"rho must be > 0, got {self.rho}")
         if not self.inner_tol > 0:
-            raise ValueError(f"inner_tol must be > 0, got {self.inner_tol}")
+            raise ConfigError(f"inner_tol must be > 0, got {self.inner_tol}")
 
 
 def forward(inst: InclusionInstance, x, rho: float | None = None) -> np.ndarray:
@@ -118,6 +119,7 @@ class Composite:
         self.rho = rho
         self.matrix = hc.matrix + rho * mc.matrix
         self.offset = hc.offset + rho * mc.offset
+        self._parts = hc.matrix, mc.matrix
         self.sv = np.linalg.svd(self.matrix, compute_uv=False)
         low = float(self.sv[-1])
         cond = float(self.sv[0]) / low if low > 0 else np.inf
@@ -134,13 +136,14 @@ class Composite:
 
     def defect(self) -> dict | None:
         """None when K is invertible.  Otherwise why H + rho*M is not onto:
-        a zero linear part (sigma_max <= 1e-12; the image is the single
-        point `offset`) or a singular one (the image is a proper affine
-        subspace; `null_direction` is the right singular vector of
-        sigma_min)."""
+        a zero linear part (sigma_max within `slack` of ||H|| + rho*||M||;
+        the image is the single point `offset`) or a singular one (the
+        image is a proper affine subspace; `null_direction` is the right
+        singular vector of sigma_min)."""
         if self.invertible:
             return None
-        if float(self.sv[0]) <= 1e-12:
+        h, m = (np.linalg.norm(part, 2) for part in self._parts)
+        if self.sv[0] <= slack(h + self.rho * m):
             return {"rho": self.rho,
                     "kind": "zero linear part",
                     "description": "the composite image is the single point "
@@ -342,11 +345,11 @@ def _resolve_damped(inst: InclusionInstance, cfg: ResolventConfig,
         cfg.max_inner_iters)
 
 
-def theoretical_r_m(inst: InclusionInstance):
-    """(r, m) of the contraction bound, from the declared constants."""
-    c = inst.constants
-    got = c.require("mu1", "mu2", "gamma1", "gamma2", "alpha1", "beta1",
-                    "alpha", "beta")
+def theoretical_r_m(inst: InclusionInstance, constants=None):
+    """(r, m) of the contraction bound, from the declared constants, or
+    from `constants`, a mapping of the same names, when given."""
+    got = constants or inst.constants.require(
+        "mu1", "mu2", "gamma1", "gamma2", "alpha1", "beta1", "alpha", "beta")
     q = inst.space.q
     r = (got["mu1"] * got["alpha1"] ** q - got["mu2"] * got["beta1"] ** q
          + got["gamma1"] + got["gamma2"])
@@ -355,7 +358,7 @@ def theoretical_r_m(inst: InclusionInstance):
 
 
 @dataclass(frozen=True)
-class AuditReport:
+class AuditReport(JsonRecord):
     """Observed resolvent contraction versus the theoretical bound.
 
     `exact_ratio` is the exact worst quotient 1/sigma_min(H + rho*M) on
@@ -372,13 +375,6 @@ class AuditReport:
     passed: bool
     exact_ratio: float | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
-
 
 def audit_lipschitz(inst: InclusionInstance, cfg: ResolventConfig,
                     plan=None) -> AuditReport:
@@ -386,7 +382,8 @@ def audit_lipschitz(inst: InclusionInstance, cfg: ResolventConfig,
 
     Pairs with u = v are skipped (the quotient is vacuous there).  The
     resolvent is prepared once and applied to all u, then all v, as two
-    batches.
+    batches.  The audit passes when the worst quotient is within
+    `slack(worst + bound)` of the bound.
     """
     from .certify import SamplePlan
     plan = plan or SamplePlan()
@@ -395,7 +392,7 @@ def audit_lipschitz(inst: InclusionInstance, cfg: ResolventConfig,
     resolvent = Resolvent(inst, cfg)
     u, v, _ = plan.arrays(inst.dim)
     du = np.linalg.norm(u - v, axis=1)
-    keep = du >= 1e-12
+    keep = du >= DEGENERATE
     u, v, du = u[keep], v[keep], du[keep]
     worst, worst_pair = -np.inf, None
     if du.size:
@@ -405,7 +402,7 @@ def audit_lipschitz(inst: InclusionInstance, cfg: ResolventConfig,
         worst_pair = {"u": u[k].tolist(), "v": v[k].tolist(), "ratio": worst}
     exact_ratio = (None if resolvent.singular_values is None
                    else float(1.0 / resolvent.singular_values[-1]))
-    passed = bool(worst <= bound + 1e-9)
+    passed = bool(worst <= bound + slack(worst + bound))
     return AuditReport(rho=cfg.rho, r=r, m=m, bound=float(bound),
                        worst_ratio=worst, worst_pair=worst_pair,
                        n_pairs=int(du.size), passed=passed,

@@ -28,19 +28,20 @@ import io
 import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .operators import (
     InclusionInstance,
+    JsonRecord,
     _write_atomic,
     eval_H_on_point,
     inclusion_residual,
     set_values,
 )
 from .resolvent import Resolvent, ResolventConfig, theoretical_r_m
-from .space import as_vector
+from .space import ConfigError, as_vector
 
 TRACE_SCHEMA = "vincl.trace.v1"
 _INNER_TOL = 1e-13      # damped-path tolerance of the resolvent `solve` builds
@@ -72,7 +73,7 @@ class GeometricErrors:
 
     def __post_init__(self):
         if not 0.0 < self.factor < 1.0:
-            raise ValueError(f"factor must be in (0, 1), got {self.factor}")
+            raise ConfigError(f"factor must be in (0, 1), got {self.factor}")
         object.__setattr__(self, "direction", as_vector(self.direction))
 
     @property
@@ -97,6 +98,8 @@ def _rate(inst: InclusionInstance, rho: float | None, n: int | None,
     the tau^q of the coupling term cancels.
     """
     rho = inst.rho if rho is None else rho
+    if not rho > 0:
+        raise ConfigError(f"rho must be > 0, got {rho}")
     got = inst.constants.require("sigma", "delta")
     r, m = theoretical_r_m(inst)
     got.update(inst.constants.require("tau", "eps1", "eps2", "l1", "l2"))
@@ -146,7 +149,7 @@ def contraction_factor_bound(inst: InclusionInstance,
 
 
 @dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(JsonRecord):
     """Breakdown of the two-sided rate condition
 
     0 < (tau^q + c_q*rho^q*(eps1*l1 + eps2*l2)^q
@@ -170,13 +173,6 @@ class ConditionReport:
     def satisfied(self) -> bool:
         return self.verdict == "satisfied"
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
-
 
 def check_condition_vi(inst: InclusionInstance,
                        rho: float | None = None) -> ConditionReport:
@@ -185,7 +181,7 @@ def check_condition_vi(inst: InclusionInstance,
     Verdicts: "violated_radicand" (negative radicand), "violated_lower"
     (root not strictly positive), "violated_upper" (root >= r + rho*m),
     else "satisfied".  Missing constants raise MissingConstantsError
-    naming them.
+    naming them; rho <= 0 raises ValueError.
     """
     rho, terms, rad, root, r, m = _rate(inst, rho, None, renormalized=False)
     denom = r + rho * m
@@ -338,9 +334,9 @@ class SolverConfig:
 
     def __post_init__(self):
         if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+            raise ConfigError(f"tol must be > 0, got {self.tol}")
         if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         object.__setattr__(self, "z0", as_vector(self.z0))
         if self.u0 is not None:
             object.__setattr__(self, "u0", as_vector(self.u0))

@@ -11,6 +11,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+REL_TOL = 1e-9          # the relative tolerance of every verdict; see `slack`
+DEGENERATE = 1e-12      # sample pairs closer than this carry no evidence
+
+
+def slack(size, spread=0.0):
+    """REL_TOL * |size| + eps * |spread|, elementwise: the violation a
+    comparison ignores as rounding.  `size` is the magnitude of the numbers
+    compared, `spread` that of the operands rounded before a subtraction
+    cancelled them.  Both scale with the maps, so no verdict does."""
+    return REL_TOL * np.abs(size) + np.finfo(float).eps * np.abs(spread)
+
+
+class ConfigError(ValueError):
+    """A configuration value (rho, a tolerance, a count) out of range."""
+
 
 class DimensionMismatchError(ValueError):
     """Two vectors (or a vector and an operator) of different dimensions."""
@@ -116,16 +131,17 @@ def duality_map(x, q: float) -> np.ndarray:
 
 
 def characteristic_inequality_check(x, y, q: float, c_q: float,
-                                    rtol: float = 1e-9) -> bool:
+                                    rtol: float = REL_TOL) -> bool:
     """Check ``||x+y||^q <= ||x||^q + q<y, J_q(x)> + c_q ||y||^q``.
 
-    Violations smaller than ``rtol * (1 + |rhs|)`` are treated as
-    floating-point slack.  For q = 2, c_q = 1 the two sides are equal
-    exactly, so the check always succeeds.
+    Violations of at most ``rtol`` times the size of the right-hand terms,
+    ``||x||^q + q|<y, J_q(x)>| + c_q ||y||^q``, are floating-point slack:
+    the rule of `slack`, whose REL_TOL is the default `rtol`.  For q = 2,
+    c_q = 1 the two sides are equal exactly, so the check always succeeds.
     """
     xv, yv = as_vector(x), as_vector(y)
     _check_dims(xv, yv, "characteristic inequality")
     lhs = float(np.linalg.norm(xv + yv)) ** q
-    rhs = (norm(xv) ** q + q * float(np.dot(yv, duality_map(xv, q)))
-           + c_q * norm(yv) ** q)
-    return lhs <= rhs + rtol * (1.0 + abs(rhs))
+    nx, pair, ny = (norm(xv) ** q, q * float(np.dot(yv, duality_map(xv, q))),
+                    c_q * norm(yv) ** q)
+    return lhs <= nx + pair + ny + rtol * (nx + abs(pair) + ny)

@@ -210,3 +210,19 @@ def test_bad_flag_exit_one(capsys):
     code, _, _ = run(capsys, "solve", "--instance", "example_4_7",
                      "--rho", "not_a_number")
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--rho", "-1"],
+    ["solve", "--tol", "0"],
+    ["solve", "--max-iters", "0"],
+    ["solve", "--error-c0", "1", "--error-factor", "2"],
+    ["solve", "--z0", "1,2,3"],
+    ["check-condition", "--rho", "-1"],
+    ["check-condition", "--rho", "0"],
+], ids=" ".join)
+def test_invalid_values_exit_one_with_message(capsys, argv):
+    code, out, err = run(capsys, *argv, "--instance", "example_4_7")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .operators import (
     InclusionInstance,
@@ -32,6 +33,7 @@ from .space import (DEGENERATE, ConfigError, DimensionMismatchError,
                     NonFiniteError, as_vector, slack)
 
 _COND_LIMIT = 1e12
+_EPS = np.finfo(float).eps
 # Anderson mixing on the damped path: the number of (iterate, residual)
 # differences it keeps, and the one-iteration residual growth that
 # clears them
@@ -103,16 +105,16 @@ def forward(inst: InclusionInstance, x, rho: float | None = None) -> np.ndarray:
 
 class Composite:
     """K = H + rho*M of an affine instance at one rho: x -> matrix @ x +
-    offset, with the singular values `sv` of `matrix` (largest first),
-    `cond` = sigma_max / sigma_min (None where infinite) and `invertible`.
+    offset.
 
-    This is the one test of whether H + rho*M is invertible, for
-    `Resolvent` and for the surjectivity certificate: sigma_max > 0 and
-    cond <= 1e12.  A condition number does not change when K is scaled or
-    its dimension grows, so neither changes the decision.  The
-    constructor takes one values-only SVD; `det` (one `slogdet`) and the
-    null direction of a singular `defect` (one full SVD) are computed
-    only when asked for.
+    `invertible` is the one test of whether H + rho*M is invertible, for
+    `Resolvent` and the surjectivity certificate: sigma_max > 0 and
+    cond <= 1e12, which neither a scaling of K nor its dimension moves.
+    The LU factors decide it where that is rigorous (`_cond_bound`);
+    otherwise, or once `sv` has been read, the singular values do.
+    `lu`, `sv` (largest first), `cond` = sigma_max / sigma_min (None
+    where infinite), `det` and the null direction of a singular `defect`
+    are each computed on first access.
     """
 
     def __init__(self, hc, mc, rho: float):
@@ -120,11 +122,46 @@ class Composite:
         self.matrix = hc.matrix + rho * mc.matrix
         self.offset = hc.offset + rho * mc.offset
         self._parts = hc.matrix, mc.matrix
-        self.sv = np.linalg.svd(self.matrix, compute_uv=False)
+
+    @functools.cached_property
+    def lu(self):
+        """(lu, piv, info) of LAPACK getrf, as in `scipy.linalg.lu_factor`,
+        but an exactly zero pivot (info > 0) raises no warning."""
+        return lapack.dgetrf(self.matrix)
+
+    @functools.cached_property
+    def sv(self) -> np.ndarray:
+        return np.linalg.svd(self.matrix, compute_uv=False)
+
+    @functools.cached_property
+    def cond(self) -> float | None:
         low = float(self.sv[-1])
         cond = float(self.sv[0]) / low if low > 0 else np.inf
-        self.cond = None if np.isinf(cond) else cond
-        self.invertible = self.cond is not None and self.cond <= _COND_LIMIT
+        return None if np.isinf(cond) else cond
+
+    @functools.cached_property
+    def invertible(self) -> bool:
+        if "sv" not in self.__dict__ and self._cond_bound() <= _COND_LIMIT:
+            return True
+        return self.cond is not None and self.cond <= _COND_LIMIT
+
+    def _cond_bound(self) -> float:
+        """An upper bound on cond_2(K) from the LU factors, inf where they
+        give none: b*(1 + dim*eps*b), b = ||K||_F * ||K^-1||_F >= cond_2(K)
+        (Golub & Van Loan, "Matrix Computations", section 2.3), the second
+        factor covering the rounding of the computed inverse."""
+        lu, piv, info = self.lu
+        if info != 0:
+            return math.inf
+        dim = lu.shape[0]
+        inverse, info = lapack.dgetri(
+            lu, piv, lwork=int(lapack.dgetri_lwork(dim)[0]))
+        # an overflow, or 0 * inf, leaves b non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = float(np.linalg.norm(self.matrix) * np.linalg.norm(inverse))
+        if info != 0 or not math.isfinite(b):
+            return math.inf
+        return b * (1.0 + dim * _EPS * b)
 
     @functools.cached_property
     def det(self) -> float:
@@ -172,23 +209,27 @@ class Resolvent:
     Built once and applied many times.  The instance decides the path.
     When H is additive, M the difference coupling and A..D, f, g affine,
     the constructor assembles the composite K as a `Composite`, decides
-    its invertibility (sigma_max > 0 and cond(K) <= 1e12) and LU-factors
-    it, so each call is a triangular solve.  Black-box maps take the
-    damped path: the constructor fixes the step size of a fixed-point
-    iteration that each call runs.  A call takes a vector or an
-    `(n, dim)` batch of rows and returns the same shape.
+    its invertibility (sigma_max > 0 and cond(K) <= 1e12, from the LU
+    bracket where it is conclusive, else from the singular values) and
+    keeps its LU factors, so each call is a triangular solve.  Black-box
+    maps take the damped path: the constructor fixes the step size of a
+    fixed-point iteration that each call runs.  A call takes a vector or
+    an `(n, dim)` batch of rows and returns the same shape.
 
     `singular_values` holds those of K, largest first, on the exact path
-    (so `1 / singular_values[-1]` is R's exact Lipschitz constant) and is
-    None on the damped path.  `inner_iterations` is the running total of
-    damped iterations over every call that returned or raised
-    `ResolventIterationError`; it stays 0 on the exact path.
+    (so `1 / singular_values[-1]` is R's exact Lipschitz constant), from
+    one values-only SVD taken on first access, and is None on the damped
+    path.  `inner_iterations` is the running total of damped iterations
+    over every call that returned or raised `ResolventIterationError`; it
+    stays 0 on the exact path.
 
     Raises
     ------
     NonSurjectiveError
         From the constructor, if the affine composite is (numerically)
         singular, so some z lie outside the range.
+    NonFiniteError
+        From a call whose vector, or batch, has a NaN or Inf coordinate.
     DimensionMismatchError
         From a call whose vector, or batch row, is not of the instance's
         dimension.
@@ -200,7 +241,7 @@ class Resolvent:
 
     def __init__(self, inst: InclusionInstance, cfg: ResolventConfig):
         self.inst, self.cfg = inst, cfg
-        self.singular_values = None
+        self._composite = self._lu = None
         self.inner_iterations = 0
         hc, mc = h_composite(inst), m_composite(inst)
         if hc is None or mc is None:
@@ -212,20 +253,23 @@ class Resolvent:
             raise NonSurjectiveError(
                 f"composite H + rho*M is not invertible at rho={cfg.rho}: "
                 f"{defect['description']}", defect)
-        # decided before factoring, so lu_factor never sees a singular K
-        self._lu = scipy.linalg.lu_factor(k.matrix, check_finite=False)
-        self._offset, self.singular_values = k.offset, k.sv
+        self._composite, self._lu, self._offset = k, k.lu[:2], k.offset
 
     @property
     def exact(self) -> bool:
-        """Whether calls solve the factored composite directly."""
-        return self.singular_values is not None
+        """Whether calls solve the LU-factored composite directly."""
+        return self._lu is not None
+
+    @property
+    def singular_values(self) -> np.ndarray | None:
+        """K's singular values on the exact path, else None."""
+        return None if self._composite is None else self._composite.sv
 
     def __call__(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         if z.ndim == 2:
             if not np.all(np.isfinite(z)):
-                raise ValueError("batch has non-finite coordinates")
+                raise NonFiniteError("batch has non-finite coordinates")
             self._check_dim(z.shape[1])
             if not self.exact:
                 return np.array([self(row) for row in z]).reshape(z.shape)

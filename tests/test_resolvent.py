@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgWarning
 
@@ -16,9 +16,12 @@ from vincl.operators import (
     IdentitySetMap,
     InclusionInstance,
     MissingConstantsError,
+    h_composite,
+    m_composite,
 )
 from vincl.resolvent import (
     _STALL_WINDOW,
+    Composite,
     NonSurjectiveError,
     Resolvent,
     ResolventConfig,
@@ -28,7 +31,7 @@ from vincl.resolvent import (
     resolve,
     theoretical_r_m,
 )
-from vincl.space import DimensionMismatchError, SpaceConfig
+from vincl.space import DimensionMismatchError, NonFiniteError, SpaceConfig
 
 
 def test_resolve_inverts_forward_image():
@@ -65,17 +68,24 @@ def test_resolve_single_valued_repeatability():
     assert np.linalg.norm(a - b) <= 1e-12
 
 
-def _diagonal_instance(diag):
-    """Composite H + rho*M = diag(diag) at every rho: A carries it all."""
-    dim = len(diag)
+def _linear_instance(matrix, slot="A"):
+    """Composite H + rho*M = matrix at rho = 1, carried by A (through H)
+    or by f (through M); every other map is zero."""
+    dim = len(matrix)
     zero = AffineMap.zero(dim)
+    maps = dict(A=zero, B=zero, C=zero, D=zero, f=zero, g=zero)
+    maps[slot] = AffineMap.linear(matrix)
     return InclusionInstance(
-        space=SpaceConfig(dim=dim), A=AffineMap.linear(np.diag(diag)),
-        B=zero, C=zero, D=zero, f=zero, g=zero, H=AdditiveBiSlot(),
+        space=SpaceConfig(dim=dim), H=AdditiveBiSlot(),
         F=AffinePairMap(np.zeros((dim, dim)), np.zeros((dim, dim)),
                         np.zeros(dim)),
         M=DifferenceCoupling(), S=IdentitySetMap(), T=IdentitySetMap(),
-        omega=np.zeros(dim), rho=1.0)
+        omega=np.zeros(dim), rho=1.0, **maps)
+
+
+def _diagonal_instance(diag):
+    """Composite H + rho*M = diag(diag) at rho = 1: A carries it all."""
+    return _linear_instance(np.diag(diag))
 
 
 def _opaque_h(inst):
@@ -106,6 +116,7 @@ def test_resolve_degenerate_composite_fine_at_other_rho():
 @pytest.mark.parametrize("diag", [
     [1.0, 0.0, 2.0],            # cond infinite: rejected before factoring
     [1.0, 1e-6, 1e-13],         # cond 1e13, above the condition limit
+    [1.0, 1e-200, 2.0],         # the norm of the inverse overflows
 ])
 def test_resolve_singular_linear_part_raises(diag):
     inst = _diagonal_instance(diag)
@@ -161,6 +172,9 @@ def test_batched_call_matches_rows(rows):
         assert batch.shape == z.shape
         for row, out in zip(z, batch):
             np.testing.assert_allclose(out, res(row), rtol=0, atol=1e-12)
+        with pytest.raises(NonFiniteError,
+                           match="^batch has non-finite coordinates$"):
+            res(np.vstack([z, [np.nan, 0.0]]))
 
 
 def test_resolvent_paths_and_singular_values():
@@ -172,6 +186,75 @@ def test_resolvent_paths_and_singular_values():
     blackbox = inst.with_(A=lambda x: inst.A(x))
     damped = Resolvent(blackbox, ResolventConfig(rho=0.35))
     assert not damped.exact and damped.singular_values is None
+
+
+def _graded_matrix(dim, cond, seed, kind):
+    """U diag(s) V^T, U and V seeded random orthogonal, s from 1 down to
+    1/cond in geometric steps; s[-1] = 0 when `kind` is "singular", and
+    the zero matrix when it is "zero"."""
+    if kind == "zero":
+        return np.zeros((dim, dim))
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    v, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    s = np.geomspace(1.0, 1.0 / cond, dim)
+    if kind == "singular":
+        s[-1] = 0.0
+    return (u * s) @ v.T
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(1, 60),
+       log_cond=st.one_of(st.floats(0.0, 14.0), st.floats(11.0, 13.0)),
+       log_scale=st.floats(-9.0, 9.0),
+       kind=st.sampled_from(["graded"] * 6 + ["singular", "zero"]),
+       slot=st.sampled_from(["A", "f"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(dim=200, log_cond=11.9, log_scale=3.0, kind="graded", slot="A",
+         seed=1)
+@example(dim=200, log_cond=12.1, log_scale=-3.0, kind="graded", slot="f",
+         seed=2)
+@example(dim=400, log_cond=6.0, log_scale=0.0, kind="graded", slot="A",
+         seed=3)
+@example(dim=400, log_cond=2.0, log_scale=9.0, kind="singular", slot="f",
+         seed=4)
+@example(dim=3, log_cond=0.0, log_scale=0.0, kind="zero", slot="A", seed=5)
+@example(dim=2, log_cond=0.0, log_scale=-200.0, kind="graded", slot="A",
+         seed=6)                # ||K||_F underflows, ||K^-1||_F overflows
+@example(dim=2, log_cond=0.0, log_scale=200.0, kind="graded", slot="f",
+         seed=7)
+def test_invertible_matches_the_singular_value_rule(dim, log_cond, log_scale,
+                                                    kind, slot, seed):
+    # the LU bracket may only ever say "invertible" where the SVD rule
+    # sigma_max > 0 and sigma_max / sigma_min <= 1e12 does
+    matrix = 10.0 ** log_scale * _graded_matrix(dim, 10.0 ** log_cond, seed,
+                                                kind)
+    inst = _linear_instance(matrix, slot)
+    hc, mc = h_composite(inst), m_composite(inst)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = Composite(hc, mc, 1.0)
+        sv = np.linalg.svd(k.matrix, compute_uv=False)
+        rule = bool(sv[-1] > 0 and sv[0] / sv[-1] <= 1e12)
+        assert k.invertible is rule
+        if rule:
+            res = Resolvent(inst, ResolventConfig(rho=1.0))
+            assert res.exact
+            np.testing.assert_array_equal(res.singular_values, sv)
+        else:
+            with pytest.raises(NonSurjectiveError) as exc:
+                Resolvent(inst, ResolventConfig(rho=1.0))
+            assert exc.value.defect == Composite(hc, mc, 1.0).defect()
+
+
+def test_invertible_reads_the_singular_values_once_taken():
+    inst = _diagonal_instance([1.0, 2.0, 4.0])
+    hc, mc = h_composite(inst), m_composite(inst)
+    k = Composite(hc, mc, 1.0)
+    assert k.invertible and "sv" not in vars(k)     # decided by the bracket
+    k = Composite(hc, mc, 1.0)
+    assert k.cond == 4.0 and k.invertible
+    assert "lu" not in vars(k)                      # no LU, no inverse
 
 
 def test_damped_fixed_point_agrees_with_exact():

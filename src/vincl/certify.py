@@ -11,13 +11,19 @@ Two evidence paths:
 * exact_affine - matrix analysis (eigenvalues of symmetric parts, singular
   values, generalized eigenvalue pencils).  Can return verdict "pass".
 * sampled - the inequality is checked on a deterministic seeded sample,
-  the rows of `SamplePlan.arrays`.  Each certificate evaluates the maps it
-  needs once per sample point and forms one array each of lhs, rhs and
-  quotient, one entry per candidate: a sample row, or a (row, u, v) choice
-  of set values.  One engine, `_sampled_cert`, turns these into the
-  certificate.  A finite sample cannot prove a universally quantified
+  the rows of `SamplePlan.arrays`.  Each certificate reads the images of
+  the plan rows under the maps it needs and forms one array each of lhs,
+  rhs and quotient, one entry per candidate: a sample row, or a (row, u,
+  v) choice of set values.  One engine, `_sampled_cert`, turns these into
+  the certificate.  A finite sample cannot prove a universally quantified
   inequality, so this path returns at most "estimated" (or "fail" with the
   first violating pair in plan order as witness).
+
+Inside `certify_instance` the certificates share one table of plan-row
+images (`_PlanImages`).  Instance maps are assumed to be deterministic
+functions, so each of A..D, f and g is called at most once per X row and
+once per Y row, the composed H once per row, and F once per row and
+argument where the selection S (or T) is the identity.
 
 Every comparison ignores violations up to `space.slack(size, spread)`,
 size |lhs| + |rhs| and spread dim times: the largest |eigenvalue| or
@@ -40,7 +46,7 @@ from .operators import (
     JsonRecord,
     SingletonSetMap,
     affine_parts,
-    eval_H_on_point,
+    eval_H_on_images,
     h_composite,
     hausdorff_distance,
     is_additive,
@@ -240,23 +246,83 @@ def _ratio(num, den, keep) -> np.ndarray:
     return np.divide(num, den, out=np.zeros(len(num)), where=keep)
 
 
-def _plan_arrays(plan, dim, prop):
-    """`plan.arrays(dim)` for a map with no exact path."""
-    if plan is None:
-        raise InsufficientEvidenceError(
-            f"{prop}: no exact path available and no sample plan")
-    if dim is None:
-        raise ValueError("dim required for a black-box map")
-    return plan.arrays(dim)
+class _PlanImages:
+    """The plan rows of one certification run and their images.
+
+    `certify_instance` builds one and passes it where the certificate
+    functions take a plan; each of them, called alone, wraps its plan in
+    a table of its own (`_images_of`).  The rows are `plan.arrays(dim)`,
+    made when a certificate first needs them; a map's images take one
+    call per X row and one per Y row.  Instance maps are taken to be
+    deterministic functions, so what more than one certificate reads is
+    kept and reused: the images of the slot maps A..D and the increments
+    and image norms of the composed H.
+    """
+
+    def __init__(self, plan, dim, inst=None):
+        self.plan, self.dim, self.inst = plan, dim, inst
+        self._kept = {}
+
+    def _keep(self, key, make):
+        """make(), a tuple of arrays, made once and kept read-only: the
+        maps receive views of these rows and images, so a map that writes
+        into its argument raises instead of changing what later
+        certificates read."""
+        if key not in self._kept:
+            kept = make()
+            for a in kept:
+                a.flags.writeable = False
+            self._kept[key] = kept
+        return self._kept[key]
+
+    def rows(self, prop):
+        """`plan.arrays(dim)`, (X, Y, U), for a map with no exact path."""
+        if self.plan is None:
+            raise InsufficientEvidenceError(
+                f"{prop}: no exact path available and no sample plan")
+        if self.dim is None:
+            raise ValueError("dim required for a black-box map")
+        return self._keep("rows", lambda: self.plan.arrays(self.dim))
+
+    def images(self, m, prop):
+        """m(X) and m(Y) as (n, dim) arrays, kept when m is one of the
+        instance's slot maps A..D."""
+        x, y, _ = self.rows(prop)
+
+        def make():
+            return _stack(map(m, x), self.dim), _stack(map(m, y), self.dim)
+        slot = next((s for s in "ABCD" if self.inst is not None
+                     and getattr(self.inst, s) is m), None)
+        return make() if slot is None else self._keep(slot, make)
+
+    def h_increments(self, prop):
+        """H(X) - H(Y) and ||H(X)|| + ||H(Y)|| for the composed map
+        x -> H((Ax, Bx), (Cx, Dx)), formed from the images of A..D."""
+        def make():
+            a, b, c, d = (self.images(getattr(self.inst, s), prop)
+                          for s in "ABCD")
+            h = functools.partial(eval_H_on_images, self.inst)
+            hx = _stack(map(h, a[0], b[0], c[0], d[0]), self.dim)
+            hy = _stack(map(h, a[1], b[1], c[1], d[1]), self.dim)
+            return hx - hy, _norms(hx) + _norms(hy)
+        return self._keep("H", make)
+
+
+def _images_of(plan, dim, inst=None) -> _PlanImages:
+    """`plan` when it is a run's table already, else a new table of its
+    rows."""
+    if isinstance(plan, _PlanImages):
+        return plan
+    return _PlanImages(plan, dim, inst)
 
 
 def _map_samples(m, plan, dim, prop):
-    """Sample rows X, Y, the increments m(X) - m(Y) of a map and the
-    image norms ||m(X)|| + ||m(Y)||."""
-    dim = m.dim if isinstance(m, AffineMap) else dim
-    x, y, _ = _plan_arrays(plan, dim, prop)
-    mx, my = _stack(map(m, x), dim), _stack(map(m, y), dim)
-    return x, y, mx - my, _norms(mx) + _norms(my)
+    """The sample plan, rows X, Y, the increments m(X) - m(Y) of a map and
+    the image norms ||m(X)|| + ||m(Y)||."""
+    table = _images_of(plan, m.dim if isinstance(m, AffineMap) else dim)
+    x, y, _ = table.rows(prop)
+    mx, my = table.images(m, prop)
+    return table.plan, x, y, mx - my, _norms(mx) + _norms(my)
 
 
 def _accretive_form(prop, claimed, plan, x, y, dm, mag, q, sign=1,
@@ -313,7 +379,7 @@ def _accretive(m, claimed, q, plan, dim, prop, sign):
         lam, size, witness = _min_eig(_sym(parts[0]), sign * claimed)
         return _exact_cert(prop, claimed, lam, size, witness,
                            {"eig_min_sym": lam, "q": q}, sign)
-    x, y, dm, mag = _map_samples(m, plan, dim, prop)
+    plan, x, y, dm, mag = _map_samples(m, plan, dim, prop)
     return _accretive_form(prop, claimed, plan, x, y, dm, mag, q, sign)
 
 
@@ -381,7 +447,7 @@ def _cocoercive(m, claimed, q, plan, dim, prop, sign):
                 lambda: {"pencil_min": ratio, "required": sign * claimed},
                 {"q": q}, sign)
         # singular linear part: fall through to sampling
-    x, y, dm, mag = _map_samples(m, plan, dim, prop)
+    plan, x, y, dm, mag = _map_samples(m, plan, dim, prop)
     return _accretive_form(prop, claimed, plan, x, y, dm, mag, q, sign,
                            scale=_norms(dm))
 
@@ -402,7 +468,7 @@ def _norm_bound(m, claimed, plan, dim, prop, upper):
         return _exact_cert(prop, claimed, constant,
                            len(svals) * svals.max(), witness,
                            {"singular_values": svals.tolist()}, upper=upper)
-    x, y, dm, mag = _map_samples(m, plan, dim, prop)
+    plan, x, y, dm, mag = _map_samples(m, plan, dim, prop)
     return _ratio_form(prop, claimed, plan, x, y, _norms(dm), mag, upper)
 
 
@@ -453,8 +519,7 @@ def certify_symmetric_mixed_cocoercive(inst: InclusionInstance,
              and all(affine_parts(m) is not None
                      for m in (inst.A, inst.B, inst.C, inst.D)))
     if not exact:
-        plan = plan or SamplePlan()
-        x, y, u = plan.arrays(dim)
+        table = _images_of(plan or SamplePlan(), dim, inst)
     certs = []
     for prop, p, r, mu, gamma, sign_mu, h in halves:
         if exact:
@@ -463,11 +528,12 @@ def certify_symmetric_mixed_cocoercive(inst: InclusionInstance,
                 _sym(lp + r.matrix) - sign_mu * mu * (lp.T @ lp), gamma),
                 {"mu": mu, "q": q}))
             continue
-        px, py = _stack(map(p, x), dim), _stack(map(p, y), dim)
-        hx = _stack(map(h, px, _stack(map(r, x), dim), u), dim)
-        hy = _stack(map(h, py, _stack(map(r, y), dim), u), dim)
+        x, y, u = table.rows(prop)
+        (px, py), (rx, ry) = table.images(p, prop), table.images(r, prop)
+        hx = _stack(map(h, px, rx, u), dim)
+        hy = _stack(map(h, py, ry, u), dim)
         certs.append(_accretive_form(
-            prop, gamma, plan, x, y, hx - hy, _norms(hx) + _norms(hy), q,
+            prop, gamma, table.plan, x, y, hx - hy, _norms(hx) + _norms(hy), q,
             shift=sign_mu * mu * _norms(px - py) ** q,
             details={"mu": mu, "q": q}))
     return tuple(certs)
@@ -482,10 +548,14 @@ def certify_mixed_lipschitz(inst: InclusionInstance,
     """
     if claimed is None:
         claimed = inst.constants.require("tau")["tau"]
-    hc = h_composite(inst)
-    m = functools.partial(eval_H_on_point, inst) if hc is None else hc
-    return _norm_bound(m, claimed, plan or SamplePlan(), inst.dim,
-                       "mixed_lipschitz", upper=True)
+    prop, hc = "mixed_lipschitz", h_composite(inst)
+    if hc is not None:
+        return _norm_bound(hc, claimed, None, inst.dim, prop, upper=True)
+    table = _images_of(plan or SamplePlan(), inst.dim, inst)
+    x, y, _ = table.rows(prop)
+    dh, mag = table.h_increments(prop)
+    return _ratio_form(prop, claimed, table.plan, x, y, _norms(dh), mag,
+                       upper=True)
 
 
 # ---------------------------------------------------------------------------
@@ -511,20 +581,14 @@ def certify_F_properties(inst: InclusionInstance,
     constants are stated against ||u-v||^q.  Both quotients are certified:
     `constant` carries the displacement-normalized value and
     details["constant_vs_H_increment"] the H-increment-normalized one.
-    The sampled path evaluates H once per sample point for both arguments.
+    The sampled path evaluates H once per sample point for both arguments,
+    and F once per sample point and argument where the selection is the
+    identity.
     """
     got = inst.constants.require("sigma", "delta", "eps1", "eps2")
     q, dim = inst.space.q, inst.dim
     hc, fp = h_composite(inst), pair_affine_parts(inst.F)
-    plan = plan or SamplePlan()
-    samples = functools.cache(lambda: plan.arrays(dim))
-
-    @functools.cache
-    def h_increments():
-        h = functools.partial(eval_H_on_point, inst)
-        x, y, _ = samples()
-        return _stack(map(h, x), dim) - _stack(map(h, y), dim)
-
+    table = _images_of(plan or SamplePlan(), dim, inst)
     args = (("first", inst.S, got["sigma"], got["eps1"],
              lambda p, w: inst.F(p, w)),
             ("second", inst.T, got["delta"], got["eps2"],
@@ -532,6 +596,15 @@ def certify_F_properties(inst: InclusionInstance,
     accretive, lipschitz = [], []
     for k, (arg, set_map, claimed, eps, f) in enumerate(args):
         prop = f"F_strongly_accretive_{arg}"
+
+        @functools.cache
+        def f_increments():
+            """The increments f(X, W) - f(Y, W) of F in this argument and
+            the image norms ||f(X, W)|| + ||f(Y, W)||."""
+            x, y, w = table.rows(prop)
+            fx, fy = _stack(map(f, x, w), dim), _stack(map(f, y, w), dim)
+            return fx - fy, _norms(fx) + _norms(fy)
+
         sel = _set_map_affine(set_map, dim)
         if hc is not None and fp is not None and sel is not None and q == 2.0:
             lh = hc.matrix
@@ -541,13 +614,18 @@ def certify_F_properties(inst: InclusionInstance,
                 num, claimed), {"constant_vs_H_increment":
                                 None if vs_h is None else vs_h[0], "q": q}))
         else:
-            x, y, w = samples()
-            df, mag, rows = _set_differences(*(
-                [_stack((f(p, wi) for p in set_values(set_map, zi)), dim)
-                 for zi, wi in zip(z, w)] for z in (x, y)))
-            x, y, dh = x[rows], y[rows], h_increments()[rows]
-            cert = _accretive_form(prop, claimed, plan, x, y, df, mag, q,
-                                   dual=dh)
+            x, y, w = table.rows(prop)
+            if isinstance(set_map, IdentitySetMap):
+                df, mag = f_increments()
+                dh = table.h_increments(prop)[0]
+            else:
+                df, mag, rows = _set_differences(*(
+                    [_stack((f(p, wi) for p in set_values(set_map, zi)), dim)
+                     for zi, wi in zip(z, w)] for z in (x, y)))
+                x, y = x[rows], y[rows]
+                dh = table.h_increments(prop)[0][rows]
+            cert = _accretive_form(prop, claimed, table.plan, x, y, df, mag,
+                                   q, dual=dh)
             if cert.verdict != "fail":
                 nh = _norms(dh)
                 vs_h = (_norms(x - y) >= DEGENERATE) & (nh > DEGENERATE)
@@ -560,11 +638,10 @@ def certify_F_properties(inst: InclusionInstance,
             lipschitz.append(_norm_bound(AffineMap.linear(fp[k]), eps, None,
                                          dim, prop, upper=True))
         else:
-            x, y, w = samples()
-            fx, fy = _stack(map(f, x, w), dim), _stack(map(f, y, w), dim)
-            lipschitz.append(_ratio_form(prop, eps, plan, x, y,
-                                         _norms(fx - fy),
-                                         _norms(fx) + _norms(fy), upper=True))
+            x, y, _ = table.rows(prop)
+            df, mag = f_increments()
+            lipschitz.append(_ratio_form(prop, eps, table.plan, x, y,
+                                         _norms(df), mag, upper=True))
     return accretive + lipschitz
 
 
@@ -584,11 +661,12 @@ def certify_d_lipschitz(set_map, claimed: float,
                            lambda: {"identity_slope": 1.0}, {}, upper=True)
     if isinstance(set_map, SingletonSetMap) and affine_parts(set_map.map) is not None:
         return _norm_bound(set_map.map, claimed, None, dim, prop, upper=True)
-    x, y, _ = _plan_arrays(plan, dim, prop)
+    table = _images_of(plan, dim)
+    x, y, _ = table.rows(prop)
     sets = [(set_values(set_map, xi), set_values(set_map, yi))
             for xi, yi in zip(x, y)]
     return _ratio_form(
-        prop, claimed, plan, x, y,
+        prop, claimed, table.plan, x, y,
         np.array([hausdorff_distance(a, b) for a, b in sets]),
         np.array([max(map(np.linalg.norm, a)) + max(map(np.linalg.norm, b))
                   for a, b in sets]), upper=True)
@@ -619,21 +697,20 @@ def certify_m_slot_accretive(inst: InclusionInstance, slot: str,
             return certify_strong_accretive(inst.f, claimed, q, plan, dim)
         return certify_relaxed_accretive(negate_map(inst.g), claimed, q,
                                          plan, dim)
-    plan = plan or SamplePlan()
-    x, y, w = plan.arrays(dim)
-    slot_map = inst.f if slot == "f" else inst.g
+    prop, sign = (("strongly_accretive", +1) if slot == "f"
+                  else ("relaxed_accretive", -1))
+    table = _images_of(plan or SamplePlan(), dim, inst)
+    x, y, w = table.rows(prop)
 
-    def values(z):
-        """The value sets M(slot_map(z), w) (M(w, slot_map(z)) for g)."""
-        s = _stack(map(slot_map, z), dim)
+    def values(s):
+        """The value sets M(s_i, w_i) (M(w_i, s_i) for g) of slot images s."""
         return [_stack(inst.M(si, wi) if slot == "f" else inst.M(wi, si), dim)
                 for si, wi in zip(s, w)]
 
-    du, mag, rows = _set_differences(values(x), values(y))
-    prop, sign = (("strongly_accretive", +1) if slot == "f"
-                  else ("relaxed_accretive", -1))
-    return _accretive_form(prop, claimed, plan, x[rows], y[rows], du, mag, q,
-                           sign)
+    du, mag, rows = _set_differences(*map(values, table.images(
+        inst.f if slot == "f" else inst.g, prop)))
+    return _accretive_form(prop, claimed, table.plan, x[rows], y[rows], du,
+                           mag, q, sign)
 
 
 def _det_polynomial_roots(hc, mc, nonzero: bool):
@@ -706,7 +783,8 @@ def _probed_range_defect(inst, rho_grid, plan, details):
     """Part (ii) for a black-box composite: a damped resolve must reach
     the first sample points at each grid rho.  Returns the defect of the
     first failed probe, or None."""
-    targets = (plan or SamplePlan()).arrays(inst.dim)[0][:_RANGE_PROBES]
+    targets = _images_of(plan or SamplePlan(), inst.dim, inst).rows(
+        "surjective_H_plus_rhoM")[0][:_RANGE_PROBES]
     probes, witness = [], None
     for rho in rho_grid:
         resolvent = Resolvent(inst, ResolventConfig(rho=float(rho)))
@@ -811,39 +889,41 @@ def certify_instance(inst: InclusionInstance,
 
     The derived block reports `theoretical_r_m`'s r and m, evaluated from
     the certified constants (claimed mu's, certified slopes) when all
-    ingredients are present.
+    ingredients are present.  The certificates share one table of the
+    plan rows' images (`_PlanImages`), dropped on return.
     """
     from .operators import ordering_flags as _flags
     plan = plan or SamplePlan()
+    table = _PlanImages(plan, inst.dim, inst)
     c = inst.constants
     certs = {}
     if c.alpha is not None:
         certs["strongly_accretive"] = certify_m_slot_accretive(inst, "f",
-                                                               c.alpha, plan)
+                                                               c.alpha, table)
     if c.beta is not None:
         certs["relaxed_accretive"] = certify_m_slot_accretive(inst, "g",
-                                                              c.beta, plan)
+                                                              c.beta, table)
     if None not in (c.mu1, c.gamma1, c.mu2, c.gamma2):
         certs.update((cert.property, cert) for cert in
-                     certify_symmetric_mixed_cocoercive(inst, plan))
+                     certify_symmetric_mixed_cocoercive(inst, table))
     if c.tau is not None:
-        certs["mixed_lipschitz"] = certify_mixed_lipschitz(inst, c.tau, plan)
+        certs["mixed_lipschitz"] = certify_mixed_lipschitz(inst, c.tau, table)
     if c.alpha1 is not None:
-        certs["expansive"] = certify_expansive(inst.A, c.alpha1, plan,
+        certs["expansive"] = certify_expansive(inst.A, c.alpha1, table,
                                                inst.dim)
     if c.beta1 is not None:
-        certs["lipschitz"] = certify_lipschitz(inst.B, c.beta1, plan,
+        certs["lipschitz"] = certify_lipschitz(inst.B, c.beta1, table,
                                                inst.dim)
     if None not in (c.sigma, c.delta, c.eps1, c.eps2):
         certs.update((cert.property, cert) for cert in
-                     certify_F_properties(inst, plan))
+                     certify_F_properties(inst, table))
     for name, set_map, lip in (("S", inst.S, c.l1), ("T", inst.T, c.l2)):
         if lip is not None:
             certs[f"d_lipschitz_{name}"] = certify_d_lipschitz(
-                set_map, lip, plan, inst.dim)
+                set_map, lip, table, inst.dim)
     if c.alpha is not None and c.beta is not None:
         certs["surjective_H_plus_rhoM"] = _surjectivity_cert(
-            inst, rho_grid, plan, certs["strongly_accretive"],
+            inst, rho_grid, table, certs["strongly_accretive"],
             certs["relaxed_accretive"])
     # certified constants where there are some, declared ones otherwise
     sources = {"mu1": None, "mu2": None, "alpha1": "expansive",

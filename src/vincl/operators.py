@@ -374,8 +374,15 @@ def eval_H_on_point(inst: InclusionInstance, x) -> np.ndarray:
     xv = as_vector(x)
     if xv.shape[0] != inst.dim:
         raise DimensionMismatchError(inst.dim, xv.shape[0], "eval_H_on_point")
-    return _image(inst.H(inst.A(xv), inst.B(xv), inst.C(xv), inst.D(xv)),
-                  inst.dim, "image of H")
+    return eval_H_on_images(inst, inst.A(xv), inst.B(xv), inst.C(xv),
+                            inst.D(xv))
+
+
+def eval_H_on_images(inst: InclusionInstance, a, b, c, d) -> np.ndarray:
+    """H((a, b), (c, d)) for images a..d of one point under A..D;
+    DimensionMismatchError when H's image is not of the instance's
+    dimension."""
+    return _image(inst.H(a, b, c, d), inst.dim, "image of H")
 
 
 def h_composite(inst: InclusionInstance):

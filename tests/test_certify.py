@@ -1,6 +1,10 @@
+import collections
+import itertools
+
 import numpy as np
 import pytest
 
+from test_scale_invariance import lift, variant
 from vincl.certify import (
     InsufficientEvidenceError,
     SamplePlan,
@@ -309,6 +313,77 @@ def test_bundle_determinism():
     b1 = certify_instance(inst, SamplePlan(seed=42))
     b2 = certify_instance(inst, SamplePlan(seed=42))
     assert b1.to_json() == b2.to_json()
+
+
+# ---------------------------------------------------------------------------
+# one table of plan-row images per certify_instance
+# ---------------------------------------------------------------------------
+
+COUNTED = ("A", "B", "C", "D", "f", "g", "H", "F")
+
+
+def _blackbox_lift(wrap):
+    """example_4_7's black-box lift to dim 10, each map in COUNTED
+    replaced by wrap(name, map)."""
+    inst = variant(lift(example_4_7().instance, 10), 1.0, blackbox=True)
+    return inst.with_(**{s: wrap(s, getattr(inst, s)) for s in COUNTED})
+
+
+def test_certify_instance_evaluates_each_map_once_per_plan_row():
+    calls = collections.Counter()
+
+    def counted(name, m):
+        def call(*args):
+            calls[name] += 1
+            return m(*args)
+        return call
+    inst = _blackbox_lift(counted)
+    plan = SamplePlan(seed=7, n_pairs=64)
+    n = len(plan.arrays(inst.dim)[0])
+    bundle = certify_instance(inst, plan, rho_grid=[])   # no range probes
+    assert bundle.all_ok()
+    for slot in ("A", "B", "C", "D", "f", "g"):
+        assert 0 < calls[slot] <= 2 * n, slot    # once per X and Y row
+    assert 0 < calls["H"] <= 6 * n   # composed H, then the two halves
+    assert 0 < calls["F"] <= 4 * n   # both arguments at identity selections
+
+
+class _MapFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("slot", COUNTED)
+def test_a_raising_map_makes_certify_instance_raise(slot):
+    def faulty(name, m):
+        if name != slot:
+            return m
+        calls = itertools.count()
+
+        def call(*args):
+            if next(calls) == 50:
+                raise _MapFault(name)
+            return m(*args)
+        return call
+    inst = _blackbox_lift(faulty)
+    with pytest.raises(_MapFault):
+        certify_instance(inst, SamplePlan(seed=7, n_pairs=64), rho_grid=[])
+
+
+@pytest.mark.parametrize("slot", ["A", "H", "F"])
+def test_a_map_writing_into_its_argument_raises(slot):
+    # the kept rows and images are shared by every certificate in the run,
+    # so they are read-only rather than silently changed for the next one
+    def writing(name, m):
+        if name != slot:
+            return m
+
+        def call(x, *rest):
+            x *= 1.0
+            return m(x, *rest)
+        return call
+    inst = _blackbox_lift(writing)
+    with pytest.raises(ValueError, match="read-only"):
+        certify_instance(inst, SamplePlan(seed=7, n_pairs=64), rho_grid=[])
 
 
 def test_claim_validation():

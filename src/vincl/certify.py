@@ -63,7 +63,7 @@ from .resolvent import (
     ResolventIterationError,
     theoretical_r_m,
 )
-from .space import DEGENERATE, slack
+from .space import DEGENERATE, as_rows, slack
 
 _RANGE_PROBES = 8       # black-box range probes per rho
 _REAL_ROOT = 1e-8       # pencil eigenvalues with |imag| <= this*(1+|real|)
@@ -209,17 +209,6 @@ def _sampled_cert(prop, claimed, plan, x, y, lhs, rhs, tol, quotient, keep,
                        details)
 
 
-def _stack(vectors, dim: int) -> np.ndarray:
-    """The finite vectors `vectors` as the rows of one (k, dim) array."""
-    out = np.array(list(vectors), dtype=float)
-    if not len(out):
-        return np.empty((0, dim))
-    if out.ndim != 2 or out.shape[1] == 0 or not np.isfinite(out).all():
-        raise ValueError("map values must be finite 1-D vectors of one "
-                         f"length (stacked shape {out.shape})")
-    return out
-
-
 def _norms(d: np.ndarray) -> np.ndarray:
     return np.linalg.norm(d, axis=1)
 
@@ -290,7 +279,9 @@ class _PlanImages:
         x, y, _ = self.rows(prop)
 
         def make():
-            return _stack(map(m, x), self.dim), _stack(map(m, y), self.dim)
+            context = f"sampled image for {prop}"
+            return (as_rows(map(m, x), self.dim, context),
+                    as_rows(map(m, y), self.dim, context))
         slot = next((s for s in "ABCD" if self.inst is not None
                      and getattr(self.inst, s) is m), None)
         return make() if slot is None else self._keep(slot, make)
@@ -302,8 +293,8 @@ class _PlanImages:
             a, b, c, d = (self.images(getattr(self.inst, s), prop)
                           for s in "ABCD")
             h = functools.partial(eval_H_on_images, self.inst)
-            hx = _stack(map(h, a[0], b[0], c[0], d[0]), self.dim)
-            hy = _stack(map(h, a[1], b[1], c[1], d[1]), self.dim)
+            hx, hy = (as_rows(map(h, a[k], b[k], c[k], d[k]), self.dim,
+                              "image of H") for k in (0, 1))
             return hx - hy, _norms(hx) + _norms(hy)
         return self._keep("H", make)
 
@@ -385,26 +376,24 @@ def _accretive(m, claimed, q, plan, dim, prop, sign):
 
 def certify_strong_accretive(m, claimed: float, q: float = 2.0,
                              plan: SamplePlan | None = None,
-                             dim: int | None = None,
-                             prop: str = "strongly_accretive") -> Certificate:
+                             dim: int | None = None) -> Certificate:
     """Check <m(x)-m(y), J_q(x-y)> >= claimed * ||x-y||^q.
 
     Exact path (affine map): constant is the smallest eigenvalue of the
     symmetric part of the linear matrix.
     """
-    return _accretive(m, claimed, q, plan, dim, prop, +1)
+    return _accretive(m, claimed, q, plan, dim, "strongly_accretive", +1)
 
 
 def certify_relaxed_accretive(m, claimed: float, q: float = 2.0,
                               plan: SamplePlan | None = None,
-                              dim: int | None = None,
-                              prop: str = "relaxed_accretive") -> Certificate:
+                              dim: int | None = None) -> Certificate:
     """Check <m(x)-m(y), J_q(x-y)> >= -claimed * ||x-y||^q.
 
     Exact path: constant is minus the most negative eigenvalue of the
     symmetric part (the smallest valid relaxation constant).
     """
-    return _accretive(m, claimed, q, plan, dim, prop, -1)
+    return _accretive(m, claimed, q, plan, dim, "relaxed_accretive", -1)
 
 
 def _pencil(num: np.ndarray, den: np.ndarray):
@@ -419,18 +408,17 @@ def _pencil(num: np.ndarray, den: np.ndarray):
 
 def certify_cocoercive(m, claimed: float, q: float = 2.0,
                        plan: SamplePlan | None = None,
-                       dim: int | None = None,
-                       prop: str = "cocoercive") -> Certificate:
+                       dim: int | None = None) -> Certificate:
     """Check <m(x)-m(y), J_q(x-y)> >= claimed * ||m(x)-m(y)||^q."""
-    return _cocoercive(m, claimed, q, plan, dim, prop, +1)
+    return _cocoercive(m, claimed, q, plan, dim, "cocoercive", +1)
 
 
 def certify_relaxed_cocoercive(m, claimed: float, q: float = 2.0,
                                plan: SamplePlan | None = None,
-                               dim: int | None = None,
-                               prop: str = "relaxed_cocoercive") -> Certificate:
+                               dim: int | None = None) -> Certificate:
     """Check <m(x)-m(y), J_q(x-y)> >= -claimed * ||m(x)-m(y)||^q."""
-    return _cocoercive(m, claimed, q, plan, dim, prop, -1)
+    return _cocoercive(m, claimed, q, plan, dim, "relaxed_cocoercive",
+                       -1)
 
 
 def _cocoercive(m, claimed, q, plan, dim, prop, sign):
@@ -473,21 +461,19 @@ def _norm_bound(m, claimed, plan, dim, prop, upper):
 
 
 def certify_lipschitz(m, claimed: float, plan: SamplePlan | None = None,
-                      dim: int | None = None,
-                      prop: str = "lipschitz") -> Certificate:
+                      dim: int | None = None) -> Certificate:
     """Check ||m(x)-m(y)|| <= claimed * ||x-y||; exact = largest singular value."""
     if not claimed > 0:
         raise ValueError(f"claimed constant must be > 0, got {claimed}")
-    return _norm_bound(m, claimed, plan, dim, prop, upper=True)
+    return _norm_bound(m, claimed, plan, dim, "lipschitz", upper=True)
 
 
 def certify_expansive(m, claimed: float, plan: SamplePlan | None = None,
-                      dim: int | None = None,
-                      prop: str = "expansive") -> Certificate:
+                      dim: int | None = None) -> Certificate:
     """Check ||m(x)-m(y)|| >= claimed * ||x-y||; exact = smallest singular value."""
     if not claimed > 0:
         raise ValueError(f"claimed constant must be > 0, got {claimed}")
-    return _norm_bound(m, claimed, plan, dim, prop, upper=False)
+    return _norm_bound(m, claimed, plan, dim, "expansive", upper=False)
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +516,8 @@ def certify_symmetric_mixed_cocoercive(inst: InclusionInstance,
             continue
         x, y, u = table.rows(prop)
         (px, py), (rx, ry) = table.images(p, prop), table.images(r, prop)
-        hx = _stack(map(h, px, rx, u), dim)
-        hy = _stack(map(h, py, ry, u), dim)
+        hx = as_rows(map(h, px, rx, u), dim, "image of H")
+        hy = as_rows(map(h, py, ry, u), dim, "image of H")
         certs.append(_accretive_form(
             prop, gamma, table.plan, x, y, hx - hy, _norms(hx) + _norms(hy), q,
             shift=sign_mu * mu * _norms(px - py) ** q,
@@ -602,7 +588,8 @@ def certify_F_properties(inst: InclusionInstance,
             """The increments f(X, W) - f(Y, W) of F in this argument and
             the image norms ||f(X, W)|| + ||f(Y, W)||."""
             x, y, w = table.rows(prop)
-            fx, fy = _stack(map(f, x, w), dim), _stack(map(f, y, w), dim)
+            fx = as_rows(map(f, x, w), dim, "image of F")
+            fy = as_rows(map(f, y, w), dim, "image of F")
             return fx - fy, _norms(fx) + _norms(fy)
 
         sel = _set_map_affine(set_map, dim)
@@ -620,7 +607,8 @@ def certify_F_properties(inst: InclusionInstance,
                 dh = table.h_increments(prop)[0]
             else:
                 df, mag, rows = _set_differences(*(
-                    [_stack((f(p, wi) for p in set_values(set_map, zi)), dim)
+                    [as_rows((f(p, wi) for p in set_values(set_map, zi)),
+                             dim, "image of F")
                      for zi, wi in zip(z, w)] for z in (x, y)))
                 x, y = x[rows], y[rows]
                 dh = table.h_increments(prop)[0][rows]
@@ -651,11 +639,11 @@ def certify_F_properties(inst: InclusionInstance,
 
 def certify_d_lipschitz(set_map, claimed: float,
                         plan: SamplePlan | None = None,
-                        dim: int | None = None,
-                        prop: str = "d_lipschitz") -> Certificate:
+                        dim: int | None = None) -> Certificate:
     """Check D(G(x), G(y)) <= claimed * ||x-y|| in the Hausdorff metric."""
     if not claimed > 0:
         raise ValueError(f"claimed constant must be > 0, got {claimed}")
+    prop = "d_lipschitz"
     if isinstance(set_map, IdentitySetMap):
         return _exact_cert(prop, claimed, 1.0, 0.0,
                            lambda: {"identity_slope": 1.0}, {}, upper=True)
@@ -692,6 +680,7 @@ def certify_m_slot_accretive(inst: InclusionInstance, slot: str,
     name = "alpha" if slot == "f" else "beta"
     if claimed is None:
         claimed = inst.constants.require(name)[name]
+    plan = plan or SamplePlan()
     if is_difference_coupling(inst.M):
         if slot == "f":
             return certify_strong_accretive(inst.f, claimed, q, plan, dim)
@@ -699,13 +688,13 @@ def certify_m_slot_accretive(inst: InclusionInstance, slot: str,
                                          plan, dim)
     prop, sign = (("strongly_accretive", +1) if slot == "f"
                   else ("relaxed_accretive", -1))
-    table = _images_of(plan or SamplePlan(), dim, inst)
+    table = _images_of(plan, dim, inst)
     x, y, w = table.rows(prop)
 
     def values(s):
         """The value sets M(s_i, w_i) (M(w_i, s_i) for g) of slot images s."""
-        return [_stack(inst.M(si, wi) if slot == "f" else inst.M(wi, si), dim)
-                for si, wi in zip(s, w)]
+        return [as_rows(inst.M(si, wi) if slot == "f" else inst.M(wi, si),
+                        dim, "image of M") for si, wi in zip(s, w)]
 
     du, mag, rows = _set_differences(*map(values, table.images(
         inst.f if slot == "f" else inst.g, prop)))

@@ -110,7 +110,6 @@ def _add_solve_args(p: argparse.ArgumentParser) -> None:
                    help="amplitude of the geometric error sequence")
     p.add_argument("--error-factor", type=float, default=0.5)
     p.add_argument("--error-direction", type=_parse_vector, default=None)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,11 +19,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .space import ConfigError, DimensionMismatchError, SpaceConfig, as_vector
-
-
-class EmptySetError(ValueError):
-    """A set-valued map produced (or was given) an empty value set."""
+from .space import (ConfigError, EmptySetError, SpaceConfig, as_rows,
+                    as_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -41,21 +38,17 @@ class AffineMap:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
-        o = as_vector(self.offset)
-        if o.shape[0] != m.shape[0]:
-            raise DimensionMismatchError(m.shape[0], o.shape[0], "affine map")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "offset", o)
+        object.__setattr__(self, "offset",
+                           as_vector(self.offset, m.shape[0], "affine map"))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def __call__(self, x) -> np.ndarray:
-        xv = as_vector(x)
-        if xv.shape[0] != self.dim:
-            raise DimensionMismatchError(self.dim, xv.shape[0], "affine map eval")
-        return self.matrix @ xv + self.offset
+        return (self.matrix @ as_vector(x, self.dim, "affine map eval")
+                + self.offset)
 
     @classmethod
     def linear(cls, matrix) -> "AffineMap":
@@ -103,21 +96,12 @@ class AdditiveBiSlot:
     def __call__(self, a, b, c, d) -> np.ndarray:
         a = as_vector(a)
         n = a.shape[0]
-        return (a + _image(b, n, "images of A and B")
-                + _image(c, n, "images of A and C")
-                + _image(d, n, "images of A and D"))
+        return (a + as_vector(b, n, "images of A and B")
+                + as_vector(c, n, "images of A and C")
+                + as_vector(d, n, "images of A and D"))
 
     def __repr__(self):
         return "AdditiveBiSlot()"
-
-
-def _image(v, dim: int, context: str) -> np.ndarray:
-    """`as_vector(v)`, refused unless of length `dim`: numpy would
-    broadcast a length-1 image against a longer vector."""
-    v = as_vector(v)
-    if v.shape[0] != dim:
-        raise DimensionMismatchError(dim, v.shape[0], context)
-    return v
 
 
 def is_additive(h) -> bool:
@@ -135,22 +119,22 @@ class AffinePairMap:
     def __post_init__(self):
         p = np.asarray(self.first, dtype=float)
         q = np.asarray(self.second, dtype=float)
-        o = as_vector(self.offset)
         if p.shape != q.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError(f"pair-map matrices must be square and congruent, "
                              f"got {p.shape} and {q.shape}")
-        if o.shape[0] != p.shape[0]:
-            raise DimensionMismatchError(p.shape[0], o.shape[0], "pair map")
         object.__setattr__(self, "first", p)
         object.__setattr__(self, "second", q)
-        object.__setattr__(self, "offset", o)
+        object.__setattr__(self, "offset",
+                           as_vector(self.offset, p.shape[0], "pair map"))
 
     @property
     def dim(self) -> int:
         return self.first.shape[0]
 
     def __call__(self, x, y) -> np.ndarray:
-        return self.first @ as_vector(x) + self.second @ as_vector(y) + self.offset
+        return (self.first @ as_vector(x, self.dim, "pair map eval")
+                + self.second @ as_vector(y, self.dim, "pair map eval")
+                + self.offset)
 
 
 def pair_affine_parts(f):
@@ -168,7 +152,7 @@ class DifferenceCoupling:
 
     def __call__(self, fu, gu):
         fu = as_vector(fu)
-        return (fu - _image(gu, fu.shape[0], "images of f and g"),)
+        return (fu - as_vector(gu, fu.shape[0], "images of f and g"),)
 
     def __repr__(self):
         return "DifferenceCoupling()"
@@ -202,13 +186,11 @@ class SingletonSetMap:
 class ConstantSetMap:
     """S(x) = a fixed finite point set, independent of x."""
 
-    points: tuple
+    points: np.ndarray                # (k, dim)
 
     def __post_init__(self):
-        pts = tuple(as_vector(p) for p in self.points)
-        if not pts:
-            raise EmptySetError("constant set map needs at least one point")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points",
+                           as_rows(self.points, context="constant set map"))
 
     def __call__(self, x):
         return self.points
@@ -226,29 +208,24 @@ class NearestNodeSetMap:
     point_sets: tuple                 # k entries, each a (m_i, dim) array
 
     def __post_init__(self):
-        nodes = np.atleast_2d(np.asarray(self.nodes, dtype=float))
-        sets_ = tuple(np.atleast_2d(np.asarray(s, dtype=float))
+        nodes = as_rows(self.nodes, context="grid nodes")
+        sets_ = tuple(as_rows(s, nodes.shape[1], "grid node point set")
                       for s in self.point_sets)
         if nodes.shape[0] != len(sets_):
             raise ValueError("one point set per node required")
-        if any(s.shape[0] == 0 for s in sets_):
-            raise EmptySetError("every grid node needs a nonempty point set")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "point_sets", sets_)
 
     def __call__(self, x):
-        xv = as_vector(x)
+        xv = as_vector(x, self.nodes.shape[1], "nearest node")
         d = np.linalg.norm(self.nodes - xv[None, :], axis=1)
-        idx = int(np.argmin(d))
-        return tuple(row for row in self.point_sets[idx])
+        return self.point_sets[int(np.argmin(d))]
 
 
 def set_values(set_map, x):
-    """Evaluate a set-valued map and validate the finite value set."""
-    vals = tuple(as_vector(p) for p in set_map(x))
-    if not vals:
-        raise EmptySetError(f"set-valued map returned an empty set at {x}")
-    return vals
+    """The finite value set of a set-valued map at the vector x, as the
+    rows of one (k, len(x)) array."""
+    return as_rows(set_map(x), len(x), "value of a set-valued map")
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +328,7 @@ class InclusionInstance:
     constants: Constants = field(default_factory=Constants)
 
     def __post_init__(self):
-        om = as_vector(self.omega)
-        if om.shape[0] != self.space.dim:
-            raise DimensionMismatchError(self.space.dim, om.shape[0], "omega")
+        om = as_vector(self.omega, self.space.dim, "omega")
         if not self.rho > 0:
             raise ConfigError(f"rho must be > 0, got {self.rho}")
         object.__setattr__(self, "omega", om)
@@ -371,9 +346,7 @@ def eval_H_on_point(inst: InclusionInstance, x) -> np.ndarray:
 
     Raises DimensionMismatchError, naming the map, when x or H's image is
     not of the instance's dimension."""
-    xv = as_vector(x)
-    if xv.shape[0] != inst.dim:
-        raise DimensionMismatchError(inst.dim, xv.shape[0], "eval_H_on_point")
+    xv = as_vector(x, inst.dim, "eval_H_on_point")
     return eval_H_on_images(inst, inst.A(xv), inst.B(xv), inst.C(xv),
                             inst.D(xv))
 
@@ -382,7 +355,7 @@ def eval_H_on_images(inst: InclusionInstance, a, b, c, d) -> np.ndarray:
     """H((a, b), (c, d)) for images a..d of one point under A..D;
     DimensionMismatchError when H's image is not of the instance's
     dimension."""
-    return _image(inst.H(a, b, c, d), inst.dim, "image of H")
+    return as_vector(inst.H(a, b, c, d), inst.dim, "image of H")
 
 
 def h_composite(inst: InclusionInstance):
@@ -414,7 +387,7 @@ def eval_M_on_point(inst: InclusionInstance, x):
     member is not of the instance's dimension."""
     xv = as_vector(x)
     vals = inst.M(inst.f(xv), inst.g(xv))
-    out = tuple(_image(v, inst.dim, "image of M") for v in vals)
+    out = tuple(as_vector(v, inst.dim, "image of M") for v in vals)
     if not out:
         raise EmptySetError(f"M(f(x), g(x)) empty at x={xv}")
     return out
@@ -429,15 +402,8 @@ def hausdorff_distance(set_a, set_b) -> float:
 
     max( max_a min_b ||a-b||, max_b min_a ||a-b|| ); exact for finite sets.
     """
-    pts_a = [as_vector(p) for p in set_a]
-    pts_b = [as_vector(p) for p in set_b]
-    if not pts_a or not pts_b:
-        raise EmptySetError("hausdorff_distance needs nonempty sets")
-    a = np.asarray(pts_a, dtype=float)
-    b = np.asarray(pts_b, dtype=float)
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatchError(a.shape[1], b.shape[1], "hausdorff_distance")
-    dm = cdist(a, b)
+    a = as_rows(set_a, context="hausdorff_distance")
+    dm = cdist(a, as_rows(set_b, a.shape[1], "hausdorff_distance"))
     return float(max(dm.min(axis=1).max(), dm.min(axis=0).max()))
 
 

@@ -29,8 +29,8 @@ from .operators import (
     h_composite,
     m_composite,
 )
-from .space import (DEGENERATE, ConfigError, DimensionMismatchError,
-                    NonFiniteError, as_vector, slack)
+from .space import (DEGENERATE, ConfigError, NonFiniteError, as_rows,
+                    as_vector, slack)
 
 _COND_LIMIT = 1e12
 _EPS = np.finfo(float).eps
@@ -233,6 +233,8 @@ class Resolvent:
     DimensionMismatchError
         From a call whose vector, or batch row, is not of the instance's
         dimension.
+    EmptySetError
+        From a call on a batch of no rows.
     ResolventIterationError
         From a call on the damped path, if the iteration stalls above
         `inner_tol`, runs out of iterations, or its residual or a map
@@ -268,15 +270,12 @@ class Resolvent:
     def __call__(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         if z.ndim == 2:
-            if not np.all(np.isfinite(z)):
-                raise NonFiniteError("batch has non-finite coordinates")
-            self._check_dim(z.shape[1])
+            z = as_rows(z, self.inst.dim, "resolvent")
             if not self.exact:
-                return np.array([self(row) for row in z]).reshape(z.shape)
+                return np.array([self(row) for row in z])
             return scipy.linalg.lu_solve(self._lu, (z - self._offset).T,
                                          check_finite=False).T
-        zv = as_vector(z)
-        self._check_dim(zv.shape[0])
+        zv = as_vector(z, self.inst.dim, "resolvent")
         if self.exact:
             return scipy.linalg.lu_solve(self._lu, zv - self._offset,
                                          check_finite=False)
@@ -288,10 +287,6 @@ class Resolvent:
             raise
         self.inner_iterations += iterations
         return x
-
-    def _check_dim(self, n: int) -> None:
-        if n != self.inst.dim:
-            raise DimensionMismatchError(self.inst.dim, n, "resolvent")
 
 
 def resolve(inst: InclusionInstance, cfg: ResolventConfig, z) -> np.ndarray:

@@ -37,11 +37,11 @@ from .operators import (
     JsonRecord,
     _write_atomic,
     eval_H_on_point,
-    inclusion_residual,
+    eval_M_on_point,
     set_values,
 )
 from .resolvent import Resolvent, ResolventConfig, theoretical_r_m
-from .space import ConfigError, as_vector
+from .space import ConfigError, as_rows, as_vector
 
 TRACE_SCHEMA = "vincl.trace.v1"
 _INNER_TOL = 1e-13      # damped-path tolerance of the resolvent `solve` builds
@@ -212,12 +212,8 @@ def nadler_select(current, target_set) -> np.ndarray:
     is within the (1 + 1/(n+1)) selection slack the scheme allows.
     """
     cur = as_vector(current)
-    pts = [as_vector(p) for p in target_set]
-    if not pts:
-        from .operators import EmptySetError
-        raise EmptySetError("nadler_select: empty target set")
-    dists = [float(np.linalg.norm(p - cur)) for p in pts]
-    return pts[int(np.argmin(dists))]
+    pts = as_rows(target_set, cur.shape[0], "nadler_select")
+    return pts[int(np.argmin([np.linalg.norm(p - cur) for p in pts]))]
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +352,16 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
     inclusion residual confirms the fixed point (<= 10*tol*(1+||omega||)),
     or `max_iters` is exhausted.
 
+    The residual is `inclusion_residual`'s value, min over m in
+    M(f(u), g(u)) of ||omega - F(v, w) - m||.  The maps are taken to be
+    deterministic functions: F is called once per iteration, and its image
+    at (v_n, w_n) serves both that residual and z_(n+1).
+
     Raises
     ------
+    DimensionMismatchError
+        When z0, u0, the error direction or an image of F is not of the
+        instance's dimension.
     DivergenceError
         On sustained step growth (>10x over a 20-iteration window); the
         partial trace rides on the exception.
@@ -375,27 +379,33 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
     res_bound = 10.0 * cfg.tol * (1.0 + float(np.linalg.norm(inst.omega)))
     trace.residual_bound = res_bound
 
-    z = np.array(cfg.z0, dtype=float)
-    u = resolvent(z) if cfg.u0 is None else np.array(cfg.u0)
+    z0 = as_vector(cfg.z0, inst.dim, "z0")
+    u = (resolvent(z0) if cfg.u0 is None
+         else np.array(as_vector(cfg.u0, inst.dim, "u0")))
+    if cfg.errors is not None:
+        as_vector(cfg.errors.direction, inst.dim, "error direction")
     v = nadler_select(u, set_values(inst.S, u))
     w = nadler_select(u, set_values(inst.T, u))
+    fvw = as_vector(inst.F(v, w), inst.dim, "image of F")
     prev_step = None
     # the divergence guard compares each step with the one 20 steps back
     window = deque(maxlen=21)
 
     for n in range(cfg.max_iters):
         e_n = cfg.errors.term(n) if cfg.errors is not None else np.zeros(inst.dim)
-        z_next = (eval_H_on_point(inst, u) - rho * as_vector(inst.F(v, w))
-                  + rho * inst.omega + e_n)
+        z_next = (eval_H_on_point(inst, u) - rho * fvw + rho * inst.omega
+                  + e_n)
         u_next = resolvent(z_next)
         v_next = nadler_select(v, set_values(inst.S, u_next))
         w_next = nadler_select(w, set_values(inst.T, u_next))
         step = float(np.linalg.norm(u_next - u))
         ratio = (step / prev_step) if (prev_step is not None and prev_step > 0) else None
-        res = inclusion_residual(inst, u_next, v_next, w_next)
+        fvw = as_vector(inst.F(v_next, w_next), inst.dim, "image of F")
+        residual = min(float(np.linalg.norm(inst.omega - fvw - m))
+                       for m in eval_M_on_point(inst, u_next))
         trace.records.append(IterationRecord(
             n=n, z=z_next, u=u_next, v=v_next, w=w_next, step=step,
-            ratio=ratio, residual=res.value,
+            ratio=ratio, residual=residual,
             theta_n=_or_none(theta, inst, rho, n + 1),
             error_norm=float(np.linalg.norm(e_n))))
 
@@ -407,11 +417,11 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
                 f"step norm grew more than 10x over 20 iterations "
                 f"({window[0]:.3e} -> {step:.3e})", trace)
 
-        z, u, v, w = z_next, u_next, v_next, w_next
+        u, v, w = u_next, v_next, w_next
         prev_step = step if step > 0 else prev_step
-        if step <= cfg.tol and res.value <= res_bound:
+        if step <= cfg.tol and residual <= res_bound:
             trace.converged = True
-            trace.final_residual = res.value
+            trace.final_residual = residual
             trace.message = f"converged after {n + 1} iterations"
             break
     else:

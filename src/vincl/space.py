@@ -46,14 +46,21 @@ class NonFiniteError(ValueError):
     """A vector with NaN or Inf coordinates."""
 
 
-def as_vector(x) -> np.ndarray:
-    """Coerce `x` to a finite 1-D float64 array.
+class EmptySetError(ValueError):
+    """A set-valued map produced (or was given) an empty value set."""
+
+
+def as_vector(x, dim: int | None = None, context: str = "") -> np.ndarray:
+    """Coerce `x` to a finite 1-D float64 array, of length `dim` when
+    given: the one check of a vector of the space.
 
     Raises
     ------
     ValueError
         If the input is not 1-D or is empty; NonFiniteError (a ValueError)
-        if it contains NaN/Inf.
+        if it contains NaN/Inf; DimensionMismatchError(dim, len, context)
+        if its length is not `dim` (numpy would broadcast a length-1
+        vector against a longer one).
     """
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
@@ -62,12 +69,32 @@ def as_vector(x) -> np.ndarray:
         raise ValueError("empty vector")
     if not np.isfinite(v).all():
         raise NonFiniteError("vector has non-finite coordinates")
+    if dim is not None and v.shape[0] != dim:
+        raise DimensionMismatchError(dim, v.shape[0], context)
     return v
 
 
-def _check_dims(x: np.ndarray, y: np.ndarray, context: str = "") -> None:
-    if x.shape[0] != y.shape[0]:
-        raise DimensionMismatchError(x.shape[0], y.shape[0], context)
+def as_rows(vectors, dim: int | None = None, context: str = "") -> np.ndarray:
+    """The batch form of `as_vector`: `vectors` as the rows of one finite
+    (k, dim) float64 array, with the same errors, and EmptySetError when
+    there are none."""
+    rows = vectors if isinstance(vectors, np.ndarray) else list(vectors)
+    if not len(rows):
+        raise EmptySetError(f"empty set of vectors ({context})" if context
+                            else "empty set of vectors")
+    try:
+        out = np.asarray(rows, dtype=float)
+    except ValueError:          # rows of different lengths
+        out = None
+    if out is None or out.ndim != 2 or out.shape[1] == 0:
+        n = dim
+        for row in rows:        # the first malformed row raises
+            n = as_vector(row, n, context).shape[0]
+    if not np.isfinite(out).all():
+        raise NonFiniteError("batch has non-finite coordinates")
+    if dim is not None and out.shape[1] != dim:
+        raise DimensionMismatchError(dim, out.shape[1], context)
+    return out
 
 
 @dataclass(frozen=True)
@@ -100,9 +127,8 @@ class SpaceConfig:
 
 def inner(x, y) -> float:
     """Euclidean inner product sum_i x_i * y_i."""
-    xv, yv = as_vector(x), as_vector(y)
-    _check_dims(xv, yv, "inner")
-    return float(np.dot(xv, yv))
+    xv = as_vector(x)
+    return float(np.dot(xv, as_vector(y, xv.shape[0], "inner")))
 
 
 def norm(x) -> float:
@@ -130,18 +156,17 @@ def duality_map(x, q: float) -> np.ndarray:
     return n ** (q - 2.0) * xv
 
 
-def characteristic_inequality_check(x, y, q: float, c_q: float,
-                                    rtol: float = REL_TOL) -> bool:
+def characteristic_inequality_check(x, y, q: float, c_q: float) -> bool:
     """Check ``||x+y||^q <= ||x||^q + q<y, J_q(x)> + c_q ||y||^q``.
 
-    Violations of at most ``rtol`` times the size of the right-hand terms,
-    ``||x||^q + q|<y, J_q(x)>| + c_q ||y||^q``, are floating-point slack:
-    the rule of `slack`, whose REL_TOL is the default `rtol`.  For q = 2,
-    c_q = 1 the two sides are equal exactly, so the check always succeeds.
+    Violations within `slack` of the size of the right-hand terms,
+    ``||x||^q + q|<y, J_q(x)>| + c_q ||y||^q``, are floating-point slack.
+    For q = 2, c_q = 1 the two sides are equal exactly, so the check always
+    succeeds.
     """
-    xv, yv = as_vector(x), as_vector(y)
-    _check_dims(xv, yv, "characteristic inequality")
+    xv = as_vector(x)
+    yv = as_vector(y, xv.shape[0], "characteristic inequality")
     lhs = float(np.linalg.norm(xv + yv)) ** q
     nx, pair, ny = (norm(xv) ** q, q * float(np.dot(yv, duality_map(xv, q))),
                     c_q * norm(yv) ** q)
-    return lhs <= nx + pair + ny + rtol * (nx + abs(pair) + ny)
+    return bool(lhs <= nx + pair + ny + slack(nx + abs(pair) + ny))

@@ -47,11 +47,8 @@ from .operators import (
     SingletonSetMap,
     affine_parts,
     eval_H_on_images,
-    h_composite,
     hausdorff_distance,
-    is_additive,
     is_difference_coupling,
-    m_composite,
     negate_map,
     pair_affine_parts,
     set_values,
@@ -501,9 +498,7 @@ def certify_symmetric_mixed_cocoercive(inst: InclusionInstance,
                got["gamma1"], +1, lambda p, r, u: inst.H(p, u, r, u)),
               ("relaxed_mixed_cocoercive", inst.B, inst.D, got["mu2"],
                got["gamma2"], -1, lambda p, r, u: inst.H(u, p, u, r)))
-    exact = (is_additive(inst.H) and q == 2.0
-             and all(affine_parts(m) is not None
-                     for m in (inst.A, inst.B, inst.C, inst.D)))
+    exact = inst.pencil.h is not None and q == 2.0
     if not exact:
         table = _images_of(plan or SamplePlan(), dim, inst)
     certs = []
@@ -534,7 +529,7 @@ def certify_mixed_lipschitz(inst: InclusionInstance,
     """
     if claimed is None:
         claimed = inst.constants.require("tau")["tau"]
-    prop, hc = "mixed_lipschitz", h_composite(inst)
+    prop, hc = "mixed_lipschitz", inst.pencil.h
     if hc is not None:
         return _norm_bound(hc, claimed, None, inst.dim, prop, upper=True)
     table = _images_of(plan or SamplePlan(), inst.dim, inst)
@@ -573,7 +568,7 @@ def certify_F_properties(inst: InclusionInstance,
     """
     got = inst.constants.require("sigma", "delta", "eps1", "eps2")
     q, dim = inst.space.q, inst.dim
-    hc, fp = h_composite(inst), pair_affine_parts(inst.F)
+    hc, fp = inst.pencil.h, pair_affine_parts(inst.F)
     table = _images_of(plan or SamplePlan(), dim, inst)
     args = (("first", inst.S, got["sigma"], got["eps1"],
              lambda p, w: inst.F(p, w)),
@@ -702,10 +697,13 @@ def certify_m_slot_accretive(inst: InclusionInstance, slot: str,
                            mag, q, sign)
 
 
-def _det_polynomial_roots(hc, mc, nonzero: bool):
+def _det_polynomial_roots(pencil, nonzero: bool):
     """Positive real roots of rho -> det(lh + rho*lm), the linear parts of
-    the H and M composites `hc` and `mc`, or None when the determinant
-    vanishes identically.
+    `pencil`, or None when the determinant vanishes identically.  There
+    are none when sym(lh + rho*lm) is definite at every rho >= 0, which
+    Weyl's inequality shows from the pencil's `bounds`: lambda_min of
+    sym(lh) above slack(||lh||_F) and of sym(lm) at least slack(||lm||_F),
+    or the same for -lh and -lm.
 
     The determinant has degree at most dim in rho, so it is not the zero
     polynomial once the composite is invertible at one of dim + 1 distinct
@@ -715,13 +713,17 @@ def _det_polynomial_roots(hc, mc, nonzero: bool):
     which handles repeated roots and singular lm robustly (infinite
     eigenvalues are discarded).
     """
-    lh, lm = hc.matrix, mc.matrix
+    lh, lm = pencil.h.matrix, pencil.m.matrix
     dim = lh.shape[0]
     if not (nonzero or any(
-            Composite(hc, mc, t).invertible
+            Composite(pencil, t).invertible
             for t in np.linspace(0.0, max(1.0, dim), dim + 1))):
         return None
     if np.linalg.norm(lm) == 0.0:
+        return []
+    (lo_h, hi_h, fro_h), (lo_m, hi_m, fro_m) = pencil.bounds
+    if any(h > slack(fro_h) and m >= slack(fro_m)
+           for h, m in ((lo_h, lo_m), (-hi_h, -hi_m))):
         return []
     eigs = scipy.linalg.eig(lh, -lm, right=False)
     eigs = eigs[np.isfinite(eigs)]
@@ -743,19 +745,19 @@ def _range_witness(defect: dict) -> dict:
             "image_norm": None}
 
 
-def _affine_range_defect(hc, mc, rho_grid, details):
+def _affine_range_defect(pencil, rho_grid, details):
     """Part (ii) for an affine composite: the first defect found (or
     None) and the smallest singular value over the grid."""
     grid, witness, min_sv = [], None, np.inf
     for rho in rho_grid:
-        k = Composite(hc, mc, float(rho))
+        k = Composite(pencil, float(rho))
         min_sv = min(min_sv, float(k.sv[-1]))
         grid.append({"rho": k.rho, "det": k.det, "cond": k.cond,
                      "singular": not k.invertible})
         if witness is None and not k.invertible:
             witness = _range_witness(k.defect())
     roots = _det_polynomial_roots(
-        hc, mc, nonzero=not all(g["singular"] for g in grid))
+        pencil, nonzero=not all(g["singular"] for g in grid))
     details["grid"] = grid
     details["determinant_positive_roots"] = roots
     if witness is None and roots is None:
@@ -801,8 +803,11 @@ def certify_generalized_mixed_accretive(inst: InclusionInstance,
     invertible on the rho grid, decided by `Composite` as in `Resolvent`
     (sigma_max > 0 and cond <= 1e12), and the determinant (a polynomial
     in rho) must neither vanish identically nor have a positive real
-    root.  Black-box composites are probed instead: a damped resolve must
-    reach the first 8 sample points at each grid rho.  The witness on
+    root; it has none, and no pencil eigenvalues are computed, when the
+    smallest eigenvalues of sym(L_H), sym(L_M) are > 0 and >= 0 (or the
+    largest ones < 0 and <= 0).  Black-box composites are probed
+    instead: a damped resolve must reach the first 8 sample points at
+    each grid rho.  The witness on
     failure carries the first defect: of part (ii), then alpha < beta,
     then the slot certificates' witnesses.
     """
@@ -827,10 +832,10 @@ def _surjectivity_cert(inst, rho_grid, plan, cert_f, cert_g) -> Certificate:
         "alpha_ge_beta": bool(symmetric_ok),
         "rho_grid": [float(r) for r in rho_grid],
     }
-    hc, mc = h_composite(inst), m_composite(inst)
-    if hc is not None and mc is not None:
+    if inst.pencil.affine:
         method = "exact_affine"
-        witness, constant = _affine_range_defect(hc, mc, rho_grid, details)
+        witness, constant = _affine_range_defect(inst.pencil, rho_grid,
+                                                 details)
     else:
         method, constant = "sampled", None
         witness = _probed_range_defect(inst, rho_grid, plan, details)

@@ -12,6 +12,7 @@ explicitly so that certification and the resolvent can use exact matrix
 analysis, with black-box callables as the general fallback.
 """
 
+import functools
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -27,6 +28,14 @@ from .space import (ConfigError, EmptySetError, SpaceConfig, as_rows,
 # Single-valued maps
 # ---------------------------------------------------------------------------
 
+def _frozen(a) -> np.ndarray:
+    """A read-only float copy of a: a map's parts stay what the data
+    cached from them was derived from."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class AffineMap:
     """x -> matrix @ x + offset, with the parts exposed for exact analysis."""
@@ -35,12 +44,12 @@ class AffineMap:
     offset: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = _frozen(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "offset",
-                           as_vector(self.offset, m.shape[0], "affine map"))
+        object.__setattr__(self, "offset", _frozen(
+            as_vector(self.offset, m.shape[0], "affine map")))
 
     @property
     def dim(self) -> int:
@@ -117,15 +126,14 @@ class AffinePairMap:
     offset: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.first, dtype=float)
-        q = np.asarray(self.second, dtype=float)
+        p, q = _frozen(self.first), _frozen(self.second)
         if p.shape != q.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError(f"pair-map matrices must be square and congruent, "
                              f"got {p.shape} and {q.shape}")
         object.__setattr__(self, "first", p)
         object.__setattr__(self, "second", q)
-        object.__setattr__(self, "offset",
-                           as_vector(self.offset, p.shape[0], "pair map"))
+        object.__setattr__(self, "offset", _frozen(
+            as_vector(self.offset, p.shape[0], "pair map")))
 
     @property
     def dim(self) -> int:
@@ -166,7 +174,7 @@ class IdentitySetMap:
     """S(x) = {x}."""
 
     def __call__(self, x):
-        return (as_vector(x),)
+        return (x,)
 
     def __repr__(self):
         return "IdentitySetMap()"
@@ -179,7 +187,7 @@ class SingletonSetMap:
     map: object
 
     def __call__(self, x):
-        return (as_vector(self.map(x)),)
+        return (self.map(x),)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +232,7 @@ class NearestNodeSetMap:
 
 def set_values(set_map, x):
     """The finite value set of a set-valued map at the vector x, as the
-    rows of one (k, len(x)) array."""
+    rows of one (k, len(x)) array: the one check of a set map's values."""
     return as_rows(set_map(x), len(x), "value of a set-valued map")
 
 
@@ -309,7 +317,12 @@ def ordering_flags(c: Constants) -> list:
 
 @dataclass(frozen=True, eq=False)
 class InclusionInstance:
-    """Everything needed to state and solve one inclusion problem."""
+    """Everything needed to state and solve one inclusion problem.
+
+    An instance and its maps are immutable values (the maps deterministic
+    functions), so data derived from them is cached: on the instance
+    (`pencil`), or for one call (`certify._PlanImages`).  `with_` makes a
+    new instance, which derives its own."""
 
     space: SpaceConfig
     A: object
@@ -336,6 +349,11 @@ class InclusionInstance:
     @property
     def dim(self) -> int:
         return self.space.dim
+
+    @functools.cached_property
+    def pencil(self) -> "AffinePencil":
+        """The affine composites of H and M, assembled on first use."""
+        return AffinePencil(self)
 
     def with_(self, **kwargs) -> "InclusionInstance":
         return replace(self, **kwargs)
@@ -380,6 +398,34 @@ def m_composite(inst: InclusionInstance):
     if fp is None or gp is None:
         return None
     return AffineMap(fp[0] - gp[0], fp[1] - gp[1])
+
+
+class AffinePencil:
+    """The affine composites of one instance, `h`: x -> H((Ax, Bx), (Cx,
+    Dx)) and `m`: x -> M(f(x), g(x)), each None where `h_composite` or
+    `m_composite` finds none; `InclusionInstance.pencil` holds one.
+
+    `bounds`, taken on first use: (lambda_min, lambda_max) of sym(L) and
+    ||L||_F for L = L_H, then L = L_M, from L / max|L| so that no square
+    under- or overflows.  By Weyl's inequality the eigenvalues of
+    sym(L_H + rho*L_M) lie in [lambda_h + min(rho*lambda_m,
+    rho*Lambda_m), Lambda_h + max(rho*lambda_m, rho*Lambda_m)].
+    """
+
+    def __init__(self, inst: InclusionInstance):
+        self.h, self.m = h_composite(inst), m_composite(inst)
+        self.affine = self.h is not None and self.m is not None
+
+    @functools.cached_property
+    def bounds(self):
+        out = []
+        for mat in (self.h.matrix, self.m.matrix):
+            scale = float(np.abs(mat).max()) or 1.0
+            unit = mat / scale
+            eigs = np.linalg.eigvalsh(0.5 * (unit + unit.T))
+            out.append((float(eigs[0]) * scale, float(eigs[-1]) * scale,
+                        float(np.linalg.norm(unit)) * scale))
+        return tuple(out)
 
 
 def eval_M_on_point(inst: InclusionInstance, x):

@@ -26,8 +26,6 @@ from .operators import (
     JsonRecord,
     eval_H_on_point,
     eval_M_on_point,
-    h_composite,
-    m_composite,
 )
 from .space import (DEGENERATE, ConfigError, NonFiniteError, as_rows,
                     as_vector, slack)
@@ -105,23 +103,24 @@ def forward(inst: InclusionInstance, x, rho: float | None = None) -> np.ndarray:
 
 class Composite:
     """K = H + rho*M of an affine instance at one rho: x -> matrix @ x +
-    offset.
+    offset, from the instance's `AffinePencil`.
 
     `invertible` is the one test of whether H + rho*M is invertible, for
     `Resolvent` and the surjectivity certificate: sigma_max > 0 and
     cond <= 1e12, which neither a scaling of K nor its dimension moves.
-    The LU factors decide it where that is rigorous (`_cond_bound`);
-    otherwise, or once `sv` has been read, the singular values do.
-    `lu`, `sv` (largest first), `cond` = sigma_max / sigma_min (None
-    where infinite), `det` and the null direction of a singular `defect`
-    are each computed on first access.
+    The first conclusive route decides: the pencil's symmetric-part bound
+    (`_definite`, no factorization), then, until `sv` has been read, the
+    LU factors (`_cond_bound`), then the singular values.  `lu`, `sv`
+    (largest first), `cond` = sigma_max / sigma_min (None where
+    infinite), `det` and the null direction of a singular `defect` are
+    each computed on first access.
     """
 
-    def __init__(self, hc, mc, rho: float):
-        self.rho = rho
-        self.matrix = hc.matrix + rho * mc.matrix
-        self.offset = hc.offset + rho * mc.offset
-        self._parts = hc.matrix, mc.matrix
+    def __init__(self, pencil, rho: float):
+        self.pencil, self.rho = pencil, rho
+        self.matrix = rho * pencil.m.matrix
+        self.matrix += pencil.h.matrix
+        self.offset = pencil.h.offset + rho * pencil.m.offset
 
     @functools.cached_property
     def lu(self):
@@ -141,24 +140,40 @@ class Composite:
 
     @functools.cached_property
     def invertible(self) -> bool:
-        if "sv" not in self.__dict__ and self._cond_bound() <= _COND_LIMIT:
+        if self._definite() or ("sv" not in self.__dict__
+                                and self._cond_bound() <= _COND_LIMIT):
             return True
         return self.cond is not None and self.cond <= _COND_LIMIT
+
+    def _definite(self) -> bool:
+        """Whether Weyl's inequality on the pencil's `bounds` puts every
+        eigenvalue of sym(K) on one side of 0, farther than slack(f), f =
+        ||L_H||_F + |rho|*||L_M||_F >= sigma_max.  Their least distance
+        from 0 is at most sigma_min, as |x^T K x| <= ||K x|| for a unit
+        x, so this settles cond up to about 1e9."""
+        (lo_h, hi_h, fro_h), (lo_m, hi_m, fro_m) = self.pencil.bounds
+        rho = self.rho
+        low = lo_h + min(rho * lo_m, rho * hi_m)
+        high = hi_h + max(rho * lo_m, rho * hi_m)
+        return max(low, -high) > slack(fro_h + abs(rho) * fro_m)
 
     def _cond_bound(self) -> float:
         """An upper bound on cond_2(K) from the LU factors, inf where they
         give none: b*(1 + dim*eps*b), b = ||K||_F * ||K^-1||_F >= cond_2(K)
         (Golub & Van Loan, "Matrix Computations", section 2.3), the second
-        factor covering the rounding of the computed inverse."""
+        factor covering the rounding of the computed inverse.  The norms
+        are of K and K^-1 scaled by 1/max|K| and max|K|, so that no square
+        under- or overflows."""
         lu, piv, info = self.lu
         if info != 0:
             return math.inf
-        dim = lu.shape[0]
+        dim, scale = lu.shape[0], float(np.abs(self.matrix).max())
         inverse, info = lapack.dgetri(
             lu, piv, lwork=int(lapack.dgetri_lwork(dim)[0]))
         # an overflow, or 0 * inf, leaves b non-finite
         with np.errstate(over="ignore", invalid="ignore"):
-            b = float(np.linalg.norm(self.matrix) * np.linalg.norm(inverse))
+            b = float(np.linalg.norm(self.matrix / scale)
+                      * np.linalg.norm(inverse * scale))
         if info != 0 or not math.isfinite(b):
             return math.inf
         return b * (1.0 + dim * _EPS * b)
@@ -173,14 +188,15 @@ class Composite:
 
     def defect(self) -> dict | None:
         """None when K is invertible.  Otherwise why H + rho*M is not onto:
-        a zero linear part (sigma_max within `slack` of ||H|| + rho*||M||;
+        a zero linear part (sigma_max within `slack` of ||H|| + |rho|*||M||;
         the image is the single point `offset`) or a singular one (the
         image is a proper affine subspace; `null_direction` is the right
         singular vector of sigma_min)."""
         if self.invertible:
             return None
-        h, m = (np.linalg.norm(part, 2) for part in self._parts)
-        if self.sv[0] <= slack(h + self.rho * m):
+        h, m = (np.linalg.norm(part.matrix, 2)
+                for part in (self.pencil.h, self.pencil.m))
+        if self.sv[0] <= slack(h + abs(self.rho) * m):
             return {"rho": self.rho,
                     "kind": "zero linear part",
                     "description": "the composite image is the single point "
@@ -208,10 +224,10 @@ class Resolvent:
 
     Built once and applied many times.  The instance decides the path.
     When H is additive, M the difference coupling and A..D, f, g affine,
-    the constructor assembles the composite K as a `Composite`, decides
-    its invertibility (sigma_max > 0 and cond(K) <= 1e12, from the LU
-    bracket where it is conclusive, else from the singular values) and
-    keeps its LU factors, so each call is a triangular solve.  Black-box
+    the constructor forms the composite K as a `Composite` from the
+    instance's cached `AffinePencil`, decides its invertibility
+    (`Composite.invertible`) and keeps its LU factors, so each call is a
+    triangular solve.  Black-box
     maps take the damped path: the constructor fixes the step size of a
     fixed-point iteration that each call runs.  A call takes a vector or
     an `(n, dim)` batch of rows and returns the same shape.
@@ -245,11 +261,11 @@ class Resolvent:
         self.inst, self.cfg = inst, cfg
         self._composite = self._lu = None
         self.inner_iterations = 0
-        hc, mc = h_composite(inst), m_composite(inst)
-        if hc is None or mc is None:
-            self._lam = _damping(inst.constants.tau, mc, cfg.rho)
+        pencil = inst.pencil
+        if not pencil.affine:
+            self._lam = _damping(inst.constants.tau, pencil.m, cfg.rho)
             return
-        k = Composite(hc, mc, cfg.rho)
+        k = Composite(pencil, cfg.rho)
         defect = k.defect()
         if defect is not None:
             raise NonSurjectiveError(
@@ -269,16 +285,13 @@ class Resolvent:
 
     def __call__(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        if z.ndim == 2:
-            z = as_rows(z, self.inst.dim, "resolvent")
-            if not self.exact:
-                return np.array([self(row) for row in z])
-            return scipy.linalg.lu_solve(self._lu, (z - self._offset).T,
+        batch = z.ndim == 2
+        zv = (as_rows if batch else as_vector)(z, self.inst.dim, "resolvent")
+        if self.exact:      # a batch's rows are the columns of the rhs
+            return scipy.linalg.lu_solve(self._lu, (zv - self._offset).T,
                                          check_finite=False).T
-        zv = as_vector(z, self.inst.dim, "resolvent")
-        if self.exact:
-            return scipy.linalg.lu_solve(self._lu, zv - self._offset,
-                                         check_finite=False)
+        if batch:
+            return np.array([self(row) for row in zv])
         try:
             x, iterations = _resolve_damped(self.inst, self.cfg, zv,
                                             self._lam)

@@ -212,7 +212,11 @@ def nadler_select(current, target_set) -> np.ndarray:
     is within the (1 + 1/(n+1)) selection slack the scheme allows.
     """
     cur = as_vector(current)
-    pts = as_rows(target_set, cur.shape[0], "nadler_select")
+    return _nearest(cur, as_rows(target_set, cur.shape[0], "nadler_select"))
+
+
+def _nearest(cur: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """`nadler_select` on a checked vector and value set."""
     return pts[int(np.argmin([np.linalg.norm(p - cur) for p in pts]))]
 
 
@@ -384,8 +388,8 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
          else np.array(as_vector(cfg.u0, inst.dim, "u0")))
     if cfg.errors is not None:
         as_vector(cfg.errors.direction, inst.dim, "error direction")
-    v = nadler_select(u, set_values(inst.S, u))
-    w = nadler_select(u, set_values(inst.T, u))
+    v = _nearest(u, set_values(inst.S, u))
+    w = _nearest(u, set_values(inst.T, u))
     fvw = as_vector(inst.F(v, w), inst.dim, "image of F")
     prev_step = None
     # the divergence guard compares each step with the one 20 steps back
@@ -396,8 +400,8 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
         z_next = (eval_H_on_point(inst, u) - rho * fvw + rho * inst.omega
                   + e_n)
         u_next = resolvent(z_next)
-        v_next = nadler_select(v, set_values(inst.S, u_next))
-        w_next = nadler_select(w, set_values(inst.T, u_next))
+        v_next = _nearest(v, set_values(inst.S, u_next))
+        w_next = _nearest(w, set_values(inst.T, u_next))
         step = float(np.linalg.norm(u_next - u))
         ratio = (step / prev_step) if (prev_step is not None and prev_step > 0) else None
         fvw = as_vector(inst.F(v_next, w_next), inst.dim, "image of F")

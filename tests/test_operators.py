@@ -240,3 +240,17 @@ def test_instance_from_dict_rejects_unknown_modes():
     d["H"] = "multiplicative"
     with pytest.raises(ValueError, match="H mode"):
         instance_from_dict(d)
+
+
+def test_affine_maps_hold_read_only_copies():
+    # an instance caches data derived from its maps (`pencil`), so the maps
+    # do not share arrays with the caller and cannot be written to
+    matrix, offset = np.eye(2), np.ones(2)
+    m = AffineMap(matrix, offset)
+    matrix[0, 0], offset[0] = 5.0, 5.0
+    assert m.matrix[0, 0] == 1.0 and m.offset[0] == 1.0
+    inst = example_4_7().instance
+    for array in (inst.A.matrix, inst.f.offset, inst.F.first,
+                  inst.F.second, inst.F.offset):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgWarning
 
+import vincl.operators
 from vincl.certify import SamplePlan
 from vincl.instances import example_3_2, example_3_3, example_4_7
 from vincl.operators import (
@@ -16,8 +17,6 @@ from vincl.operators import (
     IdentitySetMap,
     InclusionInstance,
     MissingConstantsError,
-    h_composite,
-    m_composite,
 )
 from vincl.resolvent import (
     _STALL_WINDOW,
@@ -188,10 +187,17 @@ def test_resolvent_paths_and_singular_values():
     assert not damped.exact and damped.singular_values is None
 
 
+_DEFINITE = {"posdef": 1.0, "negdef": -1.0}
+
+
 def _graded_matrix(dim, cond, seed, kind):
     """U diag(s) V^T, U and V seeded random orthogonal, s from 1 down to
     1/cond in geometric steps; s[-1] = 0 when `kind` is "singular", and
-    the zero matrix when it is "zero"."""
+    the zero matrix when it is "zero".  For "posdef" (and "negdef", its
+    negative) V = U, and a seeded skew-symmetric part of norm about 1 that
+    leaves the last column of U fixed is added: K has the positive
+    definite symmetric part U diag(s) U^T, sigma_min(K) = 1/cond, and
+    cond(K) is about `cond`."""
     if kind == "zero":
         return np.zeros((dim, dim))
     rng = np.random.default_rng(seed)
@@ -200,14 +206,20 @@ def _graded_matrix(dim, cond, seed, kind):
     s = np.geomspace(1.0, 1.0 / cond, dim)
     if kind == "singular":
         s[-1] = 0.0
+    if kind in _DEFINITE:
+        w = rng.standard_normal((dim, dim)) / (2.0 * np.sqrt(dim))
+        w[-1], w[:, -1] = 0.0, 0.0
+        return _DEFINITE[kind] * (u @ (np.diag(s) + w - w.T) @ u.T)
     return (u * s) @ v.T
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(dim=st.integers(1, 60),
        log_cond=st.one_of(st.floats(0.0, 14.0), st.floats(11.0, 13.0)),
-       log_scale=st.floats(-9.0, 9.0),
-       kind=st.sampled_from(["graded"] * 6 + ["singular", "zero"]),
+       log_scale=st.one_of(st.floats(-9.0, 9.0), st.floats(-200.0, -190.0),
+                           st.floats(190.0, 200.0)),
+       kind=st.sampled_from(["graded"] * 6 + ["posdef"] * 3
+                            + ["negdef"] * 3 + ["singular", "zero"]),
        slot=st.sampled_from(["A", "f"]),
        seed=st.integers(0, 2**32 - 1))
 @example(dim=200, log_cond=11.9, log_scale=3.0, kind="graded", slot="A",
@@ -223,20 +235,32 @@ def _graded_matrix(dim, cond, seed, kind):
          seed=6)                # ||K||_F underflows, ||K^-1||_F overflows
 @example(dim=2, log_cond=0.0, log_scale=200.0, kind="graded", slot="f",
          seed=7)
+@example(dim=3, log_cond=0.0, log_scale=-200.0, kind="posdef", slot="A",
+         seed=8)
+@example(dim=3, log_cond=0.0, log_scale=200.0, kind="negdef", slot="f",
+         seed=9)
+@example(dim=40, log_cond=12.0, log_scale=-200.0, kind="posdef", slot="f",
+         seed=10)
+@example(dim=40, log_cond=11.5, log_scale=200.0, kind="negdef", slot="A",
+         seed=11)
 def test_invertible_matches_the_singular_value_rule(dim, log_cond, log_scale,
                                                     kind, slot, seed):
-    # the LU bracket may only ever say "invertible" where the SVD rule
-    # sigma_max > 0 and sigma_max / sigma_min <= 1e12 does
+    # the symmetric-part bound and the LU bracket may only ever say
+    # "invertible" where the SVD rule sigma_max > 0 and sigma_max /
+    # sigma_min <= 1e12 does; a well-conditioned K takes no SVD, and a
+    # definite one no factorization at all
     matrix = 10.0 ** log_scale * _graded_matrix(dim, 10.0 ** log_cond, seed,
                                                 kind)
     inst = _linear_instance(matrix, slot)
-    hc, mc = h_composite(inst), m_composite(inst)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        k = Composite(hc, mc, 1.0)
+        k = Composite(inst.pencil, 1.0)
         sv = np.linalg.svd(k.matrix, compute_uv=False)
         rule = bool(sv[-1] > 0 and sv[0] / sv[-1] <= 1e12)
         assert k.invertible is rule
+        if kind not in ("singular", "zero") and log_cond <= 3.0:
+            assert "sv" not in vars(k)      # settled at every scale
+            assert kind not in _DEFINITE or "lu" not in vars(k)
         if rule:
             res = Resolvent(inst, ResolventConfig(rho=1.0))
             assert res.exact
@@ -244,17 +268,57 @@ def test_invertible_matches_the_singular_value_rule(dim, log_cond, log_scale,
         else:
             with pytest.raises(NonSurjectiveError) as exc:
                 Resolvent(inst, ResolventConfig(rho=1.0))
-            assert exc.value.defect == Composite(hc, mc, 1.0).defect()
+            assert exc.value.defect == Composite(inst.pencil, 1.0).defect()
 
 
 def test_invertible_reads_the_singular_values_once_taken():
-    inst = _diagonal_instance([1.0, 2.0, 4.0])
-    hc, mc = h_composite(inst), m_composite(inst)
-    k = Composite(hc, mc, 1.0)
-    assert k.invertible and "sv" not in vars(k)     # decided by the bracket
-    k = Composite(hc, mc, 1.0)
+    # an indefinite symmetric part leaves the pencil's bound inconclusive:
+    # the LU bracket decides, unless the singular values were read first
+    pencil = _diagonal_instance([1.0, -2.0, 4.0]).pencil
+    k = Composite(pencil, 1.0)
+    assert k.invertible and "lu" in vars(k) and "sv" not in vars(k)
+    k = Composite(pencil, 1.0)
     assert k.cond == 4.0 and k.invertible
     assert "lu" not in vars(k)                      # no LU, no inverse
+    # a definite one is settled by the bound, with no factorization
+    k = Composite(_diagonal_instance([1.0, 2.0, 4.0]).pencil, 1.0)
+    assert k.invertible and not {"lu", "sv"} & set(vars(k))
+
+
+def test_negative_rho_bounds_the_symmetric_part_from_the_other_side():
+    # L_H = I, L_M = diag(1, 3): K = diag(2/3, 0) at rho = -1/3, although
+    # lambda_min(sym L_H) + rho * lambda_min(sym L_M) = 2/3
+    inst = _linear_instance(np.eye(2)).with_(f=AffineMap.linear(
+        np.diag([1.0, 3.0])))
+    k = Composite(inst.pencil, -1.0 / 3.0)
+    assert not k.invertible and k.defect()["kind"] == "singular linear part"
+    k = Composite(inst.pencil, -0.1)                 # diag(0.9, 0.7)
+    assert k.invertible and not {"lu", "sv"} & set(vars(k))
+
+
+def test_pencil_is_assembled_once_per_instance(monkeypatch):
+    calls = []
+    for name in ("h_composite", "m_composite"):
+        original = getattr(vincl.operators, name)
+        monkeypatch.setattr(vincl.operators, name,
+                            lambda inst, f=original, n=name:
+                            calls.append(n) or f(inst))
+    inst = example_4_7().instance
+    first = Resolvent(inst, ResolventConfig(rho=0.35))
+    second = Resolvent(inst, ResolventConfig(rho=2.0))
+    assert sorted(calls) == ["h_composite", "m_composite"]
+    z = np.array([0.3, -0.8])
+    for res, rho in ((first, 0.35), (second, 2.0)):
+        np.testing.assert_allclose(forward(inst, res(z), rho), z, atol=1e-12)
+    # a new instance derives its own pencil, not its parent's
+    doubled = inst.with_(A=AffineMap.linear(2.0 * inst.A.matrix))
+    assert doubled.pencil is not inst.pencil
+    assert len(calls) == 4
+    np.testing.assert_allclose(doubled.pencil.h.matrix,
+                               inst.pencil.h.matrix + inst.A.matrix,
+                               rtol=0, atol=1e-12)
+    x = Resolvent(doubled, ResolventConfig(rho=0.35))(z)
+    np.testing.assert_allclose(forward(doubled, x, 0.35), z, atol=1e-12)
 
 
 def test_damped_fixed_point_agrees_with_exact():

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -31,8 +32,6 @@ from vincl.operators import (
     DifferenceCoupling,
     IdentitySetMap,
     InclusionInstance,
-    h_composite,
-    m_composite,
 )
 from vincl.resolvent import Composite, Resolvent, ResolventConfig, forward
 from vincl.space import SpaceConfig, duality_map, slack
@@ -394,15 +393,52 @@ def test_diverging_range_probe_fails_the_certificate():
                                              "fixed-point iteration stalled")
     probes = cert.details["range_probes"]
     assert {"rho": 1.0, "reached": False} in probes
-    hc, mc = h_composite(named.instance), m_composite(named.instance)
     for rho in {p["rho"] for p in probes}:
-        if Composite(hc, mc, rho).invertible:
+        if Composite(named.instance.pencil, rho).invertible:
             assert [p for p in probes if p["rho"] == rho] == \
                 [{"rho": rho, "reached": True}] * 8
 
 
-def test_degenerate_composite_keeps_root_and_witness():
+def _counting_eig(monkeypatch):
+    calls = []
+    original = scipy.linalg.eig
+    monkeypatch.setattr(scipy.linalg, "eig",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    return calls
+
+
+def test_degenerate_composite_keeps_root_and_witness(monkeypatch):
+    # example_3_3's L_H has lambda_min = -1 and lambda_max > 0: the
+    # symmetric parts prove nothing, and the pencil eig finds rho = 1
+    eig_calls = _counting_eig(monkeypatch)
     cert = _certify_strict(example_3_3().instance, grid=(1.0,))
     assert cert.verdict == "fail"
     assert cert.witness["image_norm"] == pytest.approx(2.0, abs=1e-12)
     assert cert.details["determinant_positive_roots"] == [1.0]
+    assert len(eig_calls) == 1
+
+
+def test_negative_grid_rho_finds_a_singular_composite():
+    # L_H = I, L_M = diag(1, 3): K = diag(2/3, 0) at rho = -1/3
+    inst = _diagonal_instance([1.0, 1.0], 1.0).with_(
+        f=AffineMap.linear(np.diag([1.5, 3.5])),
+        constants=Constants(alpha=1.5, beta=0.5))
+    cert = _certify_strict(inst, grid=(-1.0 / 3.0, 0.5))
+    assert cert.verdict == "fail"
+    assert [g["singular"] for g in cert.details["grid"]] == [True, False]
+    assert cert.details["grid"][0]["det"] == 0.0
+    assert cert.witness["rho"] == -1.0 / 3.0
+    assert cert.witness["defect"].startswith("singular linear part")
+
+
+def test_definite_pencil_has_no_roots_without_eig(monkeypatch):
+    # example_4_7: lambda_min of sym(L_H) is 2.9 and of sym(L_M) 0.25
+    eig_calls = _counting_eig(monkeypatch)
+    inst = example_4_7().instance
+    cert = _certify_strict(inst)
+    assert cert.verdict == "pass"
+    assert cert.details["determinant_positive_roots"] == []
+    assert eig_calls == []
+    (lo_h, _, _), (lo_m, _, _) = inst.pencil.bounds
+    assert lo_h == pytest.approx(2.9, rel=1e-12)
+    assert lo_m == pytest.approx(0.25, rel=1e-12)

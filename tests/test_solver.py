@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
+import vincl.operators
+import vincl.resolvent
 import vincl.solver
+import vincl.space
 from vincl.instances import builtin_names, example_3_2, example_4_7, get_instance
 from vincl.operators import (
     AdditiveBiSlot,
@@ -316,25 +319,49 @@ def test_solve_matches_per_step_resolve(name):
         np.testing.assert_allclose(rec.u, u, rtol=0, atol=1e-12)
 
 
+def _counting(monkeypatch, counts, module, name, owners=()):
+    """Count the calls of module.name in counts[name], also through the
+    names `owners` imported it under."""
+    original = getattr(module, name)
+    counts[name] = 0
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+    for owner in (module, *owners):
+        monkeypatch.setattr(owner, name, wrapper)
+
+
 def test_solve_factors_composite_once(monkeypatch):
-    # one LAPACK getrf of the composite and no SVD: the LU bracket on
-    # cond(K) decides invertibility, and nothing reads a singular value
-    counts = {"dgetrf": 0, "svd": 0}
-
-    def counting(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(lapack, "dgetrf")
-    counting(np.linalg, "svd")
+    # one LAPACK getrf of the composite, no inverse and no SVD: the
+    # symmetric-part bound decides invertibility, and nothing reads a
+    # singular value
+    counts = {}
+    _counting(monkeypatch, counts, lapack, "dgetrf")
+    _counting(monkeypatch, counts, lapack, "dgetri")
+    _counting(monkeypatch, counts, np.linalg, "svd")
     trace = solve(example_4_7().instance,
                   SolverConfig(z0=[1.0, 1.0], tol=1e-12))
     assert trace.iterations == 282
-    assert counts == {"dgetrf": 1, "svd": 0}
+    assert counts == {"dgetrf": 1, "dgetri": 0, "svd": 0}
+
+
+def test_solve_checks_each_set_value_once(monkeypatch):
+    # per iteration: S and T each checked once, by `set_values`; the
+    # remaining as_vector calls check the map images and the resolvent's z
+    counts = {}
+    for name in ("as_vector", "as_rows"):
+        _counting(monkeypatch, counts, vincl.space, name,
+                  (vincl.operators, vincl.resolvent, vincl.solver))
+    inst = example_4_7().instance
+    solve(inst, SolverConfig(z0=[1.0, 1.0], max_iters=1))   # builds the pencil
+    per_run = []
+    for n in (10, 20):
+        counts.update(as_vector=0, as_rows=0)
+        solve(inst, SolverConfig(z0=[1.0, 1.0], tol=1e-12, max_iters=n))
+        per_run.append(dict(counts))
+    assert {k: (per_run[1][k] - per_run[0][k]) / 10 for k in counts} == \
+        {"as_vector": 20, "as_rows": 2}
 
 
 def test_solve_propagates_unexpected_theta_errors(monkeypatch):

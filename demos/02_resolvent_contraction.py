@@ -63,15 +63,16 @@ def main():
         print(f"  NonSurjectiveError: {exc}")
         print(f"  defect: image norm = {exc.defect['image_norm']}")
 
-    # The damped fixed-point fallback reproduces the exact solve when the
-    # operators are only available as black boxes: wrapping A..D in
-    # lambdas hides the affine composite, so the resolvent iterates.
+    # The chord path reproduces the exact solve when the operators are
+    # only available as black boxes: wrapping A..D in lambdas hides the
+    # affine composite, so the resolvent probes a linear model of it once
+    # and iterates chord steps on it.
     opaque = inst.with_(**{s: (lambda m: (lambda v: m(v)))(getattr(inst, s))
                            for s in ("A", "B", "C", "D")})
     z = np.array([0.4, 0.9])
     xd = resolve(opaque, ResolventConfig(rho=0.35, inner_tol=1e-13), z)
     xe = resolve(inst, ResolventConfig(rho=0.35), z)
-    print(f"\ndamped vs exact solver at z={z.tolist()}: "
+    print(f"\nchord vs exact solver at z={z.tolist()}: "
           f"difference {np.linalg.norm(xd - xe):.2e}")
 
 

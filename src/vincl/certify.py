@@ -60,7 +60,7 @@ from .resolvent import (
     ResolventIterationError,
     theoretical_r_m,
 )
-from .space import DEGENERATE, as_rows, slack
+from .space import DEGENERATE, ConfigError, as_rows, slack
 
 _RANGE_PROBES = 8       # black-box range probes per rho
 _REAL_ROOT = 1e-8       # pencil eigenvalues with |imag| <= this*(1+|real|)
@@ -771,9 +771,9 @@ def _affine_range_defect(pencil, rho_grid, details):
 
 
 def _probed_range_defect(inst, rho_grid, plan, details):
-    """Part (ii) for a black-box composite: a damped resolve must reach
-    the first sample points at each grid rho.  Returns the defect of the
-    first failed probe, or None."""
+    """Part (ii) for a black-box composite: a black-box resolve must
+    reach the first sample points at each grid rho.  Returns the defect
+    of the first failed probe, or None."""
     targets = _images_of(plan or SamplePlan(), inst.dim, inst).rows(
         "surjective_H_plus_rhoM")[0][:_RANGE_PROBES]
     probes, witness = [], None
@@ -806,10 +806,10 @@ def certify_generalized_mixed_accretive(inst: InclusionInstance,
     root; it has none, and no pencil eigenvalues are computed, when the
     smallest eigenvalues of sym(L_H), sym(L_M) are > 0 and >= 0 (or the
     largest ones < 0 and <= 0).  Black-box composites are probed
-    instead: a damped resolve must reach the first 8 sample points at
-    each grid rho.  The witness on
-    failure carries the first defect: of part (ii), then alpha < beta,
-    then the slot certificates' witnesses.
+    instead: a resolve (chord or damped `Resolvent` path) must reach the
+    first 8 sample points at each grid rho.  The witness on failure
+    carries the first defect: of part (ii), then alpha < beta, then the
+    slot certificates' witnesses.  A grid rho <= 0 raises ConfigError.
     """
     got = inst.constants.require("alpha", "beta")
     return _surjectivity_cert(
@@ -824,6 +824,9 @@ def _surjectivity_cert(inst, rho_grid, plan, cert_f, cert_g) -> Certificate:
     got = inst.constants.require("alpha", "beta")
     if rho_grid is None:
         rho_grid = sorted({0.5, 1.0, 2.0, inst.rho})
+    for rho in rho_grid:
+        if not rho > 0:
+            raise ConfigError(f"rho must be > 0, got {rho}")
     symmetric_ok = got["alpha"] >= got["beta"] - slack(
         abs(got["alpha"]) + abs(got["beta"]))
     details = {

@@ -18,7 +18,6 @@ import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .space import (ConfigError, EmptySetError, SpaceConfig, as_rows,
                     as_vector)
@@ -353,7 +352,7 @@ class InclusionInstance:
     @functools.cached_property
     def pencil(self) -> "AffinePencil":
         """The affine composites of H and M, assembled on first use."""
-        return AffinePencil(self)
+        return AffinePencil(h_composite(self), m_composite(self), self)
 
     def with_(self, **kwargs) -> "InclusionInstance":
         return replace(self, **kwargs)
@@ -410,11 +409,18 @@ class AffinePencil:
     under- or overflows.  By Weyl's inequality the eigenvalues of
     sym(L_H + rho*L_M) lie in [lambda_h + min(rho*lambda_m,
     rho*Lambda_m), Lambda_h + max(rho*lambda_m, rho*Lambda_m)].
+
+    `probed`, taken on first use by a black-box resolve: the pencil of
+    the linear model J_H x + H(0), J_M x + m(0) (m the first member of M),
+    whose columns are forward differences at the unit vectors; exact for
+    affine maps.  dim + 1 evaluations of H and M (`probe_evaluations`);
+    None when an image is malformed or non-finite.
     """
 
-    def __init__(self, inst: InclusionInstance):
-        self.h, self.m = h_composite(inst), m_composite(inst)
-        self.affine = self.h is not None and self.m is not None
+    def __init__(self, h, m, inst: InclusionInstance | None = None):
+        self.h, self.m, self._inst = h, m, inst
+        self.affine = h is not None and m is not None
+        self.probe_evaluations = 0
 
     @functools.cached_property
     def bounds(self):
@@ -426,6 +432,21 @@ class AffinePencil:
             out.append((float(eigs[0]) * scale, float(eigs[-1]) * scale,
                         float(np.linalg.norm(unit)) * scale))
         return tuple(out)
+
+    @functools.cached_property
+    def probed(self) -> "AffinePencil | None":
+        inst, h, m = self._inst, [], []
+        # a map overflowing at a unit vector leaves an inf, refused below
+        with np.errstate(over="ignore"):
+            try:
+                for x in np.vstack([np.zeros(inst.dim), np.eye(inst.dim)]):
+                    self.probe_evaluations += 1
+                    h.append(eval_H_on_point(inst, x))
+                    m.append(eval_M_on_point(inst, x)[0])
+                jh, jm = (as_rows(np.subtract(v[1:], v[0])).T for v in (h, m))
+            except ValueError:
+                return None
+        return AffinePencil(AffineMap(jh, h[0]), AffineMap(jm, m[0]))
 
 
 def eval_M_on_point(inst: InclusionInstance, x):
@@ -449,7 +470,10 @@ def hausdorff_distance(set_a, set_b) -> float:
     max( max_a min_b ||a-b||, max_b min_a ||a-b|| ); exact for finite sets.
     """
     a = as_rows(set_a, context="hausdorff_distance")
-    dm = cdist(a, as_rows(set_b, a.shape[1], "hausdorff_distance"))
+    b = as_rows(set_b, a.shape[1], "hausdorff_distance")
+    # squares summed coordinate by coordinate, as cdist does, to its bits
+    diff = (a[:, None, :] - b[None, :, :]).transpose(2, 0, 1)
+    dm = np.sqrt(sum(col * col for col in diff))
     return float(max(dm.min(axis=1).max(), dm.min(axis=0).max()))
 
 

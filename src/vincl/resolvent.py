@@ -2,8 +2,10 @@
 
 A `Resolvent` is prepared once per (instance, rho).  For affine instances
 the composite is a dense linear system, LU-factored once and solved per
-call; black-box operators fall back to a damped fixed-point iteration
-under Anderson mixing.
+call.  Black-box operators are resolved by chord steps (Kelley, "Iterative
+Methods for Linear and Nonlinear Equations", SIAM 1995, ch. 5) on a linear
+model of the composite, probed once per instance, under Anderson mixing;
+where no usable model exists, by a damped fixed-point iteration.
 `audit_lipschitz` checks the theoretical contraction bound
 
     ||R(u) - R(v)|| <= ||u - v|| / (r + rho*m),
@@ -32,12 +34,11 @@ from .space import (DEGENERATE, ConfigError, NonFiniteError, as_rows,
 
 _COND_LIMIT = 1e12
 _EPS = np.finfo(float).eps
-# Anderson mixing on the damped path: the number of (iterate, residual)
-# differences it keeps, and the one-iteration residual growth that
-# clears them
+# the number of (iterate, step) differences Anderson mixing keeps
 _ANDERSON_MEMORY = 5
-_RESTART_GROWTH = 1e3
-# the stall test: a damped resolve fails when its best residual is not
+# the damped step x <- x - _PLAIN_STEP * r(x), where no chord model is usable
+_PLAIN_STEP = 0.1
+# the stall test: a black-box resolve fails when its best residual is not
 # below _STALL_FACTOR times its best of _STALL_WINDOW iterations before
 _STALL_FACTOR = 0.5
 _STALL_WINDOW = 100
@@ -56,7 +57,7 @@ class NonSurjectiveError(RuntimeError):
 
 
 class ResolventIterationError(RuntimeError):
-    """The damped fixed-point solver did not reach the inner tolerance.
+    """The black-box iteration did not reach the inner tolerance.
 
     `last_residual` is the residual norm of the last completed iteration
     (inf if none completed) and `iterations` the number of iterations run,
@@ -73,8 +74,8 @@ class ResolventIterationError(RuntimeError):
 class ResolventConfig:
     """How to invert the composite at step size `rho`.
 
-    The instance decides the path (see `Resolvent`); the damped path
-    stops at residual `inner_tol` or after `max_inner_iters` iterations.
+    The instance decides the path (see `Resolvent`); the black-box paths
+    stop at residual `inner_tol` or after `max_inner_iters` iterations.
     """
 
     rho: float
@@ -102,8 +103,8 @@ def forward(inst: InclusionInstance, x, rho: float | None = None) -> np.ndarray:
 
 
 class Composite:
-    """K = H + rho*M of an affine instance at one rho: x -> matrix @ x +
-    offset, from the instance's `AffinePencil`.
+    """K = H + rho*M of an affine instance, or of a probed linear model, at
+    one rho: x -> matrix @ x + offset, from an `AffinePencil`.
 
     `invertible` is the one test of whether H + rho*M is invertible, for
     `Resolvent` and the surjectivity certificate: sigma_max > 0 and
@@ -212,32 +213,27 @@ class Composite:
                 "det": self.det}
 
 
-def _damping(tau: float | None, mc, rho: float) -> float:
-    if tau is not None and mc is not None:
-        lip_m = float(np.linalg.norm(mc.matrix, 2))
-        return 1.0 / (tau + rho * lip_m)
-    return 0.1
-
-
 class Resolvent:
     """R = (H((A,B),(C,D)) + rho*M(f,g))^(-1) of one instance at one rho.
 
-    Built once and applied many times.  The instance decides the path.
-    When H is additive, M the difference coupling and A..D, f, g affine,
-    the constructor forms the composite K as a `Composite` from the
-    instance's cached `AffinePencil`, decides its invertibility
-    (`Composite.invertible`) and keeps its LU factors, so each call is a
-    triangular solve.  Black-box
-    maps take the damped path: the constructor fixes the step size of a
-    fixed-point iteration that each call runs.  A call takes a vector or
-    an `(n, dim)` batch of rows and returns the same shape.
+    Built once and applied many times; a call takes a vector or an `(n,
+    dim)` batch of rows and returns the same shape.  `path` says how calls
+    resolve: "exact" when H is additive, M the difference coupling and
+    A..D, f, g affine; the constructor forms the composite K as a
+    `Composite` of the instance's `AffinePencil`, decides its
+    invertibility and keeps its LU factors, so a call is a triangular
+    solve.  Otherwise "chord" when J = J_H + rho*J_M of the instance's
+    probed model (`AffinePencil.probed`, taken on the first call or read
+    of `path`) passes `Composite.invertible`, else "damped": a call runs
+    `_resolve_damped` with that J, or with the plain step.
 
     `singular_values` holds those of K, largest first, on the exact path
     (so `1 / singular_values[-1]` is R's exact Lipschitz constant), from
-    one values-only SVD taken on first access, and is None on the damped
-    path.  `inner_iterations` is the running total of damped iterations
-    over every call that returned or raised `ResolventIterationError`; it
-    stays 0 on the exact path.
+    one values-only SVD taken on first access, and is None otherwise.
+    `inner_iterations` totals the residual evaluations of the calls that
+    returned or raised `ResolventIterationError`, `probe_evaluations` the
+    evaluations of H and M this resolvent spent on the probe (dim + 1, or
+    0 where the instance had been probed); both stay 0 on the exact path.
 
     Raises
     ------
@@ -252,31 +248,44 @@ class Resolvent:
     EmptySetError
         From a call on a batch of no rows.
     ResolventIterationError
-        From a call on the damped path, if the iteration stalls above
-        `inner_tol`, runs out of iterations, or its residual or a map
-        image becomes non-finite.
+        From a call on the chord or damped path, if the iteration stalls
+        above `inner_tol`, runs out of iterations, or its residual or a
+        map image becomes non-finite.
     """
 
     def __init__(self, inst: InclusionInstance, cfg: ResolventConfig):
-        self.inst, self.cfg = inst, cfg
-        self._composite = self._lu = None
-        self.inner_iterations = 0
-        pencil = inst.pencil
-        if not pencil.affine:
-            self._lam = _damping(inst.constants.tau, pencil.m, cfg.rho)
-            return
-        k = Composite(pencil, cfg.rho)
-        defect = k.defect()
-        if defect is not None:
-            raise NonSurjectiveError(
-                f"composite H + rho*M is not invertible at rho={cfg.rho}: "
-                f"{defect['description']}", defect)
-        self._composite, self._lu, self._offset = k, k.lu[:2], k.offset
+        self.inst, self.cfg, self._composite = inst, cfg, None
+        self.inner_iterations = self.probe_evaluations = 0
+        if inst.pencil.affine:
+            k = Composite(inst.pencil, cfg.rho)
+            defect = k.defect()
+            if defect is not None:
+                raise NonSurjectiveError(
+                    f"composite H + rho*M is not invertible at rho={cfg.rho}"
+                    f": {defect['description']}", defect)
+            self._composite = k
 
     @property
     def exact(self) -> bool:
         """Whether calls solve the LU-factored composite directly."""
-        return self._lu is not None
+        return self._composite is not None
+
+    @property
+    def path(self) -> str:
+        if self.exact:
+            return "exact"
+        return "damped" if self._chord is None else "chord"
+
+    @functools.cached_property
+    def _chord(self) -> Composite | None:
+        """J = J_H + rho*J_M of the instance's probed model, None where
+        the probe failed or J is not invertible."""
+        pencil = self.inst.pencil
+        before = pencil.probe_evaluations
+        model = pencil.probed
+        self.probe_evaluations = pencil.probe_evaluations - before
+        k = None if model is None else Composite(model, self.cfg.rho)
+        return k if k is not None and k.invertible else None
 
     @property
     def singular_values(self) -> np.ndarray | None:
@@ -287,14 +296,15 @@ class Resolvent:
         z = np.asarray(z, dtype=float)
         batch = z.ndim == 2
         zv = (as_rows if batch else as_vector)(z, self.inst.dim, "resolvent")
-        if self.exact:      # a batch's rows are the columns of the rhs
-            return scipy.linalg.lu_solve(self._lu, (zv - self._offset).T,
+        k = self._composite
+        if k is not None:   # a batch's rows are the columns of the rhs
+            return scipy.linalg.lu_solve(k.lu[:2], (zv - k.offset).T,
                                          check_finite=False).T
         if batch:
             return np.array([self(row) for row in zv])
         try:
             x, iterations = _resolve_damped(self.inst, self.cfg, zv,
-                                            self._lam)
+                                            self._chord)
         except ResolventIterationError as exc:
             self.inner_iterations += exc.iterations
             raise
@@ -312,22 +322,23 @@ def resolve(inst: InclusionInstance, cfg: ResolventConfig, z) -> np.ndarray:
 
 
 def _resolve_damped(inst: InclusionInstance, cfg: ResolventConfig,
-                    z: np.ndarray, lam: float):
-    """R(z) by the damped iteration g(x) = x - lam*r(x), r(x) = H(x) +
-    rho*m - z with m the member of M(f(x), g(x)) of the smallest residual,
-    under type-II Anderson mixing (Walker & Ni, "Anderson acceleration for
-    fixed-point iterations", SIAM J. Numer. Anal. 49, 2011); returns (x,
-    the number of iterations run).
+                    z: np.ndarray, chord: Composite | None):
+    """R(z) by the iteration g(x) = x - p(x), r(x) = H(x) + rho*m - z with
+    m the member of M(f(x), g(x)) of the smallest residual, under type-II
+    Anderson mixing (Walker & Ni, "Anderson acceleration for fixed-point
+    iterations", SIAM J. Numer. Anal. 49, 2011); returns (x, the number
+    of iterations run, one residual evaluation each).  p(x) = J^(-1) r(x)
+    from x = J^(-1)(z - c) for a `chord`, the `Composite` J of a linear
+    model with offset c; else p(x) = _PLAIN_STEP * r(x) from x = z.
 
-    The history holds up to `_ANDERSON_MEMORY` differences dX, dR of
-    consecutive iterates and residuals.  gamma minimizes ||r - dR @ gamma||
-    and x <- x - lam*r - (dX - lam*dR) @ gamma, the plain step when the
-    history is empty.  The history is cleared when the selected member
-    changes or the residual grows more than `_RESTART_GROWTH`-fold in one
-    iteration.  A difference along which the composite is flatter than
-    1 / (lam * _COND_LIMIT), beyond the condition limit for the slope 1/lam
-    the step assumes, is left out: there dR is rounding noise, and mixing
-    it would leap to where the maps' images cancel to rounding.
+    The history holds up to `_ANDERSON_MEMORY` differences dX, dP of
+    consecutive iterates and steps.  gamma minimizes ||p - dP @ gamma||
+    and x <- x - p - (dX - dP) @ gamma, the plain step when the history
+    is empty.  The history is cleared when the selected member changes.
+    A difference with ||dP|| below ||dX|| / _COND_LIMIT, beyond the
+    condition limit for the unit slope the step assumes, is left out:
+    there dP is rounding noise, and mixing it would leap to where the
+    maps' images cancel to rounding.
 
     The iteration stops at residual `inner_tol`.  It raises
     `ResolventIterationError` when the residual, a map image or x becomes
@@ -336,11 +347,18 @@ def _resolve_damped(inst: InclusionInstance, cfg: ResolventConfig,
     `max_inner_iters` iterations.  Images go through `eval_H_on_point` and
     `eval_M_on_point`, so malformed map output raises their errors.
     """
-    x = np.array(z, dtype=float)
+    if chord is None:
+        name = "damped fixed-point iteration"
+        step = functools.partial(np.multiply, _PLAIN_STEP)
+        x = np.array(z, dtype=float)
+    else:
+        name, step = "chord iteration", functools.partial(
+            scipy.linalg.lu_solve, chord.lu[:2], check_finite=False)
+        x = step(z - chord.offset)
     last = np.inf
-    dx, dr = deque(maxlen=_ANDERSON_MEMORY), deque(maxlen=_ANDERSON_MEMORY)
+    dx, dp = deque(maxlen=_ANDERSON_MEMORY), deque(maxlen=_ANDERSON_MEMORY)
     best = deque(maxlen=_STALL_WINDOW + 1)      # best residual, per iteration
-    prev = None                                 # (x, r, member, residual)
+    prev = None                                 # (x, p, member)
     # a diverging iterate overflows; the checks below turn the inf it
     # leaves in the residual, a map image or x into ResolventIterationError
     with np.errstate(over="ignore"):
@@ -350,8 +368,8 @@ def _resolve_damped(inst: InclusionInstance, cfg: ResolventConfig,
                 members = eval_M_on_point(inst, x)
             except NonFiniteError:
                 raise ResolventIterationError(
-                    "damped fixed-point iteration diverged: a map image is "
-                    "non-finite", last, n) from None
+                    f"{name} diverged: a map image is non-finite", last,
+                    n) from None
             residuals = [hx + cfg.rho * m - z for m in members]
             norms = [float(np.linalg.norm(r)) for r in residuals]
             # target the selection that minimizes the current residual
@@ -361,40 +379,35 @@ def _resolve_damped(inst: InclusionInstance, cfg: ResolventConfig,
                 return x, n
             if not math.isfinite(last):
                 raise ResolventIterationError(
-                    "damped fixed-point iteration diverged to non-finite "
-                    "values", last, n)
+                    f"{name} diverged to non-finite values", last, n)
             best.append(min(last, best[-1]) if best else last)
             if len(best) == best.maxlen and best[-1] > _STALL_FACTOR * best[0]:
                 raise ResolventIterationError(
-                    f"damped fixed-point iteration stalled: residual "
-                    f"{best[-1]:.3e} not below {_STALL_FACTOR} x "
-                    f"{best[0]:.3e} within {_STALL_WINDOW} iterations", last,
-                    n)
-            if prev is not None:
-                px, pr, pk, plast = prev
-                if k != pk or last > _RESTART_GROWTH * plast:
-                    dx.clear()
-                    dr.clear()
-                else:
-                    step_x, step_r = x - px, r - pr
-                    if (np.linalg.norm(step_r) * lam * _COND_LIMIT
-                            > np.linalg.norm(step_x)):
-                        dx.append(step_x)
-                        dr.append(step_r)
-            prev = x, r, k, last
-            x = x - lam * r
-            if dr:
-                dR = np.column_stack(dr)
-                gamma = np.linalg.lstsq(dR, r, rcond=None)[0]
-                x = x - (np.column_stack(dx) - lam * dR) @ gamma
+                    f"{name} stalled: residual {best[-1]:.3e} not below "
+                    f"{_STALL_FACTOR} x {best[0]:.3e} within {_STALL_WINDOW} "
+                    f"iterations", last, n)
+            p = step(r)
+            if prev is not None and k != prev[2]:
+                dx.clear()
+                dp.clear()
+            elif prev is not None:
+                step_x, step_p = x - prev[0], p - prev[1]
+                if np.linalg.norm(step_p) * _COND_LIMIT > np.linalg.norm(
+                        step_x):
+                    dx.append(step_x)
+                    dp.append(step_p)
+            prev = x, p, k
+            x = x - p
+            if dp:
+                dP = np.column_stack(dp)
+                gamma = np.linalg.lstsq(dP, p, rcond=None)[0]
+                x = x - (np.column_stack(dx) - dP) @ gamma
             if not np.isfinite(x).all():
                 raise ResolventIterationError(
-                    "damped fixed-point iteration diverged to non-finite "
-                    "values", last, n)
+                    f"{name} diverged to non-finite values", last, n)
     raise ResolventIterationError(
-        f"damped fixed-point iteration exceeded {cfg.max_inner_iters} "
-        f"iterations (last residual {last:.3e} > {cfg.inner_tol:.3e})", last,
-        cfg.max_inner_iters)
+        f"{name} exceeded {cfg.max_inner_iters} iterations (last residual "
+        f"{last:.3e} > {cfg.inner_tol:.3e})", last, cfg.max_inner_iters)
 
 
 def theoretical_r_m(inst: InclusionInstance, constants=None):

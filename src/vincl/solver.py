@@ -44,7 +44,7 @@ from .resolvent import Resolvent, ResolventConfig, theoretical_r_m
 from .space import ConfigError, as_rows, as_vector
 
 TRACE_SCHEMA = "vincl.trace.v1"
-_INNER_TOL = 1e-13      # damped-path tolerance of the resolvent `solve` builds
+_INNER_TOL = 1e-13      # black-box tolerance of the resolvent `solve` builds
 
 
 class DivergenceError(RuntimeError):

@@ -220,6 +220,7 @@ def test_bad_flag_exit_one(capsys):
     ["solve", "--z0", "1,2,3"],
     ["check-condition", "--rho", "-1"],
     ["check-condition", "--rho", "0"],
+    ["verify", "--rho-grid=-0.5,1"],
 ], ids=" ".join)
 def test_invalid_values_exit_one_with_message(capsys, argv):
     code, out, err = run(capsys, *argv, "--instance", "example_4_7")

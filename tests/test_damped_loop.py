@@ -1,23 +1,26 @@
-"""The damped resolvent loop against a reference loop written plainly:
-it keeps every iterate, residual and selected member in lists and takes
-the Anderson history and the stall test from them.  Same iterates bit for
-bit, and the same error (type, message, last residual, iteration count)
-when a map returns a NaN, an Inf, a 2-D, an empty or a wrong-length
-image, or M an empty set, when the residual stalls and when the iteration
-runs out.  Then, on random affine instances given as black boxes, the
-damped result against the exact resolvent."""
+"""The black-box resolvent against a reference written plainly: it
+probes the chord model, then keeps every iterate, step and selected
+member in lists and takes the Anderson history and the stall test from
+them.  Same iterates bit for bit, and the same error (type, message, last
+residual, iteration count) when a map returns a NaN, an Inf, a 2-D, an
+empty or a wrong-length image, or M an empty set, during the probe or
+the loop, when the residual stalls and when the iteration runs out.
+Then, on random affine instances given as black boxes, the chord result
+against the exact resolvent."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vincl.operators import (
     AdditiveBiSlot,
     AffineMap,
+    AffinePencil,
     AffinePairMap,
     DifferenceCoupling,
     IdentitySetMap,
@@ -28,25 +31,50 @@ from vincl.operators import (
 from vincl.resolvent import (
     _ANDERSON_MEMORY,
     _COND_LIMIT,
-    _RESTART_GROWTH,
     _STALL_FACTOR,
     _STALL_WINDOW,
+    Composite,
     Resolvent,
     ResolventConfig,
     ResolventIterationError,
-    _resolve_damped,
 )
-from vincl.space import NonFiniteError, SpaceConfig
+from vincl.space import NonFiniteError, SpaceConfig, as_rows
 
 SLOTS = ("A", "B", "C", "D", "f", "g")
 
 
-def reference_resolve_damped(inst, cfg, z, lam):
-    """The damped loop under Anderson mixing, from the full record of the
-    run; it also returns and raises with the number of iterations run."""
-    x = np.array(z, dtype=float)
+def reference_probe(inst, rho):
+    """The chord model's J = J_H + rho*J_M as a `Composite`, from forward
+    differences at 0 and the unit vectors; None where an image is
+    malformed or non-finite, or J is not invertible."""
+    hs, ms = [], []
+    with np.errstate(over="ignore"):
+        try:
+            for x in [np.zeros(inst.dim)] + list(np.eye(inst.dim)):
+                hs.append(eval_H_on_point(inst, x))
+                ms.append(eval_M_on_point(inst, x)[0])
+            jh = as_rows([h - hs[0] for h in hs[1:]]).T
+            jm = as_rows([m - ms[0] for m in ms[1:]]).T
+        except ValueError:
+            return None
+    k = Composite(AffinePencil(AffineMap(jh, hs[0]), AffineMap(jm, ms[0])),
+                  rho)
+    return k if k.invertible else None
+
+
+def reference_resolve(inst, cfg, z):
+    """The probe, then the chord (or, without a model, the damped) loop
+    under Anderson mixing, from the full record of the run; it also
+    returns and raises with the number of iterations run."""
+    chord = reference_probe(inst, cfg.rho)
+    name = "damped fixed-point iteration" if chord is None else \
+        "chord iteration"
+    if chord is None:
+        x = np.array(z, dtype=float)
+    else:
+        x = scipy.linalg.lu_solve(chord.lu[:2], z - chord.offset)
     last = np.inf
-    xs, rs, ks, norms_seen = [], [], [], []
+    xs, ps, ks, norms_seen = [], [], [], []
     kept = []                   # i where (x_i, x_i+1) joined the history
     start = 0                   # the first iterate of the current history
     with np.errstate(over="ignore"):
@@ -56,8 +84,8 @@ def reference_resolve_damped(inst, cfg, z, lam):
                 m_vals = eval_M_on_point(inst, x)
             except NonFiniteError:
                 raise ResolventIterationError(
-                    "damped fixed-point iteration diverged: a map image "
-                    "is non-finite", last, n) from None
+                    f"{name} diverged: a map image is non-finite", last,
+                    n) from None
             residuals = [hx + cfg.rho * m - z for m in m_vals]
             norms = [float(np.linalg.norm(r)) for r in residuals]
             k = int(np.argmin(norms))
@@ -66,44 +94,47 @@ def reference_resolve_damped(inst, cfg, z, lam):
                 return x, n
             if not math.isfinite(last):
                 raise ResolventIterationError(
-                    "damped fixed-point iteration diverged to non-finite "
-                    "values", last, n)
+                    f"{name} diverged to non-finite values", last, n)
             norms_seen.append(last)
             if n > _STALL_WINDOW:
                 now = min(norms_seen)
                 before = min(norms_seen[:-_STALL_WINDOW])
                 if now > _STALL_FACTOR * before:
                     raise ResolventIterationError(
-                        f"damped fixed-point iteration stalled: residual "
-                        f"{now:.3e} not below {_STALL_FACTOR} x "
-                        f"{before:.3e} within {_STALL_WINDOW} iterations",
-                        last, n)
-            if ks and (k != ks[-1]
-                       or last > _RESTART_GROWTH * norms_seen[-2]):
+                        f"{name} stalled: residual {now:.3e} not below "
+                        f"{_STALL_FACTOR} x {before:.3e} within "
+                        f"{_STALL_WINDOW} iterations", last, n)
+            p = (0.1 * r if chord is None
+                 else scipy.linalg.lu_solve(chord.lu[:2], r))
+            if ks and k != ks[-1]:
                 start = len(xs)
-            elif ks and (np.linalg.norm(r - rs[-1]) * lam * _COND_LIMIT
+            elif ks and (np.linalg.norm(p - ps[-1]) * _COND_LIMIT
                          > np.linalg.norm(x - xs[-1])):
                 kept.append(len(xs) - 1)
             xs.append(x)
-            rs.append(r)
+            ps.append(p)
             ks.append(k)
             pairs = [i for i in kept if i >= start][-_ANDERSON_MEMORY:]
             dx = [xs[i + 1] - xs[i] for i in pairs]
-            dr = [rs[i + 1] - rs[i] for i in pairs]
-            x = x - lam * r
-            if dr:
-                gamma = np.linalg.lstsq(np.column_stack(dr), r,
+            dp = [ps[i + 1] - ps[i] for i in pairs]
+            x = x - p
+            if dp:
+                gamma = np.linalg.lstsq(np.column_stack(dp), p,
                                         rcond=None)[0]
                 x = x - (np.column_stack(dx)
-                         - lam * np.column_stack(dr)) @ gamma
+                         - np.column_stack(dp)) @ gamma
             if not np.all(np.isfinite(x)):
                 raise ResolventIterationError(
-                    "damped fixed-point iteration diverged to non-finite "
-                    "values", last, n)
+                    f"{name} diverged to non-finite values", last, n)
     raise ResolventIterationError(
-        f"damped fixed-point iteration exceeded {cfg.max_inner_iters} "
-        f"iterations (last residual {last:.3e} > {cfg.inner_tol:.3e})", last,
-        cfg.max_inner_iters)
+        f"{name} exceeded {cfg.max_inner_iters} iterations (last residual "
+        f"{last:.3e} > {cfg.inner_tol:.3e})", last, cfg.max_inner_iters)
+
+
+def resolve_black_box(inst, cfg, z):
+    """One call of a fresh `Resolvent`: (x, its residual evaluations)."""
+    resolvent = Resolvent(inst, cfg)
+    return resolvent(z), resolvent.inner_iterations
 
 
 def _fault(kind, v):
@@ -183,52 +214,54 @@ def _outcome(fn, *args):
 
 
 _FAULT = st.tuples(
-    st.sampled_from(SLOTS + ("H", "M")), st.integers(1, 4),
+    st.sampled_from(SLOTS + ("H", "M")), st.integers(1, 8),
     st.sampled_from(("nan", "inf", "-inf", "2d", "empty", "long", "list",
                      "emptyset")))
 
 
-_EXAMPLE = dict(seed=0, dim=1, scale=0.3, rho=1.0, lam=0.5, tol=1e-12,
-                iters=25, cancel=False)
+_EXAMPLE = dict(seed=0, dim=1, scale=0.3, rho=1.0, tol=1e-12, iters=25,
+                cancel=False)
+_LOOP = 3       # at dim 1 the probe makes calls 1 and 2 of each map
 _LONG_RUN = _STALL_WINDOW + 20
 
 
 @settings(max_examples=300, deadline=None)
 # a length-2 image of A through a non-additive H: H's image is too long
-@example(additive=False, two_valued=False, faults=[("A", 1, "long")],
+@example(additive=False, two_valued=False, faults=[("A", _LOOP, "long")],
          **_EXAMPLE)
-# a length-2 image of f against g's length-1 image
+# a length-2 image of f against g's length-1 image, in the probe
 @example(additive=True, two_valued=False, faults=[("f", 2, "long")],
          **_EXAMPLE)
 # a 2-D image of A before a NaN image of B: A's error comes first
 @example(additive=True, two_valued=False,
-         faults=[("A", 2, "2d"), ("B", 2, "nan")], **_EXAMPLE)
-# NaN in H's image before an empty M, and an empty M alone
+         faults=[("A", _LOOP, "2d"), ("B", _LOOP, "nan")], **_EXAMPLE)
+# NaN in H's image before an empty M in the probe, which leaves the
+# damped step, and an empty M alone in the loop
 @example(additive=False, two_valued=True,
          faults=[("H", 2, "nan"), ("M", 2, "emptyset")], **_EXAMPLE)
-@example(additive=True, two_valued=True, faults=[("M", 3, "emptyset")],
+@example(additive=True, two_valued=True, faults=[("M", _LOOP, "emptyset")],
          **_EXAMPLE)
-# zero matrices: the residual never moves, and the stall test ends the run
+# zero matrices: J = 0 leaves the damped step, the residual never moves,
+# and the stall test ends the run
 @example(additive=True, two_valued=False, faults=[],
          **{**_EXAMPLE, "scale": 0.0, "iters": _LONG_RUN})
-# a composite that cancels to rounding: the flat differences stay out of
-# the history, and the stall test ends the run
+# a composite that cancels to rounding: the probed J is rounding noise,
+# and the stall test ends the run
 @example(additive=True, two_valued=False, faults=[],
-         **{**_EXAMPLE, "dim": 3, "scale": 1.0, "lam": 0.1,
-            "iters": _LONG_RUN, "cancel": True})
-# the plain step overshoots 1000-fold: the history is cleared
+         **{**_EXAMPLE, "dim": 3, "scale": 1.0, "iters": _LONG_RUN,
+            "cancel": True})
+# maps scaled by 1e4: the probed model follows the scale
 @example(additive=True, two_valued=False, faults=[],
          **{**_EXAMPLE, "dim": 2, "scale": 1e4})
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
        scale=st.sampled_from([0.0, 0.3, 1.0, 1e4, 1e80, 1e160]),
        additive=st.booleans(), two_valued=st.booleans(),
-       rho=st.floats(0.1, 2.0), lam=st.floats(0.01, 0.5),
-       tol=st.sampled_from([1e-12, 1e-3, 10.0]),
+       rho=st.floats(0.1, 2.0), tol=st.sampled_from([1e-12, 1e-3, 10.0]),
        iters=st.sampled_from([25, _LONG_RUN]), cancel=st.booleans(),
        faults=st.lists(_FAULT, max_size=2))
 def test_damped_loop_matches_reference(seed, dim, scale, additive,
-                                       two_valued, rho, lam, tol, iters,
-                                       cancel, faults):
+                                       two_valued, rho, tol, iters, cancel,
+                                       faults):
     cfg = ResolventConfig(rho=rho, max_inner_iters=iters, inner_tol=tol)
     at = {}
     for slot, call, kind in faults:
@@ -242,25 +275,28 @@ def test_damped_loop_matches_reference(seed, dim, scale, additive,
     def run(loop):
         inst = _black_box(seed, dim, scale, additive, two_valued, at,
                           rho if cancel else None)
-        return _outcome(loop, inst, cfg, z, lam)
+        return _outcome(loop, inst, cfg, z)
 
-    assert run(_resolve_damped) == run(reference_resolve_damped)
+    assert run(resolve_black_box) == run(reference_resolve)
 
 
 @pytest.mark.parametrize("action", ["error", "ignore"])
 def test_opposite_infinities_raise_the_non_finite_image_error(action):
-    # A and B return +inf and -inf in one coordinate: A's image ends the
-    # iteration before the two are summed (inf - inf would warn "invalid
-    # value"), with that warning raised or not
-    faults = {"A": {2: "inf"}, "B": {2: "-inf"}}
-    cfg = ResolventConfig(rho=0.5, max_inner_iters=10)
+    # A and B return +inf and -inf in one coordinate at the second
+    # iteration (the probe makes calls 1 to 3 at dim 2, and no residual
+    # meets a tolerance of 1e-300): A's image ends the iteration before
+    # the two are summed (inf - inf would warn "invalid value"), with that
+    # warning raised or not
+    faults = {"A": {5: "inf"}, "B": {5: "-inf"}}
+    cfg = ResolventConfig(rho=0.5, max_inner_iters=10, inner_tol=1e-300)
     with warnings.catch_warnings():
         warnings.simplefilter(action, RuntimeWarning)
         got, ref = (_outcome(loop, _black_box(3, 2, 1.0, True, False, faults),
-                             cfg, np.ones(2), 0.1)
-                    for loop in (_resolve_damped, reference_resolve_damped))
+                             cfg, np.ones(2))
+                    for loop in (resolve_black_box, reference_resolve))
     assert got == ref
     assert got[1] is ResolventIterationError and got[4] == 2
+    assert math.isfinite(float(got[3]))
 
 
 def _affine_and_black_box(seed, dim, kind, rho):
@@ -291,15 +327,27 @@ def _affine_and_black_box(seed, dim, kind, rho):
     return inst, opaque, k
 
 
+_KINDS = ("general", "negative", "positive")
+
+
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1),
-       dim=st.integers(1, _ANDERSON_MEMORY),
-       kind=st.sampled_from(["general", "negative", "positive"]),
-       rho=st.floats(0.1, 2.0), tol=st.sampled_from([1e-6, 1e-10]))
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 50),
+       kind=st.sampled_from(_KINDS), rho=st.floats(0.1, 2.0),
+       tol=st.sampled_from([1e-6, 1e-10]))
+# dims past the Anderson memory, where the plain damped step failed on
+# indefinite K
+@example(seed=1, dim=6, kind="general", rho=1.0, tol=1e-10)
+@example(seed=2, dim=8, kind="negative", rho=0.5, tol=1e-10)
+@example(seed=3, dim=8, kind="general", rho=1.5, tol=1e-10)
+@example(seed=4, dim=12, kind="negative", rho=1.0, tol=1e-10)
+@example(seed=6, dim=12, kind="general", rho=0.3, tol=1e-10)
+@example(seed=6, dim=50, kind="general", rho=1.0, tol=1e-10)
+@example(seed=6, dim=50, kind="negative", rho=1.0, tol=1e-10)
+@example(seed=7, dim=50, kind="positive", rho=2.0, tol=1e-10)
 def test_damped_resolve_matches_exact_within_inner_tol(seed, dim, kind, rho,
                                                        tol):
-    # with at most _ANDERSON_MEMORY coordinates the mixing solves a linear
-    # system like GMRES, definite or not: every resolve of an invertible,
+    # the chord step on the probed model solves an affine K, definite or
+    # not, at any dimension: every resolve of an invertible,
     # well-conditioned K converges, and a residual below inner_tol puts x
     # within inner_tol / sigma_min(K) of the exact solution
     inst, opaque, k = _affine_and_black_box(seed, dim, kind, rho)
@@ -307,7 +355,7 @@ def test_damped_resolve_matches_exact_within_inner_tol(seed, dim, kind, rho,
     assume(sv[0] <= 1e3 * sv[-1])
     cfg = ResolventConfig(rho=rho, inner_tol=tol)
     exact, damped = Resolvent(inst, cfg), Resolvent(opaque, cfg)
-    assert exact.exact and not damped.exact     # K passed the exact test
+    assert exact.exact and damped.path == "chord"   # K passed the exact test
     z = np.random.default_rng(seed + 1).standard_normal((3, dim))
     xd, xe = damped(z), exact(z)
     slack = 1e-12 * (1.0 + np.linalg.norm(xe, axis=1))

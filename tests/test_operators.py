@@ -75,6 +75,21 @@ def test_hausdorff_symmetry_and_triangle_inequality():
                        + 1e-12)
 
 
+def test_hausdorff_matches_cdist_bit_for_bit():
+    # the golden bundles pin Hausdorff values computed through
+    # scipy.spatial.distance.cdist, which the numpy form replaced
+    from scipy.spatial.distance import cdist
+    rng = np.random.default_rng(2)
+    for _ in range(300):
+        dim = int(rng.integers(1, 40))
+        a, b = (10.0 ** rng.uniform(-5, 5)
+                * rng.standard_normal((rng.integers(1, 6), dim))
+                for _ in range(2))
+        dm = cdist(a, b)
+        assert hausdorff_distance(a, b) == max(dm.min(axis=1).max(),
+                                               dm.min(axis=0).max())
+
+
 def test_eval_H_isotropic_instance():
     inst = example_3_2().instance
     # coefficient sum 4 - 3 + 2 + 1 = 4

@@ -89,10 +89,16 @@ def _diagonal_instance(diag):
 
 def _opaque_h(inst):
     """The instance with A..D as black boxes: the composite is no longer
-    affine, so resolves take the damped path; f and g stay affine, so the
-    damping step is the one the affine instance gets."""
+    affine, so resolves take the chord path, on an exact probed model."""
     return inst.with_(**{s: (lambda m: (lambda x: m(x)))(getattr(inst, s))
                          for s in ("A", "B", "C", "D")})
+
+
+def _nonlinear(inst):
+    """The instance with x -> A(x) + 0.1*sin(x) for A: H is not affine,
+    so its probed model is not exact, and a chord resolve takes more than
+    one step."""
+    return inst.with_(A=lambda x: inst.A(x) + 0.1 * np.sin(x))
 
 
 def test_resolve_degenerate_composite_raises():
@@ -182,9 +188,17 @@ def test_resolvent_paths_and_singular_values():
     assert exact.exact
     sv = exact.singular_values
     assert np.all(np.diff(sv) <= 0) and sv[-1] > 0
+    assert exact.path == "exact"
     blackbox = inst.with_(A=lambda x: inst.A(x))
-    damped = Resolvent(blackbox, ResolventConfig(rho=0.35))
-    assert not damped.exact and damped.singular_values is None
+    chord = Resolvent(blackbox, ResolventConfig(rho=0.35))
+    assert not chord.exact and chord.singular_values is None
+    assert chord.path == "chord"
+    # example_3_3's composite at rho = 1 has a zero linear part: so has its
+    # probed model, and the resolve falls back to the damped step
+    zero = example_3_3().instance
+    zero = zero.with_(A=lambda x, a=zero.A: a(x))
+    damped = Resolvent(zero, ResolventConfig(rho=1.0))
+    assert damped.path == "damped" and damped.singular_values is None
 
 
 _DEFINITE = {"posdef": 1.0, "negdef": -1.0}
@@ -333,7 +347,7 @@ def test_damped_fixed_point_agrees_with_exact():
 
 
 def test_damped_fixed_point_iteration_limit():
-    inst = _opaque_h(example_4_7().instance)
+    inst = _nonlinear(example_4_7().instance)
     cfg = ResolventConfig(rho=0.35, max_inner_iters=2, inner_tol=1e-15)
     res = Resolvent(inst, cfg)
     with pytest.raises(ResolventIterationError) as exc:
@@ -343,17 +357,51 @@ def test_damped_fixed_point_iteration_limit():
 
 
 def test_inner_iterations_counted():
-    damped = Resolvent(_opaque_h(example_4_7().instance),
-                       ResolventConfig(rho=0.35))
+    inst = _nonlinear(example_4_7().instance)
+    chord = Resolvent(inst, ResolventConfig(rho=0.35))
     z = np.array([0.3, -0.8])
-    damped(z)
-    n = damped.inner_iterations
+    chord(z)
+    n = chord.inner_iterations
     assert n > 1
-    damped(np.array([z, z]))
-    assert damped.inner_iterations == 3 * n
+    chord(np.array([z, z]))
+    assert chord.inner_iterations == 3 * n
+    # the first resolvent probed the instance: dim + 1 evaluations
+    assert chord.probe_evaluations == 3
+    again = Resolvent(inst, ResolventConfig(rho=2.0))
+    again(z)
+    assert again.probe_evaluations == 0 and again.inner_iterations > 1
     exact = Resolvent(example_4_7().instance, ResolventConfig(rho=0.35))
     exact(z)
-    assert exact.inner_iterations == 0
+    assert exact.inner_iterations == exact.probe_evaluations == 0
+
+
+@pytest.mark.parametrize("c", [1e4, 1e6])
+def test_chord_resolve_follows_the_scale_of_the_maps(c):
+    # example_4_7 with every map times c, as black boxes: the probed model
+    # scales with the maps, so z = c*(0.4, 0.9) resolves to the x of c = 1
+    inst = example_4_7().instance
+    scaled = inst.with_(**{s: (lambda m: (lambda x: c * m(x)))(getattr(
+        inst, s)) for s in ("A", "B", "C", "D", "f", "g")})
+    z = np.array([0.4, 0.9])
+    res = Resolvent(scaled, ResolventConfig(rho=0.35, inner_tol=1e-12 * c))
+    x = res(c * z)
+    assert res.path == "chord" and res.inner_iterations <= 3
+    np.testing.assert_allclose(x, resolve(inst, ResolventConfig(rho=0.35), z),
+                               rtol=0, atol=1e-11)
+
+
+def test_chord_resolve_of_a_nonlinear_map():
+    # A(x) = x + 0.1*sin(x) on R^6 with B..D, f, g zero: the probed model
+    # is off by up to 0.2 in slope, and Anderson mixing of the chord steps
+    # still reaches the inner tolerance
+    dim, zero = 6, AffineMap.zero(6)
+    inst = _linear_instance(np.zeros((dim, dim))).with_(
+        A=lambda x: x + 0.1 * np.sin(x), f=zero, g=zero)
+    res = Resolvent(inst, ResolventConfig(rho=1.0, inner_tol=1e-12))
+    z = np.linspace(-3.0, 3.0, dim)
+    x = res(z)
+    assert res.path == "chord" and res.inner_iterations > 2
+    assert np.linalg.norm(forward(inst, x, 1.0) - z) <= 1e-12
 
 
 @pytest.mark.parametrize("opaque", [False, True], ids=["exact", "damped"])

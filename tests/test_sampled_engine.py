@@ -34,7 +34,7 @@ from vincl.operators import (
     InclusionInstance,
 )
 from vincl.resolvent import Composite, Resolvent, ResolventConfig, forward
-from vincl.space import SpaceConfig, duality_map, slack
+from vincl.space import ConfigError, SpaceConfig, duality_map, slack
 
 DIM = 3
 
@@ -418,17 +418,17 @@ def test_degenerate_composite_keeps_root_and_witness(monkeypatch):
     assert len(eig_calls) == 1
 
 
-def test_negative_grid_rho_finds_a_singular_composite():
-    # L_H = I, L_M = diag(1, 3): K = diag(2/3, 0) at rho = -1/3
-    inst = _diagonal_instance([1.0, 1.0], 1.0).with_(
-        f=AffineMap.linear(np.diag([1.5, 3.5])),
-        constants=Constants(alpha=1.5, beta=0.5))
-    cert = _certify_strict(inst, grid=(-1.0 / 3.0, 0.5))
-    assert cert.verdict == "fail"
-    assert [g["singular"] for g in cert.details["grid"]] == [True, False]
-    assert cert.details["grid"][0]["det"] == 0.0
-    assert cert.witness["rho"] == -1.0 / 3.0
-    assert cert.witness["defect"].startswith("singular linear part")
+@pytest.mark.parametrize("opaque", [False, True], ids=["exact", "blackbox"])
+def test_nonpositive_grid_rho_is_refused(opaque):
+    # the theory's step size is positive: a grid rho <= 0 is a
+    # configuration error on both paths, not a verdict
+    named = example_4_7()
+    inst = _opaque_instance(named) if opaque else named.instance
+    for grid in ([-0.5, 1.0], [0.0]):
+        with pytest.raises(ConfigError, match="^rho must be > 0, got "):
+            certify_generalized_mixed_accretive(inst, rho_grid=grid)
+        with pytest.raises(ConfigError):
+            certify_instance(inst, SamplePlan(seed=1), rho_grid=grid)
 
 
 def test_definite_pencil_has_no_roots_without_eig(monkeypatch):

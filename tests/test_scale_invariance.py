@@ -23,11 +23,7 @@ from vincl.certify import (
 )
 from vincl.instances import builtin_names, example_4_7, get_instance
 from vincl.operators import AffineMap, AffinePairMap
-from vincl.resolvent import (
-    ResolventConfig,
-    ResolventIterationError,
-    audit_lipschitz,
-)
+from vincl.resolvent import ResolventConfig, audit_lipschitz
 
 SCALES = (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9)
 POWERS = {"alpha": 1, "beta": 1, "alpha1": 1, "beta1": 1, "tau": 1,
@@ -92,15 +88,10 @@ def test_builtin_verdicts_do_not_depend_on_scale(name):
 
 
 # exact path: example_4_7 lifted; sampled path: its black-box lift at dim
-# 10, with no range probes (the damped probe's step is fixed, not scaled)
+# 10, whose range probes and audit resolve on the chord path
 EXACT = [pytest.param(d, {}, None, id=f"exact-{d}") for d in (2, 50, 400)]
-SAMPLED = pytest.param(10, {"blackbox": True}, [], id="sampled-10")
+SAMPLED = pytest.param(10, {"blackbox": True}, None, id="sampled-10")
 CASES = EXACT + [SAMPLED]
-# the black-box audit resolves by the damped iteration, whose step 0.1 does
-# not follow the scale of the maps: away from c = 1 it stalls or diverges
-AUDIT_CASES = EXACT + [pytest.param(*SAMPLED.values, id="sampled-10", marks=(
-    pytest.mark.xfail(raises=ResolventIterationError, strict=True,
-                      reason="fixed damped step")))]
 
 
 @pytest.mark.parametrize("dim,kind,rho_grid", CASES)
@@ -123,7 +114,7 @@ def test_false_claims_fail_at_every_scale(dim, kind, rho_grid):
                                  wrong.dim).verdict == "fail", c
 
 
-@pytest.mark.parametrize("dim,kind,rho_grid", AUDIT_CASES)
+@pytest.mark.parametrize("dim,kind,rho_grid", CASES)
 def test_audit_verdict_does_not_depend_on_scale(dim, kind, rho_grid):
     inst = lift(example_4_7().instance, dim)
     for c in SCALES:

@@ -22,7 +22,8 @@ Two evidence paths:
 Inside `certify_instance` the certificates share one table of plan-row
 images (`_PlanImages`).  Instance maps are assumed to be deterministic
 functions, so each of A..D, f and g is called at most once per X row and
-once per Y row, the composed H once per row, and F once per row and
+once per Y row, an additive H is summed over whole image tables (any
+other H is called once per row), and F is called once per row and
 argument where the selection S (or T) is the identity.
 
 Every comparison ignores violations up to `space.slack(size, spread)`,
@@ -46,7 +47,7 @@ from .operators import (
     JsonRecord,
     SingletonSetMap,
     affine_parts,
-    eval_H_on_images,
+    eval_H_on_rows,
     hausdorff_distance,
     is_difference_coupling,
     negate_map,
@@ -287,11 +288,8 @@ class _PlanImages:
         """H(X) - H(Y) and ||H(X)|| + ||H(Y)|| for the composed map
         x -> H((Ax, Bx), (Cx, Dx)), formed from the images of A..D."""
         def make():
-            a, b, c, d = (self.images(getattr(self.inst, s), prop)
-                          for s in "ABCD")
-            h = functools.partial(eval_H_on_images, self.inst)
-            hx, hy = (as_rows(map(h, a[k], b[k], c[k], d[k]), self.dim,
-                              "image of H") for k in (0, 1))
+            images = [self.images(getattr(self.inst, s), prop) for s in "ABCD"]
+            hx, hy = (eval_H_on_rows(self.inst, *row) for row in zip(*images))
             return hx - hy, _norms(hx) + _norms(hy)
         return self._keep("H", make)
 
@@ -495,14 +493,14 @@ def certify_symmetric_mixed_cocoercive(inst: InclusionInstance,
     got = inst.constants.require("mu1", "gamma1", "mu2", "gamma2")
     q, dim = inst.space.q, inst.dim
     halves = (("strongly_mixed_cocoercive", inst.A, inst.C, got["mu1"],
-               got["gamma1"], +1, lambda p, r, u: inst.H(p, u, r, u)),
+               got["gamma1"], +1, lambda p, r, u: (p, u, r, u)),
               ("relaxed_mixed_cocoercive", inst.B, inst.D, got["mu2"],
-               got["gamma2"], -1, lambda p, r, u: inst.H(u, p, u, r)))
+               got["gamma2"], -1, lambda p, r, u: (u, p, u, r)))
     exact = inst.pencil.h is not None and q == 2.0
     if not exact:
         table = _images_of(plan or SamplePlan(), dim, inst)
     certs = []
-    for prop, p, r, mu, gamma, sign_mu, h in halves:
+    for prop, p, r, mu, gamma, sign_mu, slots in halves:
         if exact:
             lp = p.matrix
             certs.append(_exact_cert(prop, gamma, *_min_eig(
@@ -511,8 +509,8 @@ def certify_symmetric_mixed_cocoercive(inst: InclusionInstance,
             continue
         x, y, u = table.rows(prop)
         (px, py), (rx, ry) = table.images(p, prop), table.images(r, prop)
-        hx = as_rows(map(h, px, rx, u), dim, "image of H")
-        hy = as_rows(map(h, py, ry, u), dim, "image of H")
+        hx = eval_H_on_rows(inst, *slots(px, rx, u))
+        hy = eval_H_on_rows(inst, *slots(py, ry, u))
         certs.append(_accretive_form(
             prop, gamma, table.plan, x, y, hx - hy, _norms(hx) + _norms(hy), q,
             shift=sign_mu * mu * _norms(px - py) ** q,
@@ -562,9 +560,9 @@ def certify_F_properties(inst: InclusionInstance,
     constants are stated against ||u-v||^q.  Both quotients are certified:
     `constant` carries the displacement-normalized value and
     details["constant_vs_H_increment"] the H-increment-normalized one.
-    The sampled path evaluates H once per sample point for both arguments,
-    and F once per sample point and argument where the selection is the
-    identity.
+    The sampled path forms H once per sample point for both arguments
+    (`eval_H_on_rows`), and calls F once per sample point and argument
+    where the selection is the identity.
     """
     got = inst.constants.require("sigma", "delta", "eps1", "eps2")
     q, dim = inst.space.q, inst.dim
@@ -801,7 +799,7 @@ def certify_generalized_mixed_accretive(inst: InclusionInstance,
     relaxed slot certificates plus alpha >= beta.  Part (ii): H + rho*M is
     surjective; for affine instances the composite linear map must be
     invertible on the rho grid, decided by `Composite` as in `Resolvent`
-    (sigma_max > 0 and cond <= 1e12), and the determinant (a polynomial
+    (K not zero and cond <= 1e12), and the determinant (a polynomial
     in rho) must neither vanish identically nor have a positive real
     root; it has none, and no pencil eigenvalues are computed, when the
     smallest eigenvalues of sym(L_H), sym(L_M) are > 0 and >= 0 (or the

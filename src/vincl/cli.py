@@ -16,6 +16,7 @@ non-convergence; 3 certification failure; 4 rate condition violated;
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -50,6 +51,18 @@ def _parse_vector(text: str) -> np.ndarray:
 
 def _parse_floats(text: str):
     return [float(t) for t in text.split(",")]
+
+
+class _Parser(argparse.ArgumentParser):
+    """Takes a list of numbers that begins with a minus sign, such as
+    `--z0 -1,2`, for a value, where argparse would take it for an option."""
+
+    _NUMBERS = re.compile(r"-[\d.][\w.,+-]*")
+
+    def _parse_optional(self, arg_string):
+        if self._NUMBERS.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -113,7 +126,7 @@ def _add_solve_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vincl",
         description="Workbench for set-valued variational inclusions: "
                     "solve, certify operator constants, check rate "

@@ -375,6 +375,18 @@ def eval_H_on_images(inst: InclusionInstance, a, b, c, d) -> np.ndarray:
     return as_vector(inst.H(a, b, c, d), inst.dim, "image of H")
 
 
+def eval_H_on_rows(inst: InclusionInstance, a, b, c, d) -> np.ndarray:
+    """`eval_H_on_images` of each row of the (n, dim) tables a..d, as one
+    (n, dim) array; an additive H is one sum of the tables, to the bits of
+    the per-row sums, where an overflow raises NonFiniteError."""
+    if is_additive(inst.H):
+        with np.errstate(over="ignore"):    # as_rows refuses the inf left
+            rows = a + b + c + d
+    else:
+        rows = map(functools.partial(eval_H_on_images, inst), a, b, c, d)
+    return as_rows(rows, inst.dim, "image of H")
+
+
 def h_composite(inst: InclusionInstance):
     """Affine realization of x -> H((Ax, Bx), (Cx, Dx)), or None.
 

@@ -107,14 +107,14 @@ class Composite:
     one rho: x -> matrix @ x + offset, from an `AffinePencil`.
 
     `invertible` is the one test of whether H + rho*M is invertible, for
-    `Resolvent` and the surjectivity certificate: sigma_max > 0 and
+    `Resolvent` and the surjectivity certificate: K is not `zero` and
     cond <= 1e12, which neither a scaling of K nor its dimension moves.
     The first conclusive route decides: the pencil's symmetric-part bound
-    (`_definite`, no factorization), then, until `sv` has been read, the
-    LU factors (`_cond_bound`), then the singular values.  `lu`, `sv`
-    (largest first), `cond` = sigma_max / sigma_min (None where
-    infinite), `det` and the null direction of a singular `defect` are
-    each computed on first access.
+    (`_definite`, no factorization), then `zero`, then, until `sv` has
+    been read, the LU factors (`_cond_bound`), then the singular values.
+    `lu`, `sv` (largest first), `cond` = sigma_max / sigma_min (None
+    where infinite), `det` and the null direction of a singular `defect`
+    are each computed on first access.
     """
 
     def __init__(self, pencil, rho: float):
@@ -140,9 +140,27 @@ class Composite:
         return None if np.isinf(cond) else cond
 
     @functools.cached_property
+    def _scaled_norm(self):
+        """(max|K|, ||K / max|K|||_F): no square under- or overflows."""
+        scale = float(np.abs(self.matrix).max())
+        return scale, float(np.linalg.norm(self.matrix / (scale or 1.0)))
+
+    @functools.cached_property
+    def zero(self) -> bool:
+        """Whether K is zero up to rounding, ||K||_F <= slack(||L_H||_F +
+        |rho|*||L_M||_F) from `bounds`: what H and rho*M leave where they
+        cancel is noise, however well conditioned, and the image a point."""
+        (_, _, fro_h), (_, _, fro_m) = self.pencil.bounds
+        scale, unit = self._scaled_norm
+        return scale * unit <= slack(fro_h + abs(self.rho) * fro_m)
+
+    @functools.cached_property
     def invertible(self) -> bool:
-        if self._definite() or ("sv" not in self.__dict__
-                                and self._cond_bound() <= _COND_LIMIT):
+        if self._definite():
+            return True
+        if self.zero:
+            return False
+        if "sv" not in self.__dict__ and self._cond_bound() <= _COND_LIMIT:
             return True
         return self.cond is not None and self.cond <= _COND_LIMIT
 
@@ -168,13 +186,12 @@ class Composite:
         lu, piv, info = self.lu
         if info != 0:
             return math.inf
-        dim, scale = lu.shape[0], float(np.abs(self.matrix).max())
+        dim, (scale, unit) = lu.shape[0], self._scaled_norm
         inverse, info = lapack.dgetri(
             lu, piv, lwork=int(lapack.dgetri_lwork(dim)[0]))
         # an overflow, or 0 * inf, leaves b non-finite
         with np.errstate(over="ignore", invalid="ignore"):
-            b = float(np.linalg.norm(self.matrix / scale)
-                      * np.linalg.norm(inverse * scale))
+            b = unit * float(np.linalg.norm(inverse * scale))
         if info != 0 or not math.isfinite(b):
             return math.inf
         return b * (1.0 + dim * _EPS * b)
@@ -189,15 +206,13 @@ class Composite:
 
     def defect(self) -> dict | None:
         """None when K is invertible.  Otherwise why H + rho*M is not onto:
-        a zero linear part (sigma_max within `slack` of ||H|| + |rho|*||M||;
-        the image is the single point `offset`) or a singular one (the
-        image is a proper affine subspace; `null_direction` is the right
-        singular vector of sigma_min)."""
+        a zero linear part (`zero`; the image is the single point
+        `offset`) or a singular one (the image is a proper affine
+        subspace; `null_direction` is the right singular vector of
+        sigma_min)."""
         if self.invertible:
             return None
-        h, m = (np.linalg.norm(part.matrix, 2)
-                for part in (self.pencil.h, self.pencil.m))
-        if self.sv[0] <= slack(h + abs(self.rho) * m):
+        if self.zero:
             return {"rho": self.rho,
                     "kind": "zero linear part",
                     "description": "the composite image is the single point "

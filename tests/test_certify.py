@@ -34,7 +34,7 @@ from vincl.operators import (
     negate_map,
 )
 from vincl.resolvent import forward
-from vincl.space import SpaceConfig
+from vincl.space import NonFiniteError, SpaceConfig
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +346,35 @@ def test_certify_instance_evaluates_each_map_once_per_plan_row():
         assert 0 < calls[slot] <= 2 * n, slot    # once per X and Y row
     assert 0 < calls["H"] <= 6 * n   # composed H, then the two halves
     assert 0 < calls["F"] <= 4 * n   # both arguments at identity selections
+
+
+class _CountedSlots(AdditiveBiSlot):
+    calls = 0
+
+    def __call__(self, *images):
+        self.calls += 1
+        return super().__call__(*images)
+
+
+def test_certify_instance_sums_an_additive_H_without_calling_it():
+    # an additive H is summed over whole image tables, never called per row
+    h = _CountedSlots()
+    inst = _blackbox_lift(lambda name, m: m).with_(H=h)
+    bundle = certify_instance(inst, SamplePlan(seed=7, n_pairs=64),
+                              rho_grid=[])       # no range probes
+    assert bundle.all_ok() and h.calls == 0
+
+
+@pytest.mark.parametrize("certify", [
+    certify_instance, certify_mixed_lipschitz,
+    certify_symmetric_mixed_cocoercive])
+def test_an_overflowing_sum_of_images_raises_non_finite(certify):
+    # the images of A and C are finite, their sum is not
+    def huge(name, m):
+        return (lambda x: m(x) + 1e308) if name in "AC" else m
+    inst = _blackbox_lift(huge)
+    with pytest.raises(NonFiniteError):
+        certify(inst, plan=SamplePlan(seed=7, n_pairs=16))
 
 
 class _MapFault(Exception):

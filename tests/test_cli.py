@@ -221,9 +221,19 @@ def test_bad_flag_exit_one(capsys):
     ["check-condition", "--rho", "-1"],
     ["check-condition", "--rho", "0"],
     ["verify", "--rho-grid=-0.5,1"],
+    ["verify", "--rho-grid", "-0.5,1"],
 ], ids=" ".join)
 def test_invalid_values_exit_one_with_message(capsys, argv):
     code, out, err = run(capsys, *argv, "--instance", "example_4_7")
     assert code == EXIT_PARSE
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--z0", "--u0", "--omega"])
+def test_vector_value_may_begin_with_a_minus_sign(capsys, flag):
+    # argparse would take "-1,2" for an option; both forms read the value
+    outs = [run(capsys, "solve", "--instance", "example_4_7", "--format",
+                "json", *form) for form in ([flag, "-1,2"], [f"{flag}=-1,2"])]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == EXIT_OK and outs[0][2] == ""

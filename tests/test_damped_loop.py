@@ -360,3 +360,15 @@ def test_damped_resolve_matches_exact_within_inner_tol(seed, dim, kind, rho,
     xd, xe = damped(z), exact(z)
     slack = 1e-12 * (1.0 + np.linalg.norm(xe, axis=1))
     assert np.all(np.linalg.norm(xd - xe, axis=1) <= tol / sv[-1] + slack)
+
+
+def test_a_composite_cancelling_to_rounding_takes_the_damped_path():
+    # the probed J is rounding noise (entries of at most about 4e-16,
+    # against about 3 in J_H) and happens to be well conditioned: it is
+    # zero to the rule `defect` applies, so no chord model is built on it
+    inst = _black_box(0, 3, 1.0, True, False, {}, cancel_at=1.0)
+    resolvent = Resolvent(inst, ResolventConfig(rho=1.0))
+    assert resolvent.path == "damped"
+    k = Composite(inst.pencil.probed, 1.0)
+    assert k.zero and not k.invertible
+    assert k.defect()["kind"] == "zero linear part"

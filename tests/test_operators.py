@@ -1,18 +1,27 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vincl.instances import example_3_2, example_3_3, example_4_7
 from vincl.operators import (
     AdditiveBiSlot,
     AffineMap,
+    AffinePairMap,
     ConstantSetMap,
     Constants,
     DifferenceCoupling,
     EmptySetError,
+    IdentitySetMap,
+    InclusionInstance,
     NearestNodeSetMap,
+    eval_H_on_images,
     eval_H_on_point,
+    eval_H_on_rows,
     eval_M_on_point,
     hausdorff_distance,
     inclusion_residual,
@@ -21,7 +30,7 @@ from vincl.operators import (
     ordering_flags,
 )
 from vincl.resolvent import forward
-from vincl.space import DimensionMismatchError
+from vincl.space import DimensionMismatchError, SpaceConfig
 
 
 def test_affine_map_exact_evaluation():
@@ -107,6 +116,47 @@ def test_eval_H_dimension_mismatch():
     inst = example_3_2().instance
     with pytest.raises(DimensionMismatchError):
         eval_H_on_point(inst, [1.0, 2.0, 3.0])
+
+
+def _with_H(dim, H):
+    ident, zero = AffineMap.identity(dim), np.zeros((dim, dim))
+    return InclusionInstance(
+        space=SpaceConfig(dim=dim), A=ident, B=ident, C=ident, D=ident,
+        f=ident, g=ident, H=H, F=AffinePairMap(zero, zero, np.zeros(dim)),
+        M=DifferenceCoupling(), S=IdentitySetMap(), T=IdentitySetMap(),
+        omega=np.zeros(dim), rho=1.0)
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        return ("raised", type(exc))
+    return ("returned", out.dtype, out.shape, out.tobytes())
+
+
+@st.composite
+def _tables(draw):
+    """Four finite (n, dim) tables; sums of huge entries may overflow."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 5)))
+    entries = st.one_of(st.floats(-10.0, 10.0),
+                        st.floats(allow_nan=False, allow_infinity=False))
+    return [draw(arrays(float, shape, elements=entries)) for _ in "abcd"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables=_tables(), additive=st.booleans())
+def test_H_on_rows_matches_the_per_row_images(tables, additive):
+    # the whole-table sum of an additive H against one checked call of H
+    # per row, bit for bit, or the same error where a row's sum overflows
+    H = AdditiveBiSlot() if additive else (
+        lambda a, b, c, d: a + b + c + d + 0.1 * np.sin(a))
+    inst = _with_H(tables[0].shape[1], H)
+    with warnings.catch_warnings():     # an overflow in H's own sum warns
+        warnings.simplefilter("ignore", RuntimeWarning)
+        per_row = _outcome(lambda *t: np.array(
+            [eval_H_on_images(inst, *row) for row in zip(*t)]), *tables)
+        assert _outcome(eval_H_on_rows, inst, *tables) == per_row
 
 
 def test_slot_forms_refuse_images_of_different_lengths():

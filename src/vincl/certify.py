@@ -38,7 +38,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .operators import (
     AffineMap,
@@ -394,9 +393,10 @@ def certify_relaxed_accretive(m, claimed: float, q: float = 2.0,
 def _pencil(num: np.ndarray, den: np.ndarray):
     """The smallest stationary value of (d' num d) / (d' den d) and dim
     times the largest |.| one, pencil eigenvalues; None if den is singular."""
+    import scipy.linalg     # scipy loads on first use
     try:
         vals = scipy.linalg.eigh(num, den, eigvals_only=True)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+    except np.linalg.LinAlgError:   # scipy.linalg.LinAlgError is this class
         return None
     return float(vals[0]), len(vals) * float(max(-vals[0], vals[-1]))
 
@@ -723,6 +723,7 @@ def _det_polynomial_roots(pencil, nonzero: bool):
     if any(h > slack(fro_h) and m >= slack(fro_m)
            for h, m in ((lo_h, lo_m), (-hi_h, -hi_m))):
         return []
+    import scipy.linalg
     eigs = scipy.linalg.eig(lh, -lm, right=False)
     eigs = eigs[np.isfinite(eigs)]
     real = ((np.abs(eigs.imag) <= _REAL_ROOT * (1.0 + np.abs(eigs.real)))

@@ -20,8 +20,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .operators import (
     InclusionInstance,
@@ -127,7 +125,17 @@ class Composite:
     def lu(self):
         """(lu, piv, info) of LAPACK getrf, as in `scipy.linalg.lu_factor`,
         but an exactly zero pivot (info > 0) raises no warning."""
+        from scipy.linalg import lapack     # loads scipy on first use
         return lapack.dgetrf(self.matrix)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """K^-1 b, b a vector or the columns of a matrix: the LAPACK getrs
+        on `lu` that `scipy.linalg.lu_solve` wraps, without the wrapper."""
+        from scipy.linalg import lapack
+        x, info = lapack.dgetrs(*self.lu[:2], b)
+        if info != 0:
+            raise ValueError(f"getrs: illegal value in argument {-info}")
+        return x
 
     @functools.cached_property
     def sv(self) -> np.ndarray:
@@ -183,6 +191,7 @@ class Composite:
         factor covering the rounding of the computed inverse.  The norms
         are of K and K^-1 scaled by 1/max|K| and max|K|, so that no square
         under- or overflows."""
+        from scipy.linalg import lapack
         lu, piv, info = self.lu
         if info != 0:
             return math.inf
@@ -313,8 +322,7 @@ class Resolvent:
         zv = (as_rows if batch else as_vector)(z, self.inst.dim, "resolvent")
         k = self._composite
         if k is not None:   # a batch's rows are the columns of the rhs
-            return scipy.linalg.lu_solve(k.lu[:2], (zv - k.offset).T,
-                                         check_finite=False).T
+            return k.solve((zv - k.offset).T).T
         if batch:
             return np.array([self(row) for row in zv])
         try:
@@ -367,8 +375,7 @@ def _resolve_damped(inst: InclusionInstance, cfg: ResolventConfig,
         step = functools.partial(np.multiply, _PLAIN_STEP)
         x = np.array(z, dtype=float)
     else:
-        name, step = "chord iteration", functools.partial(
-            scipy.linalg.lu_solve, chord.lu[:2], check_finite=False)
+        name, step = "chord iteration", chord.solve
         x = step(z - chord.offset)
     last = np.inf
     dx, dp = deque(maxlen=_ANDERSON_MEMORY), deque(maxlen=_ANDERSON_MEMORY)

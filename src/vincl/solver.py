@@ -88,36 +88,47 @@ class GeometricErrors:
 # theta and the two-sided rate condition
 # ---------------------------------------------------------------------------
 
-def _rate(inst: InclusionInstance, rho: float | None, n: int | None,
-          renormalized: bool):
-    """The rate formula's terms, radicand and q-th root (None when the
-    radicand is negative), with rho, r and m.
+class _Rate:
+    """The rate formula at one rho from the declared constants: its
+    n-independent terms, read once, and theta_n from them.
 
     `renormalized` divides sigma, delta by tau^q, the H-increment
     normalization; (sigma/tau^q + delta/tau^q) * tau^q = sigma + delta, so
-    the tau^q of the coupling term cancels.
+    the tau^q of the coupling term cancels.  The rate is undefined, and
+    `theta` None, where the radicand is negative or r + rho*m <= 0.
     """
-    rho = inst.rho if rho is None else rho
-    if not rho > 0:
-        raise ConfigError(f"rho must be > 0, got {rho}")
-    got = inst.constants.require("sigma", "delta")
-    r, m = theoretical_r_m(inst)
-    got.update(inst.constants.require("tau", "eps1", "eps2", "l1", "l2"))
-    q, c_q = inst.space.q, inst.space.c_q
-    k = 1.0 + 1.0 / n if n is not None else 1.0
-    tau_term = got["tau"] ** q
-    err_term = c_q * rho ** q * (got["eps1"] * got["l1"] * k
-                                 + got["eps2"] * got["l2"] * k) ** q
-    sigma_delta = got["sigma"] + got["delta"]
-    coupling_term = rho * q * sigma_delta * tau_term
-    terms = {"tau_term": tau_term, "error_term": err_term,
-             "coupling_term": coupling_term,
-             "radicand": tau_term + err_term - coupling_term}
-    radicand = terms["radicand"]
-    if renormalized:
-        radicand = tau_term + err_term - rho * q * sigma_delta
-    root = radicand ** (1.0 / q) if radicand >= 0 else None
-    return rho, terms, radicand, root, r, m
+
+    def __init__(self, inst: InclusionInstance, rho: float | None):
+        rho = inst.rho if rho is None else rho
+        if not rho > 0:
+            raise ConfigError(f"rho must be > 0, got {rho}")
+        got = inst.constants.require("sigma", "delta")
+        self.r, self.m = theoretical_r_m(inst)
+        got.update(inst.constants.require("tau", "eps1", "eps2", "l1", "l2"))
+        q = self.q = inst.space.q
+        self.rho, self.denom = rho, self.r + rho * self.m
+        self.tau_term = got["tau"] ** q
+        self._c_rho = inst.space.c_q * rho ** q
+        self._e1, self._e2 = got["eps1"] * got["l1"], got["eps2"] * got["l2"]
+        self._coupling_renormalized = rho * q * (got["sigma"] + got["delta"])
+        self.coupling_term = self._coupling_renormalized * self.tau_term
+
+    def error_term(self, n: int | None) -> float:
+        k = 1.0 + 1.0 / n if n is not None else 1.0
+        return self._c_rho * (self._e1 * k + self._e2 * k) ** self.q
+
+    def root(self, n: int | None, renormalized: bool = False):
+        """(radicand, its q-th root or None where it is negative)."""
+        radicand = self.tau_term + self.error_term(n) - (
+            self._coupling_renormalized if renormalized
+            else self.coupling_term)
+        return radicand, radicand ** (1.0 / self.q) if radicand >= 0 else None
+
+    def theta(self, n: int | None, renormalized: bool = False):
+        """theta_n, the limit theta for n None; None where undefined."""
+        root = self.root(n, renormalized)[1]
+        return (None if root is None or self.denom <= 0
+                else float(root / self.denom))
 
 
 def theta(inst: InclusionInstance, rho: float | None = None,
@@ -125,13 +136,17 @@ def theta(inst: InclusionInstance, rho: float | None = None,
     """Contraction factor formula with the declared constants as written.
 
     theta_n when `n` is given, the limit theta otherwise.  Raises
-    ValueError when the radicand is negative (the condition is broken).
+    ValueError where the formula is undefined: a negative radicand (the
+    condition is broken) or r + rho*m <= 0.
     """
-    rho, _, radicand, root, r, m = _rate(inst, rho, n, renormalized=False)
-    if root is None:
-        raise ValueError(f"negative radicand {radicand:.6g}: the "
-                         "rate formula is undefined at this rho")
-    return float(root / (r + rho * m))
+    rate = _Rate(inst, rho)
+    value = rate.theta(n)
+    if value is None:
+        raise ValueError(
+            f"the rate formula needs radicand >= 0 and r + rho*m > 0; at "
+            f"rho={rate.rho} the radicand is {rate.root(n)[0]:.6g} and "
+            f"r + rho*m = {rate.denom:.6g}")
+    return value
 
 
 def contraction_factor_bound(inst: InclusionInstance,
@@ -142,10 +157,10 @@ def contraction_factor_bound(inst: InclusionInstance,
     Declared displacement-normalized constants are divided by tau^q before
     entering the coupling term, which is the normalization the step-bound
     derivation consumes.  This is the bound observed ratios satisfy.
-    Returns None when the renormalized radicand is negative.
+    Returns None where the renormalized radicand is negative or
+    r + rho*m <= 0.
     """
-    rho, _, _, root, r, m = _rate(inst, rho, n, renormalized=True)
-    return None if root is None else float(root / (r + rho * m))
+    return _Rate(inst, rho).theta(n, renormalized=True)
 
 
 @dataclass(frozen=True)
@@ -183,8 +198,9 @@ def check_condition_vi(inst: InclusionInstance,
     else "satisfied".  Missing constants raise MissingConstantsError
     naming them; rho <= 0 raises ValueError.
     """
-    rho, terms, rad, root, r, m = _rate(inst, rho, None, renormalized=False)
-    denom = r + rho * m
+    rate = _Rate(inst, rho)
+    rad, root = rate.root(None)
+    denom = rate.denom
     if root is None:
         verdict = "violated_radicand"
     elif root <= 0.0:
@@ -193,11 +209,13 @@ def check_condition_vi(inst: InclusionInstance,
         verdict = "violated_upper"
     else:
         verdict = "satisfied"
+    terms = {"tau_term": rate.tau_term, "error_term": rate.error_term(None),
+             "coupling_term": rate.coupling_term, "radicand": rad}
     return ConditionReport(
-        rho, inst.space.q, inst.space.c_q, rad,
-        None if root is None else float(root), r, m, float(denom),
-        None if root is None else float(root / denom),
-        contraction_factor_bound(inst, rho), terms, verdict)
+        rate.rho, inst.space.q, inst.space.c_q, rad,
+        None if root is None else float(root), rate.r, rate.m, float(denom),
+        rate.theta(None), rate.theta(None, renormalized=True), terms,
+        verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +235,8 @@ def nadler_select(current, target_set) -> np.ndarray:
 
 def _nearest(cur: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """`nadler_select` on a checked vector and value set."""
+    if len(pts) == 1:
+        return pts[0]
     return pts[int(np.argmin([np.linalg.norm(p - cur) for p in pts]))]
 
 
@@ -378,10 +398,12 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
     trace = SolveTrace(rho=rho, tol=cfg.tol)
     trace.theta_declared = _or_none(theta, inst, rho, None)
     trace.theta_rate_bound = _or_none(contraction_factor_bound, inst, rho)
+    rate = _or_none(_Rate, inst, rho)
     if cfg.errors is not None:
         trace.varpi = cfg.errors.varpi
     res_bound = 10.0 * cfg.tol * (1.0 + float(np.linalg.norm(inst.omega)))
     trace.residual_bound = res_bound
+    rho_omega = rho * inst.omega
 
     z0 = as_vector(cfg.z0, inst.dim, "z0")
     u = (resolvent(z0) if cfg.u0 is None
@@ -396,9 +418,9 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
     window = deque(maxlen=21)
 
     for n in range(cfg.max_iters):
-        e_n = cfg.errors.term(n) if cfg.errors is not None else np.zeros(inst.dim)
-        z_next = (eval_H_on_point(inst, u) - rho * fvw + rho * inst.omega
-                  + e_n)
+        # a zero error still adds 0.0: it turns a -0.0 of z into +0.0
+        e_n = cfg.errors.term(n) if cfg.errors is not None else 0.0
+        z_next = eval_H_on_point(inst, u) - rho * fvw + rho_omega + e_n
         u_next = resolvent(z_next)
         v_next = _nearest(v, set_values(inst.S, u_next))
         w_next = _nearest(w, set_values(inst.T, u_next))
@@ -410,10 +432,11 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
         trace.records.append(IterationRecord(
             n=n, z=z_next, u=u_next, v=v_next, w=w_next, step=step,
             ratio=ratio, residual=residual,
-            theta_n=_or_none(theta, inst, rho, n + 1),
-            error_norm=float(np.linalg.norm(e_n))))
+            theta_n=None if rate is None else rate.theta(n + 1),
+            error_norm=0.0 if cfg.errors is None
+            else float(np.linalg.norm(e_n))))
 
-        if not np.all(np.isfinite(u_next)):
+        if not np.isfinite(u_next).all():
             raise DivergenceError("iterate became non-finite", trace)
         window.append(step)
         if len(window) > 20 and step > 10.0 * window[0] and step > cfg.tol:

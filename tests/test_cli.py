@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgWarning
 
+import vincl
 from vincl.cli import (
     EXIT_CONDITION_VIOLATED,
     EXIT_NO_CONVERGENCE,
@@ -153,6 +157,49 @@ def test_instance_file_source(capsys, tmp_path):
                        "--rho", "0.35", "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["verdict"] == "satisfied"
+
+
+def test_undefined_rate_reports_no_theta(capsys, tmp_path):
+    # r + rho*m = 0 (r = m = 0): the rate is undefined, so theta is
+    # absent and the upper side of the condition fails
+    inst = example_4_7().instance
+    path = tmp_path / "flat.json"
+    dump_instance(inst.with_(constants=dataclasses.replace(
+        inst.constants, alpha=0.25, beta=0.25, mu1=0.0, mu2=0.0,
+        gamma1=-1.0, gamma2=1.0)), str(path))
+    code, out, _ = run(capsys, "check-condition", "--instance", str(path),
+                       "--format", "json")
+    assert code == EXIT_CONDITION_VIOLATED
+    rep = json.loads(out)
+    assert rep["verdict"] == "violated_upper" and rep["r_plus_rho_m"] == 0.0
+    assert rep["theta"] is None and rep["theta_rate_bound"] is None
+    code, out, _ = run(capsys, "check-condition", "--instance", str(path))
+    assert code == EXIT_CONDITION_VIOLATED
+    assert "theta (declared form) = -" in out
+    code, out, _ = run(capsys, "solve", "--instance", str(path))
+    assert code == EXIT_OK
+    assert "theta (declared)   = -" in out
+    assert "step-ratio bound   = -" in out
+
+
+def test_import_and_check_condition_leave_scipy_unloaded():
+    # scipy.linalg loads on the first factorization: importing vincl and
+    # checking the rate condition factor nothing
+    code = "\n".join([
+        "import sys",
+        "import vincl",
+        "assert 'scipy.linalg' not in sys.modules, 'import vincl'",
+        "from vincl.cli import main",
+        "for argv in (['check-condition', '--instance', 'example_4_7'],",
+        "             ['list-instances']):",
+        "    assert main(argv) == 0",
+        "    assert 'scipy.linalg' not in sys.modules, argv[0]",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vincl.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=False,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unknown_instance_exit_one(capsys):

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgWarning
@@ -180,6 +181,26 @@ def test_batched_call_matches_rows(rows):
         with pytest.raises(NonFiniteError,
                            match="^batch has non-finite coordinates$"):
             res(np.vstack([z, [np.nan, 0.0]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 50), rows=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_exact_resolve_is_lu_solve_to_the_bit(dim, rows, seed):
+    # the exact path calls LAPACK getrs on the composite's LU factors,
+    # the routine scipy.linalg.lu_solve wraps: a vector and a batch come
+    # out as lu_solve's, bit for bit
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal((dim, dim)) + dim * np.eye(dim)
+    inst = _linear_instance(matrix).with_(
+        A=AffineMap(matrix, rng.standard_normal(dim)))
+    resolvent = Resolvent(inst, ResolventConfig(rho=1.0))
+    k = Composite(inst.pencil, 1.0)
+    z = rng.standard_normal((rows, dim))
+    want = scipy.linalg.lu_solve(k.lu[:2], (z - k.offset).T).T
+    assert resolvent(z).tobytes() == want.tobytes()
+    assert resolvent(z[0]).tobytes() == scipy.linalg.lu_solve(
+        k.lu[:2], z[0] - k.offset).tobytes()
 
 
 def test_resolvent_paths_and_singular_values():

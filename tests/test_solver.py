@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack
@@ -125,6 +127,40 @@ def test_theta_closed_form_without_F_terms():
     m = 1.5
     expected = 3.5 * np.sqrt(1 - 2 * rho * s_plus_d) / (r + rho * m)
     assert theta(inst, rho) == pytest.approx(expected, rel=1e-12)
+
+
+def _flat_rate(**constants):
+    """example_4_7 with r = m = 0 (alpha = beta, mu1 = mu2 = 0, gamma1 =
+    -gamma2), so r + rho*m = 0 at every rho; `constants` override more."""
+    inst = example_4_7().instance
+    flat = dict(alpha=0.25, beta=0.25, mu1=0.0, mu2=0.0, gamma1=-1.0,
+                gamma2=1.0)
+    return inst.with_(constants=dataclasses.replace(
+        inst.constants, **{**flat, **constants}))
+
+
+@pytest.mark.parametrize("gamma1", [-1.0, -2.0], ids=["zero", "negative"])
+def test_rate_is_undefined_where_r_plus_rho_m_is_not_positive(gamma1):
+    inst = _flat_rate(gamma1=gamma1)
+    for n in (None, 3):
+        with pytest.raises(ValueError, match=r"r \+ rho\*m = -?[01]$"):
+            theta(inst, n=n)
+        assert contraction_factor_bound(inst, n=n) is None
+    rep = check_condition_vi(inst)
+    assert rep.r_plus_rho_m == gamma1 + 1.0 and rep.root > 0
+    assert rep.theta is None and rep.theta_rate_bound is None
+    assert rep.verdict == "violated_upper"
+    trace = solve(inst, SolverConfig(z0=[1.0, 1.0], tol=1e-12))
+    assert trace.converged
+    assert trace.theta_declared is None and trace.theta_rate_bound is None
+    assert all(rec.theta_n is None for rec in trace.records)
+
+
+def test_rate_undefined_at_root_zero_is_violated_lower():
+    rep = check_condition_vi(_flat_rate(tau=0.0, eps1=0.0, eps2=0.0))
+    assert rep.root == 0.0 and rep.r_plus_rho_m == 0.0
+    assert rep.theta is None and rep.theta_rate_bound is None
+    assert rep.verdict == "violated_lower"
 
 
 def test_contraction_factor_bound_dominates_true_rate():
@@ -393,6 +429,27 @@ def test_trace_theta_n_column_monotone():
     assert all(b < a for a, b in zip(th, th[1:]))
     limit = theta(inst, 0.35)
     assert all(v >= limit for v in th)
+
+
+@pytest.mark.parametrize("name", ["example_4_7", "reduction_pair_slots"])
+def test_trace_theta_n_is_theta_to_the_bit(name):
+    # the loop reads the rate terms once; each record still holds what
+    # `theta` gives at n + 1, to the last bit
+    named = get_instance(name)
+    want = named.expected["solve"]
+    trace = solve(named.instance, SolverConfig(z0=want["z0"],
+                                               rho=want["rho"], tol=1e-12))
+    assert trace.iterations > 10
+    for rec in trace.records:
+        assert rec.theta_n is not None
+        assert rec.theta_n == theta(named.instance, want["rho"], rec.n + 1)
+
+
+def test_zero_error_sequence_records_zero_norm():
+    trace = solve(example_4_7().instance,
+                  SolverConfig(z0=[1.0, 1.0], tol=1e-12))
+    assert all(type(rec.error_norm) is float and rec.error_norm == 0.0
+               for rec in trace.records)
 
 
 def test_solve_summary_json_fields():

@@ -70,7 +70,7 @@ def main():
     opaque = inst.with_(**{s: (lambda m: (lambda v: m(v)))(getattr(inst, s))
                            for s in ("A", "B", "C", "D")})
     z = np.array([0.4, 0.9])
-    xd = resolve(opaque, ResolventConfig(rho=0.35, inner_tol=1e-13), z)
+    xd = resolve(opaque, ResolventConfig(rho=0.35), z)
     xe = resolve(inst, ResolventConfig(rho=0.35), z)
     print(f"\nchord vs exact solver at z={z.tolist()}: "
           f"difference {np.linalg.norm(xd - xe):.2e}")

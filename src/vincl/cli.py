@@ -32,7 +32,7 @@ from .solver import (
     check_condition_vi,
     solve,
 )
-from .space import ConfigError, DimensionMismatchError
+from .space import ConfigError, DimensionMismatchError, NonFiniteError
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -81,29 +81,18 @@ def _load(name_or_path: str):
     except KeyError:
         pass
     if not os.path.exists(name_or_path):
-        raise SystemExit2(
-            EXIT_PARSE,
+        raise ConfigError(
             f"unknown instance {name_or_path!r}: not a builtin "
             f"({', '.join(builtin_names())}) and no such file")
     try:
         return load_instance(name_or_path), name_or_path
     except json.JSONDecodeError as exc:
-        raise SystemExit2(EXIT_PARSE,
-                          f"{name_or_path}: JSON parse error at line "
+        raise ConfigError(f"{name_or_path}: JSON parse error at line "
                           f"{exc.lineno}, column {exc.colno}: {exc.msg}")
     except KeyError as exc:
-        raise SystemExit2(EXIT_PARSE,
-                          f"{name_or_path}: missing field {exc.args[0]!r}")
+        raise ConfigError(f"{name_or_path}: missing field {exc.args[0]!r}")
     except (ValueError, TypeError) as exc:
-        raise SystemExit2(EXIT_PARSE, f"{name_or_path}: {exc}")
-
-
-class SystemExit2(Exception):
-    """Exit request carrying (code, message)."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+        raise ConfigError(f"{name_or_path}: {exc}")
 
 
 def _add_instance_arg(p: argparse.ArgumentParser) -> None:
@@ -313,9 +302,6 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except NonSurjectiveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.defect:
@@ -325,7 +311,8 @@ def main(argv=None) -> int:
     except (DivergenceError, ResolventIterationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (ConfigError, DimensionMismatchError, MissingConstantsError) as exc:
+    except (ConfigError, DimensionMismatchError, MissingConstantsError,
+            NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .space import (ConfigError, EmptySetError, SpaceConfig, as_rows,
-                    as_vector)
+                    as_vector, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +489,13 @@ def hausdorff_distance(set_a, set_b) -> float:
     return float(max(dm.min(axis=1).max(), dm.min(axis=0).max()))
 
 
-def _distance_to_set(point, point_set) -> float:
-    pts = np.atleast_2d(np.asarray(point_set, dtype=float))
-    return float(np.min(np.linalg.norm(pts - np.asarray(point)[None, :], axis=1)))
+def _set_defect(point: np.ndarray, pts: np.ndarray):
+    """(the distance of `point` to the rows `pts`, whether it is within
+    `slack` of the norms of `point` and of its nearest row)."""
+    dists = np.linalg.norm(pts - point, axis=1)
+    k = int(np.argmin(dists))
+    return float(dists[k]), bool(dists[k] <= slack(
+        np.linalg.norm(point) + np.linalg.norm(pts[k])))
 
 
 @dataclass(frozen=True)
@@ -503,15 +507,15 @@ class ResidualReport:
     v_defect, w_defect
         Distances of v to S(u) and w to T(u); nonzero values flag that the
         supplied selections are off the set-valued images.
+    memberships_ok
+        Whether each defect is within `slack` of the norms of the point
+        and of its nearest member, so that no scale of the maps moves it.
     """
 
     value: float
     v_defect: float
     w_defect: float
-
-    @property
-    def memberships_ok(self) -> bool:
-        return self.v_defect <= 1e-9 and self.w_defect <= 1e-9
+    memberships_ok: bool
 
     def __float__(self):
         return self.value
@@ -528,9 +532,10 @@ def inclusion_residual(inst: InclusionInstance, u, v, w) -> ResidualReport:
     m_vals = eval_M_on_point(inst, uv)
     target = inst.omega - as_vector(inst.F(vv, wv))
     value = min(float(np.linalg.norm(target - m)) for m in m_vals)
-    v_defect = _distance_to_set(vv, set_values(inst.S, uv))
-    w_defect = _distance_to_set(wv, set_values(inst.T, uv))
-    return ResidualReport(value=value, v_defect=v_defect, w_defect=w_defect)
+    v_defect, v_ok = _set_defect(vv, set_values(inst.S, uv))
+    w_defect, w_ok = _set_defect(wv, set_values(inst.T, uv))
+    return ResidualReport(value=value, v_defect=v_defect, w_defect=w_defect,
+                          memberships_ok=v_ok and w_ok)
 
 
 # ---------------------------------------------------------------------------

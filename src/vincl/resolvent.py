@@ -27,8 +27,8 @@ from .operators import (
     eval_H_on_point,
     eval_M_on_point,
 )
-from .space import (DEGENERATE, ConfigError, NonFiniteError, as_rows,
-                    as_vector, slack)
+from .space import (DEGENERATE, RESOLVE_TOL, ConfigError, NonFiniteError,
+                    as_rows, as_vector, slack)
 
 _COND_LIMIT = 1e12
 _EPS = np.finfo(float).eps
@@ -55,7 +55,7 @@ class NonSurjectiveError(RuntimeError):
 
 
 class ResolventIterationError(RuntimeError):
-    """The black-box iteration did not reach the inner tolerance.
+    """The black-box iteration did not reach its stopping tolerance.
 
     `last_residual` is the residual norm of the last completed iteration
     (inf if none completed) and `iterations` the number of iterations run,
@@ -72,19 +72,17 @@ class ResolventIterationError(RuntimeError):
 class ResolventConfig:
     """How to invert the composite at step size `rho`.
 
-    The instance decides the path (see `Resolvent`); the black-box paths
-    stop at residual `inner_tol` or after `max_inner_iters` iterations.
+    The instance decides the path (see `Resolvent`); a black-box resolve
+    of z stops at residual `RESOLVE_TOL * max(1, ||z||)` or after
+    `max_inner_iters` iterations.
     """
 
     rho: float
     max_inner_iters: int = 20000
-    inner_tol: float = 1e-12
 
     def __post_init__(self):
         if not self.rho > 0:
             raise ConfigError(f"rho must be > 0, got {self.rho}")
-        if not self.inner_tol > 0:
-            raise ConfigError(f"inner_tol must be > 0, got {self.inner_tol}")
 
 
 def forward(inst: InclusionInstance, x, rho: float | None = None) -> np.ndarray:
@@ -273,8 +271,8 @@ class Resolvent:
         From a call on a batch of no rows.
     ResolventIterationError
         From a call on the chord or damped path, if the iteration stalls
-        above `inner_tol`, runs out of iterations, or its residual or a
-        map image becomes non-finite.
+        above its stopping tolerance, runs out of iterations, or its
+        residual or a map image becomes non-finite.
     """
 
     def __init__(self, inst: InclusionInstance, cfg: ResolventConfig):
@@ -363,7 +361,10 @@ def _resolve_damped(inst: InclusionInstance, cfg: ResolventConfig,
     there dP is rounding noise, and mixing it would leap to where the
     maps' images cancel to rounding.
 
-    The iteration stops at residual `inner_tol`.  It raises
+    The iteration stops at residual tol = RESOLVE_TOL * max(1, ||z||):
+    relative to the right-hand side, as in Kelley's termination rule, but
+    absolute below a unit z, whose H(x) and rho*m may be much larger than
+    z and round accordingly.  It raises
     `ResolventIterationError` when the residual, a map image or x becomes
     non-finite, when the best residual is not below `_STALL_FACTOR` times
     the best of `_STALL_WINDOW` iterations before, and after
@@ -377,7 +378,7 @@ def _resolve_damped(inst: InclusionInstance, cfg: ResolventConfig,
     else:
         name, step = "chord iteration", chord.solve
         x = step(z - chord.offset)
-    last = np.inf
+    last, tol = np.inf, RESOLVE_TOL * max(1.0, float(np.linalg.norm(z)))
     dx, dp = deque(maxlen=_ANDERSON_MEMORY), deque(maxlen=_ANDERSON_MEMORY)
     best = deque(maxlen=_STALL_WINDOW + 1)      # best residual, per iteration
     prev = None                                 # (x, p, member)
@@ -397,7 +398,7 @@ def _resolve_damped(inst: InclusionInstance, cfg: ResolventConfig,
             # target the selection that minimizes the current residual
             k = int(np.argmin(norms)) if len(norms) > 1 else 0
             r, last = residuals[k], norms[k]
-            if last <= cfg.inner_tol:
+            if last <= tol:
                 return x, n
             if not math.isfinite(last):
                 raise ResolventIterationError(
@@ -429,7 +430,7 @@ def _resolve_damped(inst: InclusionInstance, cfg: ResolventConfig,
                     f"{name} diverged to non-finite values", last, n)
     raise ResolventIterationError(
         f"{name} exceeded {cfg.max_inner_iters} iterations (last residual "
-        f"{last:.3e} > {cfg.inner_tol:.3e})", last, cfg.max_inner_iters)
+        f"{last:.3e} > {tol:.3e})", last, cfg.max_inner_iters)
 
 
 def theoretical_r_m(inst: InclusionInstance, constants=None):
@@ -470,12 +471,17 @@ def audit_lipschitz(inst: InclusionInstance, cfg: ResolventConfig,
     Pairs with u = v are skipped (the quotient is vacuous there).  The
     resolvent is prepared once and applied to all u, then all v, as two
     batches.  The audit passes when the worst quotient is within
-    `slack(worst + bound)` of the bound.
+    `slack(worst + bound)` of the bound.  Raises ValueError where
+    r + rho*m <= 0, as there is no bound there.
     """
     from .certify import SamplePlan
     plan = plan or SamplePlan()
     r, m = theoretical_r_m(inst)
-    bound = 1.0 / (r + cfg.rho * m)
+    denom = r + cfg.rho * m
+    if not denom > 0:
+        raise ValueError(f"the bound 1/(r + rho*m) needs r + rho*m > 0; at "
+                         f"rho={cfg.rho} r + rho*m = {denom:.6g}")
+    bound = 1.0 / denom
     resolvent = Resolvent(inst, cfg)
     u, v, _ = plan.arrays(inst.dim)
     du = np.linalg.norm(u - v, axis=1)

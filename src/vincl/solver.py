@@ -35,6 +35,7 @@ import numpy as np
 from .operators import (
     InclusionInstance,
     JsonRecord,
+    MissingConstantsError,
     _write_atomic,
     eval_H_on_point,
     eval_M_on_point,
@@ -44,7 +45,6 @@ from .resolvent import Resolvent, ResolventConfig, theoretical_r_m
 from .space import ConfigError, as_rows, as_vector
 
 TRACE_SCHEMA = "vincl.trace.v1"
-_INNER_TOL = 1e-13      # black-box tolerance of the resolvent `solve` builds
 
 
 class DivergenceError(RuntimeError):
@@ -362,15 +362,6 @@ class SolverConfig:
             object.__setattr__(self, "u0", as_vector(self.u0))
 
 
-def _or_none(fn, *args):
-    """fn(*args), or None on ValueError (missing constants, negative
-    radicand)."""
-    try:
-        return fn(*args)
-    except ValueError:
-        return None
-
-
 def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
     """Run the iteration until the step norm falls below `tol` and the
     inclusion residual confirms the fixed point (<= 10*tol*(1+||omega||)),
@@ -393,12 +384,15 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
         Propagated from the resolvent.
     """
     rho = inst.rho if cfg.rho is None else cfg.rho
-    resolvent = Resolvent(inst, ResolventConfig(rho=rho,
-                                                inner_tol=_INNER_TOL))
+    resolvent = Resolvent(inst, ResolventConfig(rho=rho))
     trace = SolveTrace(rho=rho, tol=cfg.tol)
-    trace.theta_declared = _or_none(theta, inst, rho, None)
-    trace.theta_rate_bound = _or_none(contraction_factor_bound, inst, rho)
-    rate = _or_none(_Rate, inst, rho)
+    try:
+        rate = _Rate(inst, rho)
+    except MissingConstantsError:
+        rate = None
+    else:
+        trace.theta_declared = rate.theta(None)
+        trace.theta_rate_bound = rate.theta(None, renormalized=True)
     if cfg.errors is not None:
         trace.varpi = cfg.errors.varpi
     res_bound = 10.0 * cfg.tol * (1.0 + float(np.linalg.norm(inst.omega)))

@@ -13,6 +13,7 @@ import numpy as np
 
 REL_TOL = 1e-9          # the relative tolerance of every verdict; see `slack`
 DEGENERATE = 1e-12      # sample pairs closer than this carry no evidence
+RESOLVE_TOL = 1e-13     # black-box resolves of z stop at this * max(1, ||z||)
 
 
 def slack(size, spread=0.0):
@@ -24,7 +25,8 @@ def slack(size, spread=0.0):
 
 
 class ConfigError(ValueError):
-    """A configuration value (rho, a tolerance, a count) out of range."""
+    """A configuration value (rho, a tolerance, a count) out of range, or
+    an instance source that names no instance or cannot be read."""
 
 
 class DimensionMismatchError(ValueError):

@@ -228,6 +228,17 @@ def test_inclusion_residual_membership_flagging():
     assert not rep.memberships_ok
 
 
+@pytest.mark.parametrize("c", [1e-9, 1e9])
+def test_membership_verdict_does_not_depend_on_scale(c):
+    # S = T = identity, so S(u) = {u}: a v 10% off u is no member at any
+    # scale, and one a rounding off u is
+    inst = example_4_7().instance
+    u = c * np.array([1.0, -0.5])
+    assert not inclusion_residual(inst, u, 1.1 * u, u).memberships_ok
+    assert not inclusion_residual(inst, u, u, 1.1 * u).memberships_ok
+    assert inclusion_residual(inst, u, (1 + 1e-12) * u, u).memberships_ok
+
+
 def test_inclusion_residual_lipschitz_along_segments():
     inst = example_4_7().instance
     fp = inst.F

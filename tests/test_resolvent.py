@@ -172,8 +172,7 @@ def test_batched_call_matches_rows(rows):
     inst = example_4_7().instance
     z = np.array(rows)
     for res in (Resolvent(inst, ResolventConfig(rho=0.35)),
-                Resolvent(_opaque_h(inst),
-                          ResolventConfig(rho=0.35, inner_tol=1e-10))):
+                Resolvent(_opaque_h(inst), ResolventConfig(rho=0.35))):
         batch = res(z)
         assert batch.shape == z.shape
         for row, out in zip(z, batch):
@@ -359,8 +358,7 @@ def test_pencil_is_assembled_once_per_instance(monkeypatch):
 def test_damped_fixed_point_agrees_with_exact():
     inst = example_4_7().instance
     exact = Resolvent(inst, ResolventConfig(rho=0.35))
-    damped = Resolvent(_opaque_h(inst),
-                       ResolventConfig(rho=0.35, inner_tol=1e-13))
+    damped = Resolvent(_opaque_h(inst), ResolventConfig(rho=0.35))
     rng = np.random.default_rng(11)
     for _ in range(5):
         z = rng.standard_normal(2)
@@ -369,7 +367,7 @@ def test_damped_fixed_point_agrees_with_exact():
 
 def test_damped_fixed_point_iteration_limit():
     inst = _nonlinear(example_4_7().instance)
-    cfg = ResolventConfig(rho=0.35, max_inner_iters=2, inner_tol=1e-15)
+    cfg = ResolventConfig(rho=0.35, max_inner_iters=2)
     res = Resolvent(inst, cfg)
     with pytest.raises(ResolventIterationError) as exc:
         res(np.array([5.0, 5.0]))
@@ -399,12 +397,13 @@ def test_inner_iterations_counted():
 @pytest.mark.parametrize("c", [1e4, 1e6])
 def test_chord_resolve_follows_the_scale_of_the_maps(c):
     # example_4_7 with every map times c, as black boxes: the probed model
-    # scales with the maps, so z = c*(0.4, 0.9) resolves to the x of c = 1
+    # scales with the maps, and the stopping tolerance with z, so z =
+    # c*(0.4, 0.9) resolves to the x of c = 1
     inst = example_4_7().instance
     scaled = inst.with_(**{s: (lambda m: (lambda x: c * m(x)))(getattr(
         inst, s)) for s in ("A", "B", "C", "D", "f", "g")})
     z = np.array([0.4, 0.9])
-    res = Resolvent(scaled, ResolventConfig(rho=0.35, inner_tol=1e-12 * c))
+    res = Resolvent(scaled, ResolventConfig(rho=0.35))
     x = res(c * z)
     assert res.path == "chord" and res.inner_iterations <= 3
     np.testing.assert_allclose(x, resolve(inst, ResolventConfig(rho=0.35), z),
@@ -418,7 +417,7 @@ def test_chord_resolve_of_a_nonlinear_map():
     dim, zero = 6, AffineMap.zero(6)
     inst = _linear_instance(np.zeros((dim, dim))).with_(
         A=lambda x: x + 0.1 * np.sin(x), f=zero, g=zero)
-    res = Resolvent(inst, ResolventConfig(rho=1.0, inner_tol=1e-12))
+    res = Resolvent(inst, ResolventConfig(rho=1.0))
     z = np.linspace(-3.0, 3.0, dim)
     x = res(z)
     assert res.path == "chord" and res.inner_iterations > 2
@@ -535,5 +534,3 @@ def test_audit_skips_coincident_pairs():
 def test_resolvent_config_validation():
     with pytest.raises(ValueError):
         ResolventConfig(rho=0.0)
-    with pytest.raises(ValueError):
-        ResolventConfig(rho=1.0, inner_tol=0.0)

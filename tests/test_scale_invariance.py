@@ -24,6 +24,7 @@ from vincl.certify import (
 from vincl.instances import builtin_names, example_4_7, get_instance
 from vincl.operators import AffineMap, AffinePairMap
 from vincl.resolvent import ResolventConfig, audit_lipschitz
+from vincl.solver import SolverConfig, solve
 
 SCALES = (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9)
 POWERS = {"alpha": 1, "beta": 1, "alpha1": 1, "beta1": 1, "tau": 1,
@@ -148,3 +149,17 @@ def test_offset_moves_no_sampled_verdict():
                                      10).verdict == verdict, b
             assert certify_strong_accretive(
                 m, 0.4 - claimed, plan=PLAN, dim=10).verdict == verdict, b
+
+
+@pytest.mark.parametrize("c", [1.0, 1e3, 1e6, 1e9])
+def test_blackbox_solve_converges_at_every_scale_of_z0_and_omega(c):
+    # the black-box resolvent stops at a residual relative to its
+    # right-hand side, so the rounding of a large z0 or omega, far above
+    # any absolute tolerance, does not stall it
+    inst = variant(lift(example_4_7().instance, 10), 1.0, blackbox=True)
+    omega = np.linspace(-1.0, 1.0, 10)
+    base = solve(inst.with_(omega=omega), SolverConfig(z0=np.ones(10)))
+    assert solve(inst, SolverConfig(z0=c * np.ones(10))).converged, c
+    trace = solve(inst.with_(omega=c * omega), SolverConfig(z0=np.ones(10)))
+    assert trace.converged, c
+    np.testing.assert_allclose(trace.u_final, c * base.u_final, rtol=1e-6)

@@ -22,7 +22,7 @@ from vincl.operators import (
     eval_M_on_point,
     set_values,
 )
-from vincl.resolvent import ResolventConfig, resolve
+from vincl.resolvent import ResolventConfig, audit_lipschitz, resolve
 from vincl.solver import (
     DivergenceError,
     GeometricErrors,
@@ -150,6 +150,8 @@ def test_rate_is_undefined_where_r_plus_rho_m_is_not_positive(gamma1):
     assert rep.r_plus_rho_m == gamma1 + 1.0 and rep.root > 0
     assert rep.theta is None and rep.theta_rate_bound is None
     assert rep.verdict == "violated_upper"
+    with pytest.raises(ValueError, match=r"r \+ rho\*m = -?[01]$"):
+        audit_lipschitz(inst, ResolventConfig(rho=inst.rho))
     trace = solve(inst, SolverConfig(z0=[1.0, 1.0], tol=1e-12))
     assert trace.converged
     assert trace.theta_declared is None and trace.theta_rate_bound is None
@@ -327,7 +329,7 @@ def test_solve_divergence_guard():
 
 def _reference_iterates(inst, z0, rho, n_iters):
     """The iteration with a fresh `resolve` per step and no error terms."""
-    rcfg = ResolventConfig(rho=rho, inner_tol=1e-13)
+    rcfg = ResolventConfig(rho=rho)
     u = resolve(inst, rcfg, np.asarray(z0, dtype=float))
     v = nadler_select(u, set_values(inst.S, u))
     w = nadler_select(u, set_values(inst.T, u))
@@ -403,7 +405,7 @@ def test_solve_checks_each_set_value_once(monkeypatch):
 def test_solve_propagates_unexpected_theta_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise ZeroDivisionError("a bug, not a missing constant")
-    monkeypatch.setattr(vincl.solver, "theta", broken)
+    monkeypatch.setattr(vincl.solver, "_Rate", broken)
     with pytest.raises(ZeroDivisionError):
         solve(example_4_7().instance, SolverConfig(z0=[1.0, 1.0]))
 

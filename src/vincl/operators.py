@@ -359,11 +359,16 @@ class InclusionInstance:
 
 
 def eval_H_on_point(inst: InclusionInstance, x) -> np.ndarray:
-    """Evaluate the composed bifunction H((A(x), B(x)), (C(x), D(x))).
+    """Evaluate the composed bifunction H((A(x), B(x)), (C(x), D(x))):
+    one matvec `L_H x + c_H` where `inst.pencil.h` holds the affine
+    composite, else the four slot maps and H.
 
     Raises DimensionMismatchError, naming the map, when x or H's image is
     not of the instance's dimension."""
     xv = as_vector(x, inst.dim, "eval_H_on_point")
+    h = inst.pencil.h
+    if h is not None:
+        return as_vector(h.matrix @ xv + h.offset, inst.dim, "image of H")
     return eval_H_on_images(inst, inst.A(xv), inst.B(xv), inst.C(xv),
                             inst.D(xv))
 
@@ -462,9 +467,14 @@ class AffinePencil:
 
 
 def eval_M_on_point(inst: InclusionInstance, x):
-    """The finite value set M(f(x), g(x)); DimensionMismatchError when a
-    member is not of the instance's dimension."""
-    xv = as_vector(x)
+    """The finite value set M(f(x), g(x)): the one member `L_M x + c_M`
+    where `inst.pencil.m` holds the affine composite, else M of the images
+    of f and g.  DimensionMismatchError when x or a member is not of the
+    instance's dimension."""
+    xv = as_vector(x, inst.dim, "eval_M_on_point")
+    m = inst.pencil.m
+    if m is not None:
+        return (as_vector(m.matrix @ xv + m.offset, inst.dim, "image of M"),)
     vals = inst.M(inst.f(xv), inst.g(xv))
     out = tuple(as_vector(v, inst.dim, "image of M") for v in vals)
     if not out:

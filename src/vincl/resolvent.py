@@ -40,6 +40,9 @@ _PLAIN_STEP = 0.1
 # below _STALL_FACTOR times its best of _STALL_WINDOW iterations before
 _STALL_FACTOR = 0.5
 _STALL_WINDOW = 100
+# a black-box resolve also stops at this * eps * (||H(x)|| + rho*||m|| +
+# ||z||): its residual is rounded at that scale
+_FLOOR_FACTOR = 8
 
 
 class NonSurjectiveError(RuntimeError):
@@ -73,7 +76,8 @@ class ResolventConfig:
     """How to invert the composite at step size `rho`.
 
     The instance decides the path (see `Resolvent`); a black-box resolve
-    of z stops at residual `RESOLVE_TOL * max(1, ||z||)` or after
+    of z stops at residual `RESOLVE_TOL * max(1, ||z||)`, or at the
+    residual's rounding floor where that is larger, or after
     `max_inner_iters` iterations.
     """
 
@@ -364,12 +368,15 @@ def _resolve_damped(inst: InclusionInstance, cfg: ResolventConfig,
     The iteration stops at residual tol = RESOLVE_TOL * max(1, ||z||):
     relative to the right-hand side, as in Kelley's termination rule, but
     absolute below a unit z, whose H(x) and rho*m may be much larger than
-    z and round accordingly.  It raises
-    `ResolventIterationError` when the residual, a map image or x becomes
-    non-finite, when the best residual is not below `_STALL_FACTOR` times
-    the best of `_STALL_WINDOW` iterations before, and after
-    `max_inner_iters` iterations.  Images go through `eval_H_on_point` and
-    `eval_M_on_point`, so malformed map output raises their errors.
+    z and round accordingly.  Where they are larger still, it stops at
+    the rounding floor of the residual, _FLOOR_FACTOR * eps * (||H(x)|| +
+    rho*||m|| + ||z||), the spread of the subtraction it performs, when
+    that is finite.  It raises `ResolventIterationError` when the
+    residual, a map image or x becomes non-finite, when the best residual
+    is not below `_STALL_FACTOR` times the best of `_STALL_WINDOW`
+    iterations before, and after `max_inner_iters` iterations.  Images go
+    through `eval_H_on_point` and `eval_M_on_point`, so malformed map
+    output raises their errors.
     """
     if chord is None:
         name = "damped fixed-point iteration"
@@ -378,7 +385,8 @@ def _resolve_damped(inst: InclusionInstance, cfg: ResolventConfig,
     else:
         name, step = "chord iteration", chord.solve
         x = step(z - chord.offset)
-    last, tol = np.inf, RESOLVE_TOL * max(1.0, float(np.linalg.norm(z)))
+    z_norm = float(np.linalg.norm(z))
+    last, tol = np.inf, RESOLVE_TOL * max(1.0, z_norm)
     dx, dp = deque(maxlen=_ANDERSON_MEMORY), deque(maxlen=_ANDERSON_MEMORY)
     best = deque(maxlen=_STALL_WINDOW + 1)      # best residual, per iteration
     prev = None                                 # (x, p, member)
@@ -403,6 +411,11 @@ def _resolve_damped(inst: InclusionInstance, cfg: ResolventConfig,
             if not math.isfinite(last):
                 raise ResolventIterationError(
                     f"{name} diverged to non-finite values", last, n)
+            floor = _FLOOR_FACTOR * _EPS * (
+                np.linalg.norm(hx) + cfg.rho * np.linalg.norm(members[k])
+                + z_norm)
+            if last <= floor < math.inf:    # a norm past 1e154 overflows
+                return x, n
             best.append(min(last, best[-1]) if best else last)
             if len(best) == best.maxlen and best[-1] > _STALL_FACTOR * best[0]:
                 raise ResolventIterationError(

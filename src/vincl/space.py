@@ -69,7 +69,10 @@ def as_vector(x, dim: int | None = None, context: str = "") -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     if v.size == 0:
         raise ValueError("empty vector")
-    if not np.isfinite(v).all():
+    # argmin finds a False if there is one, without the Python-level
+    # `ndarray.all`; a dot product would be faster but warns on overflow
+    finite = np.isfinite(v)
+    if not finite[finite.argmin()]:
         raise NonFiniteError("vector has non-finite coordinates")
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatchError(dim, v.shape[0], context)

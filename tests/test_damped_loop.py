@@ -95,6 +95,11 @@ def reference_resolve(inst, cfg, z):
             if not math.isfinite(last):
                 raise ResolventIterationError(
                     f"{name} diverged to non-finite values", last, n)
+            # the rounding floor of the residual's subtraction
+            spread = (np.linalg.norm(hx) + cfg.rho * np.linalg.norm(m_vals[k])
+                      + np.linalg.norm(z))
+            if last <= 8 * np.finfo(float).eps * spread < math.inf:
+                return x, n
             norms_seen.append(last)
             if n > _STALL_WINDOW:
                 now = min(norms_seen)
@@ -340,12 +345,20 @@ _KINDS = ("general", "negative", "positive")
 @example(seed=6, dim=50, kind="general", rho=1.0)
 @example(seed=6, dim=50, kind="negative", rho=1.0)
 @example(seed=7, dim=50, kind="positive", rho=2.0)
+# slot images that cancel: RESOLVE_TOL * max(1, ||z||) lay below the
+# rounding floor of the residual, and the chord iteration stalled
+@example(seed=44, dim=36, kind="general", rho=2.0)
+@example(seed=10010, dim=19, kind="general", rho=2.0)
+@example(seed=28131, dim=45, kind="general", rho=1.0)
+@example(seed=12, dim=38, kind="general", rho=2.0)
+@example(seed=110792, dim=1, kind="general", rho=2.0)
 def test_damped_resolve_matches_exact_within_inner_tol(seed, dim, kind, rho):
     # the chord step on the probed model solves an affine K, definite or
     # not, at any dimension: every resolve of an invertible,
     # well-conditioned K converges, and a residual below the stopping
     # tolerance tol = RESOLVE_TOL * max(1, ||z||) puts x within
-    # tol / sigma_min(K) of the exact solution
+    # tol / sigma_min(K) of the exact solution; a stop at the residual's
+    # rounding floor instead is within `slack` of it
     inst, opaque, k = _affine_and_black_box(seed, dim, kind, rho)
     sv = np.linalg.svd(k, compute_uv=False)
     assume(sv[0] <= 1e3 * sv[-1])

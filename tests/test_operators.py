@@ -30,7 +30,8 @@ from vincl.operators import (
     ordering_flags,
 )
 from vincl.resolvent import forward
-from vincl.space import DimensionMismatchError, SpaceConfig
+from vincl.space import (DimensionMismatchError, NonFiniteError, SpaceConfig,
+                         slack)
 
 
 def test_affine_map_exact_evaluation():
@@ -196,6 +197,58 @@ def test_eval_refuses_an_image_not_of_the_instance_dim(maps, message):
     with pytest.raises(DimensionMismatchError) as exc:
         ev(inst, [1.0, 2.0])
     assert str(exc.value) == f"dimension mismatch: {message}"
+
+
+@st.composite
+def _affine_instance(draw):
+    """An affine instance of dim 1-50, each of A..D, f, g scaled by
+    1e-6 to 1e6, and a point."""
+    dim = draw(st.integers(1, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    maps = {}
+    for name in "ABCDfg":
+        c = 10.0 ** draw(st.floats(-6.0, 6.0))
+        maps[name] = AffineMap(c * rng.standard_normal((dim, dim)),
+                               c * rng.standard_normal(dim))
+    return _with_H(dim, AdditiveBiSlot()).with_(**maps), \
+        rng.standard_normal(dim)
+
+
+def _within_slack(got, want, maps, x):
+    """got and want agree within `slack`, whose spread bounds the
+    rounding of either: the images |L| |x| + |c| of the maps summed, times
+    twice the length of the longest sum."""
+    spread = sum(np.abs(m.matrix) @ np.abs(x) + np.abs(m.offset)
+                 for m in maps)
+    return np.all(np.abs(got - want) <= slack(
+        np.abs(want), 2 * (len(x) + len(maps)) * spread))
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=_affine_instance())
+def test_eval_on_the_pencil_matches_the_slot_maps(drawn):
+    # an affine H and M are one matvec each on the pencil: the same value,
+    # up to rounding, as the slot maps, and the same errors
+    inst, x = drawn
+    slots = [inst.A, inst.B, inst.C, inst.D]
+    assert inst.pencil.h is not None and inst.pencil.m is not None
+    assert _within_slack(eval_H_on_point(inst, x), eval_H_on_images(
+        inst, *(m(x) for m in slots)), slots, x)
+    (got,), (want,) = eval_M_on_point(inst, x), inst.M(inst.f(x), inst.g(x))
+    assert _within_slack(got, want, [inst.f, inst.g], x)
+    for ev in (eval_H_on_point, eval_M_on_point):
+        with pytest.raises(DimensionMismatchError):
+            ev(inst, np.ones(inst.dim + 1))
+    # x of the largest finite size along the signs of the row of L with
+    # the largest 1-norm: past 2, that row's image overflows
+    big = np.finfo(float).max
+    for ev, lm in ((eval_H_on_point, inst.pencil.h.matrix),
+                   (eval_M_on_point, inst.pencil.m.matrix)):
+        row = lm[np.abs(lm).sum(axis=1).argmax()]
+        if np.abs(row).sum() > 2:
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(NonFiniteError):
+                ev(inst, big * np.sign(row))
 
 
 def test_inclusion_residual_constructed_solution():

@@ -386,20 +386,23 @@ def test_solve_factors_composite_once(monkeypatch):
 
 def test_solve_checks_each_set_value_once(monkeypatch):
     # per iteration: S and T each checked once, by `set_values`; the
-    # remaining as_vector calls check the map images and the resolvent's z
+    # remaining as_vector calls check the points and images of H, M and F
+    # and the resolvent's z.  H and M are one matvec each on the pencil:
+    # no slot map A..D, f or g is called
     counts = {}
     for name in ("as_vector", "as_rows"):
         _counting(monkeypatch, counts, vincl.space, name,
                   (vincl.operators, vincl.resolvent, vincl.solver))
+    _counting(monkeypatch, counts, AffineMap, "__call__")
     inst = example_4_7().instance
     solve(inst, SolverConfig(z0=[1.0, 1.0], max_iters=1))   # builds the pencil
     per_run = []
     for n in (10, 20):
-        counts.update(as_vector=0, as_rows=0)
+        counts.update(dict.fromkeys(counts, 0))
         solve(inst, SolverConfig(z0=[1.0, 1.0], tol=1e-12, max_iters=n))
         per_run.append(dict(counts))
     assert {k: (per_run[1][k] - per_run[0][k]) / 10 for k in counts} == \
-        {"as_vector": 20, "as_rows": 2}
+        {"as_vector": 8, "as_rows": 2, "__call__": 0}
 
 
 def test_solve_propagates_unexpected_theta_errors(monkeypatch):

@@ -47,7 +47,6 @@ from .certify import (
     InsufficientEvidenceError,
     SamplePlan,
     certify_F_properties,
-    certify_cocoercive,
     certify_d_lipschitz,
     certify_expansive,
     certify_generalized_mixed_accretive,
@@ -56,7 +55,6 @@ from .certify import (
     certify_m_slot_accretive,
     certify_mixed_lipschitz,
     certify_relaxed_accretive,
-    certify_relaxed_cocoercive,
     certify_strong_accretive,
     certify_symmetric_mixed_cocoercive,
 )

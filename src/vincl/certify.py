@@ -311,19 +311,18 @@ def _map_samples(m, plan, dim, prop):
 
 
 def _accretive_form(prop, claimed, plan, x, y, dm, mag, q, sign=1,
-                    shift=0.0, dual=None, scale=None, details=None):
+                    shift=0.0, dual=None, details=None):
     """<dm, J_q(d)> >= shift + sign*claimed*s^q, with d `dual` (x - y by
-    default), s `scale` (||x - y|| by default) and dm an increment of
-    images whose norms add up to `mag`.  The quotient is (lhs - shift) /
-    s^q, reported times `sign`; candidates with x = y or s = 0 are skipped."""
+    default), s = ||x - y|| and dm an increment of images whose norms add
+    up to `mag`.  The quotient is (lhs - shift) / s^q, reported times
+    `sign`; candidates with x = y are skipped."""
     dx = x - y
     nx = _norms(dx)
     d = dx if dual is None else dual
-    s = nx if scale is None else scale
-    keep = (nx >= DEGENERATE) & (s >= DEGENERATE)
+    keep = nx >= DEGENERATE
     nd = _norms(d)
     lhs = _dual_dots(dm, d, nd, q)
-    sq = s ** q
+    sq = nx ** q
     tol = slack(np.abs(lhs) + np.abs(shift) + abs(claimed) * sq,
                 d.shape[1] * mag * nd ** (q - 1.0))
     return _sampled_cert(prop, claimed, plan, x, y, lhs,
@@ -399,40 +398,6 @@ def _pencil(num: np.ndarray, den: np.ndarray):
     except np.linalg.LinAlgError:   # scipy.linalg.LinAlgError is this class
         return None
     return float(vals[0]), len(vals) * float(max(-vals[0], vals[-1]))
-
-
-def certify_cocoercive(m, claimed: float, q: float = 2.0,
-                       plan: SamplePlan | None = None,
-                       dim: int | None = None) -> Certificate:
-    """Check <m(x)-m(y), J_q(x-y)> >= claimed * ||m(x)-m(y)||^q."""
-    return _cocoercive(m, claimed, q, plan, dim, "cocoercive", +1)
-
-
-def certify_relaxed_cocoercive(m, claimed: float, q: float = 2.0,
-                               plan: SamplePlan | None = None,
-                               dim: int | None = None) -> Certificate:
-    """Check <m(x)-m(y), J_q(x-y)> >= -claimed * ||m(x)-m(y)||^q."""
-    return _cocoercive(m, claimed, q, plan, dim, "relaxed_cocoercive",
-                       -1)
-
-
-def _cocoercive(m, claimed, q, plan, dim, prop, sign):
-    if not claimed > 0:
-        raise ValueError(f"claimed constant must be > 0, got {claimed}")
-    parts = affine_parts(m)
-    if parts is not None and q == 2.0:
-        lin = parts[0]
-        pencil = _pencil(_sym(lin), lin.T @ lin)
-        if pencil is not None:
-            ratio, spread = pencil
-            return _exact_cert(
-                prop, claimed, ratio, spread,
-                lambda: {"pencil_min": ratio, "required": sign * claimed},
-                {"q": q}, sign)
-        # singular linear part: fall through to sampling
-    plan, x, y, dm, mag = _map_samples(m, plan, dim, prop)
-    return _accretive_form(prop, claimed, plan, x, y, dm, mag, q, sign,
-                           scale=_norms(dm))
 
 
 # ---------------------------------------------------------------------------
@@ -805,8 +770,9 @@ def certify_generalized_mixed_accretive(inst: InclusionInstance,
     root; it has none, and no pencil eigenvalues are computed, when the
     smallest eigenvalues of sym(L_H), sym(L_M) are > 0 and >= 0 (or the
     largest ones < 0 and <= 0).  Black-box composites are probed
-    instead: a resolve (chord or damped `Resolvent` path) must reach the
-    first 8 sample points at each grid rho.  The witness on failure
+    instead: a resolve (the chord `Resolvent` path) must reach the
+    first 8 sample points at each grid rho, which fails at once where
+    the probed model is not invertible.  The witness on failure
     carries the first defect: of part (ii), then alpha < beta, then the
     slot certificates' witnesses.  A grid rho <= 0 raises ConfigError.
     """

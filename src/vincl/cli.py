@@ -5,7 +5,6 @@ Subcommands
 solve            run the iteration, emit the trace (json/csv/human)
 verify           run the certification battery against the declared constants
 check-condition  evaluate the two-sided rate condition at a given rho
-trace-export     run the iteration and write the versioned CSV trace
 list-instances   list the built-in instances
 
 Exit codes: 0 success; 1 parse/config errors; 2 divergence or
@@ -100,20 +99,6 @@ def _add_instance_arg(p: argparse.ArgumentParser) -> None:
                    help="builtin instance name or path to an instance JSON")
 
 
-def _add_solve_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iters", type=int, default=5000)
-    p.add_argument("--z0", type=_parse_vector, default=None)
-    p.add_argument("--u0", type=_parse_vector, default=None)
-    p.add_argument("--omega", type=_parse_vector, default=None,
-                   help="override the instance's right-hand element")
-    p.add_argument("--error-c0", type=float, default=None,
-                   help="amplitude of the geometric error sequence")
-    p.add_argument("--error-factor", type=float, default=0.5)
-    p.add_argument("--error-direction", type=_parse_vector, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="vincl",
@@ -144,16 +129,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the proximal-point iteration")
     _add_instance_arg(p)
-    _add_solve_args(p)
+    p.add_argument("--rho", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--max-iters", type=int, default=5000)
+    p.add_argument("--z0", type=_parse_vector, default=None)
+    p.add_argument("--u0", type=_parse_vector, default=None)
+    p.add_argument("--omega", type=_parse_vector, default=None,
+                   help="override the instance's right-hand element")
+    p.add_argument("--error-c0", type=float, default=None,
+                   help="amplitude of the geometric error sequence")
+    p.add_argument("--error-factor", type=float, default=0.5)
+    p.add_argument("--error-direction", type=_parse_vector, default=None)
     p.add_argument("--format", choices=("json", "csv", "human"),
                    default="human")
     p.add_argument("--output", default=None)
-
-    p = sub.add_parser("trace-export",
-                       help="run the iteration and write the CSV trace")
-    _add_instance_arg(p)
-    _add_solve_args(p)
-    p.add_argument("--output", required=True, help="CSV output path")
     return parser
 
 
@@ -257,16 +246,12 @@ def _human_trace(trace) -> str:
     return "\n".join(lines)
 
 
-def _run_solve(inst, args):
+def _cmd_solve(args) -> int:
+    inst, _ = _load(args.instance)
     cfg = _solver_config(inst, args)
     if args.omega is not None:
         inst = inst.with_(omega=args.omega)
-    return solve(inst, cfg)
-
-
-def _cmd_solve(args) -> int:
-    inst, _ = _load(args.instance)
-    trace = _run_solve(inst, args)
+    trace = solve(inst, cfg)
     if args.format == "json":
         _emit(trace.to_json(), args.output)
     elif args.format == "csv":
@@ -276,20 +261,11 @@ def _cmd_solve(args) -> int:
     return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
 
 
-def _cmd_trace_export(args) -> int:
-    inst, _ = _load(args.instance)
-    trace = _run_solve(inst, args)
-    trace.to_csv(args.output)
-    sys.stdout.write(trace.to_json() + "\n")
-    return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
-
-
 _COMMANDS = {
     "list-instances": _cmd_list,
     "verify": _cmd_verify,
     "check-condition": _cmd_check_condition,
     "solve": _cmd_solve,
-    "trace-export": _cmd_trace_export,
 }
 
 

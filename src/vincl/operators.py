@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .space import (ConfigError, EmptySetError, SpaceConfig, as_rows,
-                    as_vector, slack)
+from .space import (ConfigError, EmptySetError, NonFiniteError, SpaceConfig,
+                    as_rows, as_vector, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +431,8 @@ class AffinePencil:
     the linear model J_H x + H(0), J_M x + m(0) (m the first member of M),
     whose columns are forward differences at the unit vectors; exact for
     affine maps.  dim + 1 evaluations of H and M (`probe_evaluations`);
-    None when an image is malformed or non-finite.
+    None when an image or a difference is non-finite, and a malformed
+    image raises what `eval_H_on_point` or `eval_M_on_point` raises.
     """
 
     def __init__(self, h, m, inst: InclusionInstance | None = None):
@@ -461,7 +462,7 @@ class AffinePencil:
                     h.append(eval_H_on_point(inst, x))
                     m.append(eval_M_on_point(inst, x)[0])
                 jh, jm = (as_rows(np.subtract(v[1:], v[0])).T for v in (h, m))
-            except ValueError:
+            except NonFiniteError:
                 return None
         return AffinePencil(AffineMap(jh, h[0]), AffineMap(jm, m[0]))
 

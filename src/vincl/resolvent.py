@@ -5,7 +5,7 @@ the composite is a dense linear system, LU-factored once and solved per
 call.  Black-box operators are resolved by chord steps (Kelley, "Iterative
 Methods for Linear and Nonlinear Equations", SIAM 1995, ch. 5) on a linear
 model of the composite, probed once per instance, under Anderson mixing;
-where no usable model exists, by a damped fixed-point iteration.
+where the probe gives no invertible model, a resolve raises at once.
 `audit_lipschitz` checks the theoretical contraction bound
 
     ||R(u) - R(v)|| <= ||u - v|| / (r + rho*m),
@@ -34,8 +34,6 @@ _COND_LIMIT = 1e12
 _EPS = np.finfo(float).eps
 # the number of (iterate, step) differences Anderson mixing keeps
 _ANDERSON_MEMORY = 5
-# the damped step x <- x - _PLAIN_STEP * r(x), where no chord model is usable
-_PLAIN_STEP = 0.1
 # the stall test: a black-box resolve fails when its best residual is not
 # below _STALL_FACTOR times its best of _STALL_WINDOW iterations before
 _STALL_FACTOR = 0.5
@@ -248,10 +246,11 @@ class Resolvent:
     A..D, f, g affine; the constructor forms the composite K as a
     `Composite` of the instance's `AffinePencil`, decides its
     invertibility and keeps its LU factors, so a call is a triangular
-    solve.  Otherwise "chord" when J = J_H + rho*J_M of the instance's
-    probed model (`AffinePencil.probed`, taken on the first call or read
-    of `path`) passes `Composite.invertible`, else "damped": a call runs
-    `_resolve_damped` with that J, or with the plain step.
+    solve.  Otherwise "chord": a call runs `_resolve_chord` with J = J_H +
+    rho*J_M of the instance's probed model (`AffinePencil.probed`, taken
+    on the first call), or raises `ResolventIterationError` before any
+    residual is evaluated where the probe met a non-finite image or J
+    fails `Composite.invertible`.
 
     `singular_values` holds those of K, largest first, on the exact path
     (so `1 / singular_values[-1]` is R's exact Lipschitz constant), from
@@ -274,9 +273,12 @@ class Resolvent:
     EmptySetError
         From a call on a batch of no rows.
     ResolventIterationError
-        From a call on the chord or damped path, if the iteration stalls
-        above its stopping tolerance, runs out of iterations, or its
-        residual or a map image becomes non-finite.
+        From a call on the chord path, if there is no chord model, or the
+        iteration stalls above its stopping tolerance, runs out of
+        iterations, or its residual or a map image becomes non-finite.
+    ValueError
+        From a call on the chord path whose probe meets a malformed map
+        image (the error `eval_H_on_point` or `eval_M_on_point` raises).
     """
 
     def __init__(self, inst: InclusionInstance, cfg: ResolventConfig):
@@ -298,20 +300,29 @@ class Resolvent:
 
     @property
     def path(self) -> str:
-        if self.exact:
-            return "exact"
-        return "damped" if self._chord is None else "chord"
+        return "exact" if self.exact else "chord"
 
     @functools.cached_property
-    def _chord(self) -> Composite | None:
-        """J = J_H + rho*J_M of the instance's probed model, None where
-        the probe failed or J is not invertible."""
-        pencil = self.inst.pencil
+    def _chord(self) -> Composite:
+        """J = J_H + rho*J_M of the instance's probed model; raises
+        ResolventIterationError where the probe met a non-finite image or
+        J is not invertible."""
+        pencil, rho = self.inst.pencil, self.cfg.rho
         before = pencil.probe_evaluations
-        model = pencil.probed
-        self.probe_evaluations = pencil.probe_evaluations - before
-        k = None if model is None else Composite(model, self.cfg.rho)
-        return k if k is not None and k.invertible else None
+        try:    # a malformed image raises, and is probed again next call
+            model = pencil.probed
+        finally:
+            self.probe_evaluations += pencil.probe_evaluations - before
+        if model is None:
+            reason = "a map image is non-finite at a probe point"
+        else:
+            k = Composite(model, rho)
+            if k.invertible:
+                return k
+            reason = ("the probed linear model has a "
+                      f"{'zero' if k.zero else 'singular'} linear part")
+        raise ResolventIterationError(f"no chord model at rho={rho}: {reason}",
+                                      math.inf, 0)
 
     @property
     def singular_values(self) -> np.ndarray | None:
@@ -328,8 +339,8 @@ class Resolvent:
         if batch:
             return np.array([self(row) for row in zv])
         try:
-            x, iterations = _resolve_damped(self.inst, self.cfg, zv,
-                                            self._chord)
+            x, iterations = _resolve_chord(self.inst, self.cfg, zv,
+                                           self._chord)
         except ResolventIterationError as exc:
             self.inner_iterations += exc.iterations
             raise
@@ -346,15 +357,27 @@ def resolve(inst: InclusionInstance, cfg: ResolventConfig, z) -> np.ndarray:
     return Resolvent(inst, cfg)(z)
 
 
-def _resolve_damped(inst: InclusionInstance, cfg: ResolventConfig,
-                    z: np.ndarray, chord: Composite | None):
-    """R(z) by the iteration g(x) = x - p(x), r(x) = H(x) + rho*m - z with
-    m the member of M(f(x), g(x)) of the smallest residual, under type-II
-    Anderson mixing (Walker & Ni, "Anderson acceleration for fixed-point
-    iterations", SIAM J. Numer. Anal. 49, 2011); returns (x, the number
-    of iterations run, one residual evaluation each).  p(x) = J^(-1) r(x)
-    from x = J^(-1)(z - c) for a `chord`, the `Composite` J of a linear
-    model with offset c; else p(x) = _PLAIN_STEP * r(x) from x = z.
+def _norm(v: np.ndarray) -> float:
+    """||v||, finite for every finite v: the plain norm, or max|v| times
+    that of v / max|v| where its squares overflow.  For use under
+    np.errstate(over="ignore")."""
+    out = float(np.linalg.norm(v))
+    if out == math.inf:
+        scale = float(np.abs(v).max())
+        if scale < math.inf:
+            out = scale * float(np.linalg.norm(v / scale))
+    return out
+
+
+def _resolve_chord(inst: InclusionInstance, cfg: ResolventConfig,
+                   z: np.ndarray, chord: Composite):
+    """R(z) by the iteration g(x) = x - p(x), p(x) = J^(-1) r(x), from x =
+    J^(-1)(z - c), where J with offset c is the `Composite` `chord` of a
+    linear model and r(x) = H(x) + rho*m - z, m the member of M(f(x),
+    g(x)) of the smallest residual, under type-II Anderson mixing (Walker
+    & Ni, "Anderson acceleration for fixed-point iterations", SIAM J.
+    Numer. Anal. 49, 2011); returns (x, the number of iterations run, one
+    residual evaluation each).
 
     The history holds up to `_ANDERSON_MEMORY` differences dX, dP of
     consecutive iterates and steps.  gamma minimizes ||p - dP @ gamma||
@@ -371,38 +394,33 @@ def _resolve_damped(inst: InclusionInstance, cfg: ResolventConfig,
     z and round accordingly.  Where they are larger still, it stops at
     the rounding floor of the residual, _FLOOR_FACTOR * eps * (||H(x)|| +
     rho*||m|| + ||z||), the spread of the subtraction it performs, when
-    that is finite.  It raises `ResolventIterationError` when the
-    residual, a map image or x becomes non-finite, when the best residual
-    is not below `_STALL_FACTOR` times the best of `_STALL_WINDOW`
-    iterations before, and after `max_inner_iters` iterations.  Images go
-    through `eval_H_on_point` and `eval_M_on_point`, so malformed map
-    output raises their errors.
+    that is finite.  These norms are taken by `_norm`, so a finite vector
+    past about 1e154 keeps a finite norm.  It raises
+    `ResolventIterationError` when the residual, a map image or x becomes
+    non-finite, when the best residual is not below `_STALL_FACTOR` times
+    the best of `_STALL_WINDOW` iterations before, and after
+    `max_inner_iters` iterations.  Images go through `eval_H_on_point`
+    and `eval_M_on_point`, so malformed map output raises their errors.
     """
-    if chord is None:
-        name = "damped fixed-point iteration"
-        step = functools.partial(np.multiply, _PLAIN_STEP)
-        x = np.array(z, dtype=float)
-    else:
-        name, step = "chord iteration", chord.solve
-        x = step(z - chord.offset)
-    z_norm = float(np.linalg.norm(z))
-    last, tol = np.inf, RESOLVE_TOL * max(1.0, z_norm)
+    x = chord.solve(z - chord.offset)
     dx, dp = deque(maxlen=_ANDERSON_MEMORY), deque(maxlen=_ANDERSON_MEMORY)
     best = deque(maxlen=_STALL_WINDOW + 1)      # best residual, per iteration
     prev = None                                 # (x, p, member)
     # a diverging iterate overflows; the checks below turn the inf it
     # leaves in the residual, a map image or x into ResolventIterationError
     with np.errstate(over="ignore"):
+        z_norm = _norm(z)
+        last, tol = np.inf, RESOLVE_TOL * max(1.0, z_norm)
         for n in range(1, cfg.max_inner_iters + 1):
             try:
                 hx = eval_H_on_point(inst, x)
                 members = eval_M_on_point(inst, x)
             except NonFiniteError:
                 raise ResolventIterationError(
-                    f"{name} diverged: a map image is non-finite", last,
-                    n) from None
+                    "chord iteration diverged: a map image is non-finite",
+                    last, n) from None
             residuals = [hx + cfg.rho * m - z for m in members]
-            norms = [float(np.linalg.norm(r)) for r in residuals]
+            norms = [_norm(r) for r in residuals]
             # target the selection that minimizes the current residual
             k = int(np.argmin(norms)) if len(norms) > 1 else 0
             r, last = residuals[k], norms[k]
@@ -410,19 +428,18 @@ def _resolve_damped(inst: InclusionInstance, cfg: ResolventConfig,
                 return x, n
             if not math.isfinite(last):
                 raise ResolventIterationError(
-                    f"{name} diverged to non-finite values", last, n)
+                    "chord iteration diverged to non-finite values", last, n)
             floor = _FLOOR_FACTOR * _EPS * (
-                np.linalg.norm(hx) + cfg.rho * np.linalg.norm(members[k])
-                + z_norm)
-            if last <= floor < math.inf:    # a norm past 1e154 overflows
+                _norm(hx) + cfg.rho * _norm(members[k]) + z_norm)
+            if last <= floor < math.inf:    # norms near 1e308 add to inf
                 return x, n
             best.append(min(last, best[-1]) if best else last)
             if len(best) == best.maxlen and best[-1] > _STALL_FACTOR * best[0]:
                 raise ResolventIterationError(
-                    f"{name} stalled: residual {best[-1]:.3e} not below "
-                    f"{_STALL_FACTOR} x {best[0]:.3e} within {_STALL_WINDOW} "
-                    f"iterations", last, n)
-            p = step(r)
+                    f"chord iteration stalled: residual {best[-1]:.3e} not "
+                    f"below {_STALL_FACTOR} x {best[0]:.3e} within "
+                    f"{_STALL_WINDOW} iterations", last, n)
+            p = chord.solve(r)
             if prev is not None and k != prev[2]:
                 dx.clear()
                 dp.clear()
@@ -440,10 +457,10 @@ def _resolve_damped(inst: InclusionInstance, cfg: ResolventConfig,
                 x = x - (np.column_stack(dx) - dP) @ gamma
             if not np.isfinite(x).all():
                 raise ResolventIterationError(
-                    f"{name} diverged to non-finite values", last, n)
+                    "chord iteration diverged to non-finite values", last, n)
     raise ResolventIterationError(
-        f"{name} exceeded {cfg.max_inner_iters} iterations (last residual "
-        f"{last:.3e} > {tol:.3e})", last, cfg.max_inner_iters)
+        f"chord iteration exceeded {cfg.max_inner_iters} iterations (last "
+        f"residual {last:.3e} > {tol:.3e})", last, cfg.max_inner_iters)
 
 
 def theoretical_r_m(inst: InclusionInstance, constants=None):
@@ -463,7 +480,7 @@ class AuditReport(JsonRecord):
     """Observed resolvent contraction versus the theoretical bound.
 
     `exact_ratio` is the exact worst quotient 1/sigma_min(H + rho*M) on
-    the exact path and None on the damped path.
+    the exact path and None on the chord path.
     """
 
     rho: float

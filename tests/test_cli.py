@@ -21,7 +21,7 @@ from vincl.cli import (
 )
 from vincl.instances import example_4_7
 from vincl.operators import dump_instance
-from vincl.solver import TRACE_SCHEMA
+from vincl.solver import TRACE_SCHEMA, SolverConfig, solve
 
 
 def run(capsys, *argv):
@@ -138,16 +138,21 @@ def test_verify_human_format(capsys):
 
 
 def test_trace_export_writes_versioned_csv(capsys, tmp_path):
+    # `solve --format csv --output` writes the trace; stdout stays empty
     out_path = tmp_path / "trace.csv"
-    code, out, _ = run(capsys, "trace-export", "--instance", "example_4_7",
-                       "--tol", "1e-10", "--output", str(out_path))
-    assert code == EXIT_OK
+    code, out, _ = run(capsys, "solve", "--instance", "example_4_7",
+                       "--tol", "1e-10", "--format", "csv",
+                       "--output", str(out_path))
+    assert code == EXIT_OK and out == ""
     text = out_path.read_text()
     lines = text.splitlines()
     assert lines[0].startswith("schema,n,step,ratio,residual,theta_n,u_0")
     assert lines[1].split(",")[0] == TRACE_SCHEMA
-    summary = json.loads(out)
-    assert summary["converged"] is True
+    assert text == solve(example_4_7().instance,
+                         SolverConfig(z0=np.ones(2), tol=1e-10)).to_csv()
+    # the trace-export subcommand is gone: an invalid choice
+    assert run(capsys, "trace-export", "--instance", "example_4_7",
+               "--output", str(out_path))[0] == EXIT_PARSE
 
 
 def test_instance_file_source(capsys, tmp_path):

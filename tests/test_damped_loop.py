@@ -4,9 +4,11 @@ member in lists and takes the Anderson history and the stall test from
 them.  Same iterates bit for bit, and the same error (type, message, last
 residual, iteration count) when a map returns a NaN, an Inf, a 2-D, an
 empty or a wrong-length image, or M an empty set, during the probe or
-the loop, when the residual stalls and when the iteration runs out.
-Then, on random affine instances given as black boxes, the chord result
-against the exact resolvent."""
+the loop, when the probe gives no invertible model, when the residual
+stalls and when the iteration runs out.  Then, on random affine
+instances given as black boxes, the chord result against the exact
+resolvent, also past the scale where the squares of its norms
+overflow."""
 
 import math
 import warnings
@@ -45,9 +47,11 @@ SLOTS = ("A", "B", "C", "D", "f", "g")
 
 def reference_probe(inst, rho):
     """The chord model's J = J_H + rho*J_M as a `Composite`, from forward
-    differences at 0 and the unit vectors; None where an image is
-    malformed or non-finite, or J is not invertible."""
+    differences at 0 and the unit vectors.  A malformed image raises its
+    own error; a non-finite image or difference, or a J that is not
+    invertible, raises ResolventIterationError with no iteration run."""
     hs, ms = [], []
+    reason = "a map image is non-finite at a probe point"
     with np.errstate(over="ignore"):
         try:
             for x in [np.zeros(inst.dim)] + list(np.eye(inst.dim)):
@@ -55,25 +59,38 @@ def reference_probe(inst, rho):
                 ms.append(eval_M_on_point(inst, x)[0])
             jh = as_rows([h - hs[0] for h in hs[1:]]).T
             jm = as_rows([m - ms[0] for m in ms[1:]]).T
-        except ValueError:
-            return None
-    k = Composite(AffinePencil(AffineMap(jh, hs[0]), AffineMap(jm, ms[0])),
-                  rho)
-    return k if k.invertible else None
+        except NonFiniteError:
+            jh = None
+    if jh is not None:
+        k = Composite(AffinePencil(AffineMap(jh, hs[0]),
+                                   AffineMap(jm, ms[0])), rho)
+        if k.invertible:
+            return k
+        part = "zero" if k.zero else "singular"
+        reason = f"the probed linear model has a {part} linear part"
+    raise ResolventIterationError(f"no chord model at rho={rho}: {reason}",
+                                  math.inf, 0)
+
+
+def reference_norm(v):
+    """||v||: the plain norm, or, where the squares of a finite v
+    overflow, max|v| times the norm of v / max|v|."""
+    with np.errstate(over="ignore"):
+        plain = float(np.linalg.norm(v))
+    if plain < math.inf or not np.all(np.isfinite(v)):
+        return plain
+    scale = float(np.max(np.abs(v)))
+    return scale * float(np.linalg.norm(v / scale))
 
 
 def reference_resolve(inst, cfg, z):
-    """The probe, then the chord (or, without a model, the damped) loop
-    under Anderson mixing, from the full record of the run; it also
-    returns and raises with the number of iterations run."""
+    """The probe, then the chord loop under Anderson mixing, from the full
+    record of the run; it also returns and raises with the number of
+    iterations run."""
     chord = reference_probe(inst, cfg.rho)
-    name = "damped fixed-point iteration" if chord is None else \
-        "chord iteration"
-    if chord is None:
-        x = np.array(z, dtype=float)
-    else:
-        x = scipy.linalg.lu_solve(chord.lu[:2], z - chord.offset)
-    last, tol = np.inf, RESOLVE_TOL * max(1.0, float(np.linalg.norm(z)))
+    name = "chord iteration"
+    x = scipy.linalg.lu_solve(chord.lu[:2], z - chord.offset)
+    last, tol = np.inf, RESOLVE_TOL * max(1.0, reference_norm(z))
     xs, ps, ks, norms_seen = [], [], [], []
     kept = []                   # i where (x_i, x_i+1) joined the history
     start = 0                   # the first iterate of the current history
@@ -87,7 +104,7 @@ def reference_resolve(inst, cfg, z):
                     f"{name} diverged: a map image is non-finite", last,
                     n) from None
             residuals = [hx + cfg.rho * m - z for m in m_vals]
-            norms = [float(np.linalg.norm(r)) for r in residuals]
+            norms = [reference_norm(r) for r in residuals]
             k = int(np.argmin(norms))
             r, last = residuals[k], norms[k]
             if last <= tol:
@@ -96,8 +113,9 @@ def reference_resolve(inst, cfg, z):
                 raise ResolventIterationError(
                     f"{name} diverged to non-finite values", last, n)
             # the rounding floor of the residual's subtraction
-            spread = (np.linalg.norm(hx) + cfg.rho * np.linalg.norm(m_vals[k])
-                      + np.linalg.norm(z))
+            spread = (reference_norm(hx)
+                      + cfg.rho * reference_norm(m_vals[k])
+                      + reference_norm(z))
             if last <= 8 * np.finfo(float).eps * spread < math.inf:
                 return x, n
             norms_seen.append(last)
@@ -109,8 +127,7 @@ def reference_resolve(inst, cfg, z):
                         f"{name} stalled: residual {now:.3e} not below "
                         f"{_STALL_FACTOR} x {before:.3e} within "
                         f"{_STALL_WINDOW} iterations", last, n)
-            p = (0.1 * r if chord is None
-                 else scipy.linalg.lu_solve(chord.lu[:2], r))
+            p = scipy.linalg.lu_solve(chord.lu[:2], r)
             if ks and k != ks[-1]:
                 start = len(xs)
             elif ks and (np.linalg.norm(p - ps[-1]) * _COND_LIMIT
@@ -239,18 +256,18 @@ _LONG_RUN = _STALL_WINDOW + 20
 # a 2-D image of A before a NaN image of B: A's error comes first
 @example(additive=True, two_valued=False,
          faults=[("A", _LOOP, "2d"), ("B", _LOOP, "nan")], **_EXAMPLE)
-# NaN in H's image before an empty M in the probe, which leaves the
-# damped step, and an empty M alone in the loop
+# NaN in H's image before an empty M in the probe, which leaves no chord
+# model, and an empty M alone in the loop
 @example(additive=False, two_valued=True,
          faults=[("H", 2, "nan"), ("M", 2, "emptyset")], **_EXAMPLE)
 @example(additive=True, two_valued=True, faults=[("M", _LOOP, "emptyset")],
          **_EXAMPLE)
-# zero matrices: J = 0 leaves the damped step, the residual never moves,
-# and the stall test ends the run
+# zero matrices: J = 0 leaves no chord model, and the call raises before
+# any residual
 @example(additive=True, two_valued=False, faults=[],
          **{**_EXAMPLE, "scale": 0.0, "iters": _LONG_RUN})
 # a composite that cancels to rounding: the probed J is rounding noise,
-# and the stall test ends the run
+# and no chord model is built on it
 @example(additive=True, two_valued=False, faults=[],
          **{**_EXAMPLE, "dim": 3, "scale": 1.0, "iters": _LONG_RUN,
             "cancel": True})
@@ -335,7 +352,7 @@ _KINDS = ("general", "negative", "positive")
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 50),
        kind=st.sampled_from(_KINDS), rho=st.floats(0.1, 2.0))
-# dims past the Anderson memory, where the plain damped step failed on
+# dims past the Anderson memory, where a fixed damped step failed on
 # indefinite K
 @example(seed=1, dim=6, kind="general", rho=1.0)
 @example(seed=2, dim=8, kind="negative", rho=0.5)
@@ -372,13 +389,38 @@ def test_damped_resolve_matches_exact_within_inner_tol(seed, dim, kind, rho):
     assert np.all(np.linalg.norm(xd - xe, axis=1) <= tol / sv[-1] + slack)
 
 
-def test_a_composite_cancelling_to_rounding_takes_the_damped_path():
+def test_a_composite_cancelling_to_rounding_has_no_chord_model():
     # the probed J is rounding noise (entries of at most about 4e-16,
     # against about 3 in J_H) and happens to be well conditioned: it is
-    # zero to the rule `defect` applies, so no chord model is built on it
-    inst = _black_box(0, 3, 1.0, True, False, {}, cancel_at=1.0)
+    # zero to the rule `defect` applies, so no chord model is built on it,
+    # and a call raises after the dim + 1 probe evaluations, before any
+    # residual
+    inst = _black_box(0, 3, 1.0, True, False, {"A": {}}, cancel_at=1.0)
     resolvent = Resolvent(inst, ResolventConfig(rho=1.0))
-    assert resolvent.path == "damped"
+    assert resolvent.path == "chord"
+    with pytest.raises(ResolventIterationError) as exc:
+        resolvent(np.ones(3))
+    assert str(exc.value) == ("no chord model at rho=1.0: the probed linear "
+                              "model has a zero linear part")
+    assert exc.value.iterations == 0 and exc.value.last_residual == math.inf
+    assert inst.A.calls == resolvent.probe_evaluations == 4
+    assert resolvent.inner_iterations == 0
     k = Composite(inst.pencil.probed, 1.0)
     assert k.zero and not k.invertible
     assert k.defect()["kind"] == "zero linear part"
+
+
+@pytest.mark.parametrize("c", [1e152, 1e160])
+def test_black_box_resolve_past_the_overflow_of_its_norms(c):
+    # a draw whose slot images cancel, with every map and z times c: past
+    # about 1e154 the squares of ||H(x)||, ||m||, ||z|| and the residual
+    # overflow, yet the rounding floor and the stop keep their finite
+    # values, so the resolve neither stalls nor warns
+    inst, opaque, _ = _affine_and_black_box(44, 36, "general", 2.0)
+    cfg = ResolventConfig(rho=2.0)
+    z = np.random.default_rng(45).standard_normal(36)
+    big = opaque.with_(**{s: (lambda m: (lambda x: c * m(x)))(getattr(
+        inst, s)) for s in SLOTS})
+    want = Resolvent(opaque, cfg)(z)
+    np.testing.assert_allclose(Resolvent(big, cfg)(c * z), want,
+                               rtol=1e-12, atol=0)

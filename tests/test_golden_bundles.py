@@ -38,7 +38,7 @@ def _opaque(inst):
 
 def _bundle(name: str) -> str:
     if name in (LIFTED, OPAQUE):
-        # no range probes: the damped probe is not what this file pins
+        # no range probes: their resolves are not what this file pins
         inst = variant(lift(example_4_7().instance, 10), 1.0, blackbox=True)
         inst = _opaque(inst) if name == OPAQUE else inst
         return certify_instance(inst, PLAN, rho_grid=[]).to_json()

@@ -20,7 +20,6 @@ from vincl.operators import (
     MissingConstantsError,
 )
 from vincl.resolvent import (
-    _STALL_WINDOW,
     Composite,
     NonSurjectiveError,
     Resolvent,
@@ -214,11 +213,14 @@ def test_resolvent_paths_and_singular_values():
     assert not chord.exact and chord.singular_values is None
     assert chord.path == "chord"
     # example_3_3's composite at rho = 1 has a zero linear part: so has its
-    # probed model, and the resolve falls back to the damped step
+    # probed model, and a resolve raises at once
     zero = example_3_3().instance
     zero = zero.with_(A=lambda x, a=zero.A: a(x))
-    damped = Resolvent(zero, ResolventConfig(rho=1.0))
-    assert damped.path == "damped" and damped.singular_values is None
+    none = Resolvent(zero, ResolventConfig(rho=1.0))
+    assert none.path == "chord" and none.singular_values is None
+    with pytest.raises(ResolventIterationError) as exc:
+        none(np.zeros(zero.dim))
+    assert exc.value.iterations == 0 and none.inner_iterations == 0
 
 
 _DEFINITE = {"posdef": 1.0, "negdef": -1.0}
@@ -394,11 +396,12 @@ def test_inner_iterations_counted():
     assert exact.inner_iterations == exact.probe_evaluations == 0
 
 
-@pytest.mark.parametrize("c", [1e4, 1e6])
+@pytest.mark.parametrize("c", [1e4, 1e6, 1e155, 1e160])
 def test_chord_resolve_follows_the_scale_of_the_maps(c):
     # example_4_7 with every map times c, as black boxes: the probed model
     # scales with the maps, and the stopping tolerance with z, so z =
-    # c*(0.4, 0.9) resolves to the x of c = 1
+    # c*(0.4, 0.9) resolves to the x of c = 1; past about 1e154 the
+    # squares of ||z|| and ||H(x)|| overflow, and their norms do not
     inst = example_4_7().instance
     scaled = inst.with_(**{s: (lambda m: (lambda x: c * m(x)))(getattr(
         inst, s)) for s in ("A", "B", "C", "D", "f", "g")})
@@ -442,39 +445,46 @@ def test_resolvent_checks_the_length_of_z(opaque, batch):
     (lambda x: np.ones(3), ValueError),           # wrong length
 ])
 def test_damped_map_output_errors(image, error):
-    # a non-finite image ends the iteration; malformed output is not
-    # mistaken for divergence
+    # a non-finite image leaves no chord model; malformed output raises
+    # its own error, not mistaken for a missing model
     inst = example_4_7().instance.with_(A=image)
     with pytest.raises(error) as exc:
         resolve(inst, ResolventConfig(rho=0.35), np.ones(2))
     assert isinstance(exc.value, ResolventIterationError) == \
         (error is ResolventIterationError)
-    if error is ResolventIterationError:
-        assert exc.value.iterations == 1
+    if error is ResolventIterationError:    # raised after the probe
+        assert exc.value.iterations == 0
         assert exc.value.last_residual == np.inf
 
 
 def test_damped_loop_refuses_a_length_1_image():
     # numpy would broadcast B's image to the instance's dim
     inst = _opaque_h(example_4_7().instance).with_(B=lambda x: np.ones(1))
+    res = Resolvent(inst, ResolventConfig(rho=0.35))
     with pytest.raises(DimensionMismatchError) as exc:
-        resolve(inst, ResolventConfig(rho=0.35), np.ones(2))
+        res(np.ones(2))
     assert str(exc.value) == "dimension mismatch: 2 vs 1 (images of A and B)"
+    # met at the probe's first point, which the resolvent still counts
+    assert res.probe_evaluations == 1
 
 
-def test_damped_resolve_stalls_on_a_zero_linear_part():
+def test_black_box_resolve_of_a_zero_linear_part_raises_at_once():
     # example_3_3's composite at rho = 1 is the constant map to a point of
-    # norm 2: given as black boxes, the residual never moves and the stall
-    # test ends the resolve one window in
+    # norm 2: given as black boxes, its probed model has a zero linear
+    # part, and the resolve raises after the probe, before any residual
     inst = example_3_3().instance
+    calls = []
     opaque = inst.with_(**{s: (lambda m: (lambda x: m(x)))(getattr(inst, s))
-                           for s in ("A", "B", "C", "D", "f", "g")})
+                           for s in ("B", "C", "D", "f", "g")},
+                        A=lambda x: calls.append(x) or inst.A(x))
     res = Resolvent(opaque, ResolventConfig(rho=1.0))
     with pytest.raises(ResolventIterationError) as exc:
         res(np.zeros(inst.dim))
-    assert str(exc.value).startswith("damped fixed-point iteration stalled")
-    assert exc.value.iterations == _STALL_WINDOW + 1
-    assert exc.value.last_residual == pytest.approx(2.0, abs=1e-12)
+    assert str(exc.value) == ("no chord model at rho=1.0: the probed linear "
+                              "model has a zero linear part")
+    assert exc.value.iterations == 0 and exc.value.last_residual == np.inf
+    assert len(calls) == res.probe_evaluations == inst.dim + 1
+    assert res.inner_iterations == 0
 
 
 def test_theoretical_r_m():

@@ -54,6 +54,7 @@ from .operators import (
     set_values,
 )
 from .resolvent import (
+    _SMALL_DIM,
     Composite,
     Resolvent,
     ResolventConfig,
@@ -391,12 +392,23 @@ def certify_relaxed_accretive(m, claimed: float, q: float = 2.0,
 
 def _pencil(num: np.ndarray, den: np.ndarray):
     """The smallest stationary value of (d' num d) / (d' den d) and dim
-    times the largest |.| one, pencil eigenvalues; None if den is singular."""
-    import scipy.linalg     # scipy loads on first use
-    try:
-        vals = scipy.linalg.eigh(num, den, eigvals_only=True)
-    except np.linalg.LinAlgError:   # scipy.linalg.LinAlgError is this class
-        return None
+    times the largest |.| one, pencil eigenvalues; None where den, which
+    must be symmetric like num, is not positive definite to its Cholesky
+    factorization.  Below `_SMALL_DIM` rows from numpy, as the eigenvalues
+    of L^-1 num L^-T, den = L L'; otherwise from `scipy.linalg.eigh`."""
+    if len(num) < _SMALL_DIM:
+        try:
+            low = np.linalg.cholesky(den)
+        except np.linalg.LinAlgError:
+            return None
+        half = np.linalg.solve(low, num)            # L^-1 num
+        vals = np.linalg.eigvalsh(np.linalg.solve(low, half.T))
+    else:
+        import scipy.linalg     # scipy loads on first use
+        try:
+            vals = scipy.linalg.eigh(num, den, eigvals_only=True)
+        except np.linalg.LinAlgError:   # scipy's LinAlgError is this class
+            return None
     return float(vals[0]), len(vals) * float(max(-vals[0], vals[-1]))
 
 
@@ -506,15 +518,6 @@ def certify_mixed_lipschitz(inst: InclusionInstance,
 # Pair-map F properties
 # ---------------------------------------------------------------------------
 
-def _set_map_affine(s, dim):
-    """Affine single-valued realization of a set-valued map, or None."""
-    if isinstance(s, IdentitySetMap):
-        return AffineMap.identity(dim)
-    if isinstance(s, SingletonSetMap) and affine_parts(s.map) is not None:
-        return s.map
-    return None
-
-
 def certify_F_properties(inst: InclusionInstance,
                          plan: SamplePlan | None = None):
     """Certify sigma, delta (strong accretivity of F against the H
@@ -538,6 +541,12 @@ def certify_F_properties(inst: InclusionInstance,
             ("second", inst.T, got["delta"], got["eps2"],
              lambda p, w: inst.F(w, p)))
     accretive, lipschitz = [], []
+
+    @functools.cache
+    def gram():
+        """L_H' L_H, the pencil denominator of both arguments."""
+        return hc.matrix.T @ hc.matrix
+
     for k, (arg, set_map, claimed, eps, f) in enumerate(args):
         prop = f"F_strongly_accretive_{arg}"
 
@@ -550,17 +559,21 @@ def certify_F_properties(inst: InclusionInstance,
             fy = as_rows(map(f, y, w), dim, "image of F")
             return fx - fy, _norms(fx) + _norms(fy)
 
-        sel = _set_map_affine(set_map, dim)
-        if hc is not None and fp is not None and sel is not None and q == 2.0:
-            lh = hc.matrix
-            num = _sym(affine_parts(sel)[0].T @ fp[k].T @ lh)
-            vs_h = _pencil(num, lh.T @ lh)
+        # the selection x -> x, or x -> L x + c of an affine singleton map
+        identity = isinstance(set_map, IdentitySetMap)
+        sel = (affine_parts(set_map.map)
+               if isinstance(set_map, SingletonSetMap) else None)
+        if (hc is not None and fp is not None and q == 2.0
+                and (identity or sel is not None)):
+            left = fp[k].T if identity else sel[0].T @ fp[k].T
+            num = _sym(left @ hc.matrix)
+            vs_h = _pencil(num, gram())
             accretive.append(_exact_cert(prop, claimed, *_min_eig(
                 num, claimed), {"constant_vs_H_increment":
                                 None if vs_h is None else vs_h[0], "q": q}))
         else:
             x, y, w = table.rows(prop)
-            if isinstance(set_map, IdentitySetMap):
+            if identity:
                 df, mag = f_increments()
                 dh = table.h_increments(prop)[0]
             else:

@@ -1,7 +1,7 @@
 """The proximal-point mapping R(z) = (H((A,B),(C,D)) + rho*M(f,g))^(-1)(z).
 
 A `Resolvent` is prepared once per (instance, rho).  For affine instances
-the composite is a dense linear system, LU-factored once and solved per
+the composite is a dense linear system, factored once and solved per
 call.  Black-box operators are resolved by chord steps (Kelley, "Iterative
 Methods for Linear and Nonlinear Equations", SIAM 1995, ch. 5) on a linear
 model of the composite, probed once per instance, under Anderson mixing;
@@ -32,6 +32,11 @@ from .space import (DEGENERATE, RESOLVE_TOL, ConfigError, NonFiniteError,
 
 _COND_LIMIT = 1e12
 _EPS = np.finfo(float).eps
+# below this dimension the dense kernels come from numpy (`np.linalg.inv`
+# for a composite, a Cholesky reduction for a symmetric pencil), which
+# spares a process the scipy import; at and above it, where numpy's inv
+# is several times slower than LAPACK getrf, they come from scipy's LAPACK
+_SMALL_DIM = 16
 # the number of (iterate, step) differences Anderson mixing keeps
 _ANDERSON_MEMORY = 5
 # the stall test: a black-box resolve fails when its best residual is not
@@ -109,10 +114,13 @@ class Composite:
     cond <= 1e12, which neither a scaling of K nor its dimension moves.
     The first conclusive route decides: the pencil's symmetric-part bound
     (`_definite`, no factorization), then `zero`, then, until `sv` has
-    been read, the LU factors (`_cond_bound`), then the singular values.
-    `lu`, `sv` (largest first), `cond` = sigma_max / sigma_min (None
-    where infinite), `det` and the null direction of a singular `defect`
-    are each computed on first access.
+    been read, the factorization (`_cond_bound`), then the singular
+    values.  K is factored once, by the dimension: below `_SMALL_DIM`
+    rows (`small`) into its `inverse` by numpy, otherwise into `lu` by
+    LAPACK getrf, which loads scipy.  `inverse` or `lu`, `sv` (largest
+    first), `cond` = sigma_max / sigma_min (None where infinite), `det`
+    and the null direction of a singular `defect` are each computed on
+    first access.
     """
 
     def __init__(self, pencil, rho: float):
@@ -120,17 +128,28 @@ class Composite:
         self.matrix = rho * pencil.m.matrix
         self.matrix += pencil.h.matrix
         self.offset = pencil.h.offset + rho * pencil.m.offset
+        self.small = self.matrix.shape[0] < _SMALL_DIM
+
+    @functools.cached_property
+    def inverse(self) -> np.ndarray:
+        """K^-1 from `np.linalg.inv`, the factorization of a `small` K;
+        raises LinAlgError where LU meets an exactly zero pivot."""
+        return np.linalg.inv(self.matrix)
 
     @functools.cached_property
     def lu(self):
         """(lu, piv, info) of LAPACK getrf, as in `scipy.linalg.lu_factor`,
-        but an exactly zero pivot (info > 0) raises no warning."""
+        but an exactly zero pivot (info > 0) raises no warning: the
+        factorization of a K that is not `small`."""
         from scipy.linalg import lapack     # loads scipy on first use
         return lapack.dgetrf(self.matrix)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """K^-1 b, b a vector or the columns of a matrix: the LAPACK getrs
-        on `lu` that `scipy.linalg.lu_solve` wraps, without the wrapper."""
+        """K^-1 b, b a vector or the columns of a matrix: `inverse.dot(b)`
+        for a `small` K, else the LAPACK getrs on `lu` that
+        `scipy.linalg.lu_solve` wraps, without the wrapper."""
+        if self.small:
+            return self.inverse.dot(b)
         from scipy.linalg import lapack
         x, info = lapack.dgetrs(*self.lu[:2], b)
         if info != 0:
@@ -185,23 +204,32 @@ class Composite:
         return max(low, -high) > slack(fro_h + abs(rho) * fro_m)
 
     def _cond_bound(self) -> float:
-        """An upper bound on cond_2(K) from the LU factors, inf where they
-        give none: b*(1 + dim*eps*b), b = ||K||_F * ||K^-1||_F >= cond_2(K)
+        """An upper bound on cond_2(K) from the factorization, inf where it
+        gives none: b*(1 + dim*eps*b), b = ||K||_F * ||K^-1||_F >= cond_2(K)
         (Golub & Van Loan, "Matrix Computations", section 2.3), the second
-        factor covering the rounding of the computed inverse.  The norms
-        are of K and K^-1 scaled by 1/max|K| and max|K|, so that no square
-        under- or overflows."""
-        from scipy.linalg import lapack
-        lu, piv, info = self.lu
-        if info != 0:
-            return math.inf
-        dim, (scale, unit) = lu.shape[0], self._scaled_norm
-        inverse, info = lapack.dgetri(
-            lu, piv, lwork=int(lapack.dgetri_lwork(dim)[0]))
+        factor covering the rounding of the computed inverse.  K^-1 is
+        `inverse` for a `small` K, else getri on `lu`.  The norms are of K
+        and K^-1 scaled by 1/max|K| and max|K|, so that no square under-
+        or overflows."""
+        dim, (scale, unit) = self.matrix.shape[0], self._scaled_norm
+        if self.small:
+            try:
+                inverse = self.inverse
+            except np.linalg.LinAlgError:
+                return math.inf
+        else:
+            from scipy.linalg import lapack
+            lu, piv, info = self.lu
+            if info != 0:
+                return math.inf
+            inverse, info = lapack.dgetri(
+                lu, piv, lwork=int(lapack.dgetri_lwork(dim)[0]))
+            if info != 0:
+                return math.inf
         # an overflow, or 0 * inf, leaves b non-finite
         with np.errstate(over="ignore", invalid="ignore"):
             b = unit * float(np.linalg.norm(inverse * scale))
-        if info != 0 or not math.isfinite(b):
+        if not math.isfinite(b):
             return math.inf
         return b * (1.0 + dim * _EPS * b)
 
@@ -245,8 +273,9 @@ class Resolvent:
     resolve: "exact" when H is additive, M the difference coupling and
     A..D, f, g affine; the constructor forms the composite K as a
     `Composite` of the instance's `AffinePencil`, decides its
-    invertibility and keeps its LU factors, so a call is a triangular
-    solve.  Otherwise "chord": a call runs `_resolve_chord` with J = J_H +
+    invertibility and keeps its factorization, so a call is one product
+    with the inverse (below `_SMALL_DIM`) or a triangular solve.
+    Otherwise "chord": a call runs `_resolve_chord` with J = J_H +
     rho*J_M of the instance's probed model (`AffinePencil.probed`, taken
     on the first call), or raises `ResolventIterationError` before any
     residual is evaluated where the probe met a non-finite image or J
@@ -295,7 +324,7 @@ class Resolvent:
 
     @property
     def exact(self) -> bool:
-        """Whether calls solve the LU-factored composite directly."""
+        """Whether calls solve the factored composite directly."""
         return self._composite is not None
 
     @property

@@ -3,11 +3,15 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_scale_invariance import lift, variant
 from vincl.certify import (
     InsufficientEvidenceError,
     SamplePlan,
+    _pencil,
     certify_d_lipschitz,
     certify_expansive,
     certify_F_properties,
@@ -33,7 +37,7 @@ from vincl.operators import (
     SingletonSetMap,
     negate_map,
 )
-from vincl.resolvent import forward
+from vincl.resolvent import _SMALL_DIM, forward
 from vincl.space import NonFiniteError, SpaceConfig
 
 
@@ -193,6 +197,36 @@ def test_F_first_projection_with_identity_slots():
     assert sigma.constant == pytest.approx(1.0, abs=1e-12)
     assert sigma.details["constant_vs_H_increment"] == pytest.approx(1.0,
                                                                      abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, _SMALL_DIM - 1), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["posdef"] * 3 + ["indefinite", "negdef"]),
+       log_scale=st.floats(-6.0, 6.0))
+def test_small_pencil_matches_scipy_eigh(dim, seed, kind, log_scale):
+    # below the small dimension the pencil's eigenvalues come from numpy's
+    # Cholesky reduction: within 1e-10 * max|lambda| of scipy's
+    # generalized eigh, and None exactly where eigh rejects den
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    spectrum = rng.uniform(0.1, 10.0, dim)
+    if kind == "indefinite":
+        spectrum[rng.integers(dim)] = -1.0
+    elif kind == "negdef":
+        spectrum = -spectrum
+    den = (q * spectrum) @ q.T
+    g = 10.0 ** log_scale * rng.standard_normal((dim, dim))
+    num = (g + g.T) / 2.0
+    got = _pencil(num, den)
+    if kind != "posdef":
+        assert got is None
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.eigh(num, den, eigvals_only=True)
+        return
+    vals = scipy.linalg.eigh(num, den, eigvals_only=True)
+    top = float(np.abs(vals).max())
+    assert abs(got[0] - vals[0]) <= 1e-10 * top
+    assert abs(got[1] - dim * max(-vals[0], vals[-1])) <= 1e-10 * dim * top
 
 
 # ---------------------------------------------------------------------------

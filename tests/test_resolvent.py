@@ -20,6 +20,7 @@ from vincl.operators import (
     MissingConstantsError,
 )
 from vincl.resolvent import (
+    _SMALL_DIM,
     Composite,
     NonSurjectiveError,
     Resolvent,
@@ -185,20 +186,45 @@ def test_batched_call_matches_rows(rows):
 @given(dim=st.integers(1, 50), rows=st.integers(1, 5),
        seed=st.integers(0, 2**32 - 1))
 def test_exact_resolve_is_lu_solve_to_the_bit(dim, rows, seed):
-    # the exact path calls LAPACK getrs on the composite's LU factors,
-    # the routine scipy.linalg.lu_solve wraps: a vector and a batch come
-    # out as lu_solve's, bit for bit
+    # the exact path multiplies by numpy's inverse of the composite below
+    # the small dimension, and above it calls LAPACK getrs on its LU
+    # factors, the routine scipy.linalg.lu_solve wraps: a vector and a
+    # batch come out as that product's, or lu_solve's, bit for bit
     rng = np.random.default_rng(seed)
     matrix = rng.standard_normal((dim, dim)) + dim * np.eye(dim)
     inst = _linear_instance(matrix).with_(
         A=AffineMap(matrix, rng.standard_normal(dim)))
     resolvent = Resolvent(inst, ResolventConfig(rho=1.0))
     k = Composite(inst.pencil, 1.0)
+    assert k.small is (dim < _SMALL_DIM)
+    if k.small:
+        def want(b):
+            return np.linalg.inv(k.matrix).dot(b)
+    else:
+        def want(b):
+            return scipy.linalg.lu_solve(scipy.linalg.lu_factor(k.matrix), b)
     z = rng.standard_normal((rows, dim))
-    want = scipy.linalg.lu_solve(k.lu[:2], (z - k.offset).T).T
-    assert resolvent(z).tobytes() == want.tobytes()
-    assert resolvent(z[0]).tobytes() == scipy.linalg.lu_solve(
-        k.lu[:2], z[0] - k.offset).tobytes()
+    assert resolvent(z).tobytes() == want((z - k.offset).T).T.tobytes()
+    assert resolvent(z[0]).tobytes() == want(z[0] - k.offset).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 2 * _SMALL_DIM), log_cond=st.floats(0.0, 12.0),
+       log_scale=st.floats(-5.0, 5.0), columns=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_composite_solve_matches_numpy_solve(dim, log_cond, log_scale,
+                                             columns, seed):
+    # numpy's inverse below the small dimension and LU factors above it
+    # solve K x = b, a vector or the columns of a matrix, within dim *
+    # cond(K) * eps of numpy's solve, relative to ||x||
+    matrix = 10.0 ** log_scale * _graded_matrix(dim, 10.0 ** log_cond, seed,
+                                                "graded")
+    k = Composite(_linear_instance(matrix).pencil, 1.0)
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((dim, columns) if columns else dim)
+    want = np.linalg.solve(k.matrix, b)
+    bound = dim * np.linalg.cond(k.matrix) * np.finfo(float).eps
+    assert np.linalg.norm(k.solve(b) - want) <= bound * np.linalg.norm(want)
 
 
 def test_resolvent_paths_and_singular_values():
@@ -296,7 +322,8 @@ def test_invertible_matches_the_singular_value_rule(dim, log_cond, log_scale,
         assert k.invertible is rule
         if kind not in ("singular", "zero") and log_cond <= 3.0:
             assert "sv" not in vars(k)      # settled at every scale
-            assert kind not in _DEFINITE or "lu" not in vars(k)
+            assert kind not in _DEFINITE or not {"inverse", "lu"} & set(
+                vars(k))
         if rule:
             res = Resolvent(inst, ResolventConfig(rho=1.0))
             assert res.exact
@@ -309,16 +336,18 @@ def test_invertible_matches_the_singular_value_rule(dim, log_cond, log_scale,
 
 def test_invertible_reads_the_singular_values_once_taken():
     # an indefinite symmetric part leaves the pencil's bound inconclusive:
-    # the LU bracket decides, unless the singular values were read first
+    # the inverse's bracket decides, unless the singular values were read
+    # first
     pencil = _diagonal_instance([1.0, -2.0, 4.0]).pencil
     k = Composite(pencil, 1.0)
-    assert k.invertible and "lu" in vars(k) and "sv" not in vars(k)
+    assert k.small and k.invertible and "inverse" in vars(k)
+    assert not {"lu", "sv"} & set(vars(k))
     k = Composite(pencil, 1.0)
     assert k.cond == 4.0 and k.invertible
-    assert "lu" not in vars(k)                      # no LU, no inverse
+    assert not {"inverse", "lu"} & set(vars(k))     # no factorization
     # a definite one is settled by the bound, with no factorization
     k = Composite(_diagonal_instance([1.0, 2.0, 4.0]).pencil, 1.0)
-    assert k.invertible and not {"lu", "sv"} & set(vars(k))
+    assert k.invertible and not {"inverse", "lu", "sv"} & set(vars(k))
 
 
 def test_negative_rho_bounds_the_symmetric_part_from_the_other_side():
@@ -329,7 +358,7 @@ def test_negative_rho_bounds_the_symmetric_part_from_the_other_side():
     k = Composite(inst.pencil, -1.0 / 3.0)
     assert not k.invertible and k.defect()["kind"] == "singular linear part"
     k = Composite(inst.pencil, -0.1)                 # diag(0.9, 0.7)
-    assert k.invertible and not {"lu", "sv"} & set(vars(k))
+    assert k.invertible and not {"inverse", "lu", "sv"} & set(vars(k))
 
 
 def test_pencil_is_assembled_once_per_instance(monkeypatch):

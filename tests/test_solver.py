@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
+from test_scale_invariance import lift
 import vincl.operators
 import vincl.resolvent
 import vincl.solver
@@ -370,18 +371,34 @@ def _counting(monkeypatch, counts, module, name, owners=()):
         monkeypatch.setattr(owner, name, wrapper)
 
 
-def test_solve_factors_composite_once(monkeypatch):
-    # one LAPACK getrf of the composite, no inverse and no SVD: the
-    # symmetric-part bound decides invertibility, and nothing reads a
-    # singular value
+def _solve_counting_factorizations(monkeypatch, inst):
+    """solve(inst) from z0 = 1, and the calls it made of numpy's inv, of
+    LAPACK getrf and getri and of numpy's svd."""
     counts = {}
+    _counting(monkeypatch, counts, np.linalg, "inv")
     _counting(monkeypatch, counts, lapack, "dgetrf")
     _counting(monkeypatch, counts, lapack, "dgetri")
     _counting(monkeypatch, counts, np.linalg, "svd")
-    trace = solve(example_4_7().instance,
-                  SolverConfig(z0=[1.0, 1.0], tol=1e-12))
+    trace = solve(inst, SolverConfig(z0=np.ones(inst.dim), tol=1e-12))
+    return trace, counts
+
+
+def test_solve_factors_composite_once(monkeypatch):
+    # one inverse of the dim-2 composite by numpy, no LU, no getri and no
+    # SVD: the symmetric-part bound decides invertibility, and nothing
+    # reads a singular value
+    trace, counts = _solve_counting_factorizations(
+        monkeypatch, example_4_7().instance)
     assert trace.iterations == 282
-    assert counts == {"dgetrf": 1, "dgetri": 0, "svd": 0}
+    assert counts == {"inv": 1, "dgetrf": 0, "dgetri": 0, "svd": 0}
+
+
+def test_solve_factors_a_composite_past_the_small_dimension_once(monkeypatch):
+    # at dim 20 one LAPACK getrf takes the inverse's place
+    trace, counts = _solve_counting_factorizations(
+        monkeypatch, lift(example_4_7().instance, 20))
+    assert trace.converged
+    assert counts == {"inv": 0, "dgetrf": 1, "dgetri": 0, "svd": 0}
 
 
 def test_solve_checks_each_set_value_once(monkeypatch):

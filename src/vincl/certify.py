@@ -541,12 +541,9 @@ def certify_F_properties(inst: InclusionInstance,
             ("second", inst.T, got["delta"], got["eps2"],
              lambda p, w: inst.F(w, p)))
     accretive, lipschitz = [], []
-
-    @functools.cache
-    def gram():
-        """L_H' L_H, the pencil denominator of both arguments."""
-        return hc.matrix.T @ hc.matrix
-
+    # L_H' L_H, the pencil denominator of both arguments on the exact path
+    gram = (hc.matrix.T @ hc.matrix
+            if hc is not None and fp is not None and q == 2.0 else None)
     for k, (arg, set_map, claimed, eps, f) in enumerate(args):
         prop = f"F_strongly_accretive_{arg}"
 
@@ -563,11 +560,10 @@ def certify_F_properties(inst: InclusionInstance,
         identity = isinstance(set_map, IdentitySetMap)
         sel = (affine_parts(set_map.map)
                if isinstance(set_map, SingletonSetMap) else None)
-        if (hc is not None and fp is not None and q == 2.0
-                and (identity or sel is not None)):
+        if gram is not None and (identity or sel is not None):
             left = fp[k].T if identity else sel[0].T @ fp[k].T
             num = _sym(left @ hc.matrix)
-            vs_h = _pencil(num, gram())
+            vs_h = _pencil(num, gram)
             accretive.append(_exact_cert(prop, claimed, *_min_eig(
                 num, claimed), {"constant_vs_H_increment":
                                 None if vs_h is None else vs_h[0], "q": q}))

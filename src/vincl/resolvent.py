@@ -34,8 +34,11 @@ _COND_LIMIT = 1e12
 _EPS = np.finfo(float).eps
 # below this dimension the dense kernels come from numpy (`np.linalg.inv`
 # for a composite, a Cholesky reduction for a symmetric pencil), which
-# spares a process the scipy import; at and above it, where numpy's inv
-# is several times slower than LAPACK getrf, they come from scipy's LAPACK
+# spares each process the scipy import that a small factorization does not
+# repay; at and above it they come from scipy's LAPACK, for its speed on
+# large matrices (at dim 400, getrf takes about a quarter of inv's time).
+# The built-ins (dims 2 to 8) fall below it, blackbox-50 and the dim-400
+# workloads above; any cut from 9 to 50 splits them the same way
 _SMALL_DIM = 16
 # the number of (iterate, step) differences Anderson mixing keeps
 _ANDERSON_MEMORY = 5

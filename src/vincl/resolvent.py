@@ -370,14 +370,37 @@ class Resolvent:
             return k.solve((zv - k.offset).T).T
         if batch:
             return np.array([self(row) for row in zv])
+        return self._chord_images(zv)[0]
+
+    def images(self, z):
+        """(x, H(x), M(f(x), g(x))) for x = R(z), one vector z: the images
+        a resolve of z holds, for an iteration that needs them at x.
+
+        On the chord path they are the images the last residual evaluated
+        at x, the bits `eval_H_on_point` and `eval_M_on_point` return
+        there.  On the exact path M is the difference coupling, so single-
+        valued: its member m is one pencil matvec, and H(x) is z - rho*m,
+        the evaluated H(x) up to the rounding of the solve.  Checks and
+        raises as a call on a vector does."""
+        zv = as_vector(z, self.inst.dim, "resolvent")
+        k = self._composite
+        if k is None:
+            return self._chord_images(zv)
+        x = k.solve(zv - k.offset)
+        members = eval_M_on_point(self.inst, x)
+        return x, zv - self.cfg.rho * members[0], members
+
+    def _chord_images(self, zv: np.ndarray):
+        """`_resolve_chord` of the checked vector zv, its iterations added
+        to `inner_iterations`: (x, H(x), the members of M at x)."""
         try:
-            x, iterations = _resolve_chord(self.inst, self.cfg, zv,
-                                           self._chord)
+            x, iterations, hx, members = _resolve_chord(
+                self.inst, self.cfg, zv, self._chord)
         except ResolventIterationError as exc:
             self.inner_iterations += exc.iterations
             raise
         self.inner_iterations += iterations
-        return x
+        return x, hx, members
 
 
 def resolve(inst: InclusionInstance, cfg: ResolventConfig, z) -> np.ndarray:
@@ -409,7 +432,7 @@ def _resolve_chord(inst: InclusionInstance, cfg: ResolventConfig,
     g(x)) of the smallest residual, under type-II Anderson mixing (Walker
     & Ni, "Anderson acceleration for fixed-point iterations", SIAM J.
     Numer. Anal. 49, 2011); returns (x, the number of iterations run, one
-    residual evaluation each).
+    residual evaluation each, H(x), the members of M(f(x), g(x))).
 
     The history holds up to `_ANDERSON_MEMORY` differences dX, dP of
     consecutive iterates and steps.  gamma minimizes ||p - dP @ gamma||
@@ -457,14 +480,14 @@ def _resolve_chord(inst: InclusionInstance, cfg: ResolventConfig,
             k = int(np.argmin(norms)) if len(norms) > 1 else 0
             r, last = residuals[k], norms[k]
             if last <= tol:
-                return x, n
+                return x, n, hx, members
             if not math.isfinite(last):
                 raise ResolventIterationError(
                     "chord iteration diverged to non-finite values", last, n)
             floor = _FLOOR_FACTOR * _EPS * (
                 _norm(hx) + cfg.rho * _norm(members[k]) + z_norm)
             if last <= floor < math.inf:    # norms near 1e308 add to inf
-                return x, n
+                return x, n, hx, members
             best.append(min(last, best[-1]) if best else last)
             if len(best) == best.maxlen and best[-1] > _STALL_FACTOR * best[0]:
                 raise ResolventIterationError(

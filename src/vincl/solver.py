@@ -9,6 +9,10 @@ One step of the scheme, from the current z:
               + rho*omega + e_n
 
 with an error term e_n -> 0 whose increments are geometrically summable.
+H(u_n) and M(f(u_n), g(u_n)) are the images the resolve of z_n holds
+(`Resolvent.images`).  On the exact path H(u_n) = z_n - rho*m_n, so
+z_(n+1) - z_n = rho*(omega - F(v_n, w_n) - m_n) + e_n, whose fixed point
+zeroes the evaluated inclusion residual whatever the rounding of the solve.
 The per-step contraction factor predicted by the theory is
 
     theta_n = (1/(r + rho*m)) * (tau^q + c_q*rho^q*(eps1*l1*k + eps2*l2*k)^q
@@ -38,7 +42,6 @@ from .operators import (
     MissingConstantsError,
     _write_atomic,
     eval_H_on_point,
-    eval_M_on_point,
     set_values,
 )
 from .resolvent import Resolvent, ResolventConfig, theoretical_r_m
@@ -370,7 +373,8 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
     The residual is `inclusion_residual`'s value, min over m in
     M(f(u), g(u)) of ||omega - F(v, w) - m||.  The maps are taken to be
     deterministic functions: F is called once per iteration, and its image
-    at (v_n, w_n) serves both that residual and z_(n+1).
+    at (v_n, w_n) serves both that residual and z_(n+1); H and M are
+    called only by the resolve, whose images at u_n serve them too.
 
     Raises
     ------
@@ -400,8 +404,11 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
     rho_omega = rho * inst.omega
 
     z0 = as_vector(cfg.z0, inst.dim, "z0")
-    u = (resolvent(z0) if cfg.u0 is None
-         else np.array(as_vector(cfg.u0, inst.dim, "u0")))
+    if cfg.u0 is None:
+        u, hu, _ = resolvent.images(z0)
+    else:
+        u = np.array(as_vector(cfg.u0, inst.dim, "u0"))
+        hu = eval_H_on_point(inst, u)
     if cfg.errors is not None:
         as_vector(cfg.errors.direction, inst.dim, "error direction")
     v = _nearest(u, set_values(inst.S, u))
@@ -414,15 +421,15 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
     for n in range(cfg.max_iters):
         # a zero error still adds 0.0: it turns a -0.0 of z into +0.0
         e_n = cfg.errors.term(n) if cfg.errors is not None else 0.0
-        z_next = eval_H_on_point(inst, u) - rho * fvw + rho_omega + e_n
-        u_next = resolvent(z_next)
+        z_next = hu - rho * fvw + rho_omega + e_n
+        u_next, hu, members = resolvent.images(z_next)     # hu = H(u_next)
         v_next = _nearest(v, set_values(inst.S, u_next))
         w_next = _nearest(w, set_values(inst.T, u_next))
         step = float(np.linalg.norm(u_next - u))
         ratio = (step / prev_step) if (prev_step is not None and prev_step > 0) else None
         fvw = as_vector(inst.F(v_next, w_next), inst.dim, "image of F")
         residual = min(float(np.linalg.norm(inst.omega - fvw - m))
-                       for m in eval_M_on_point(inst, u_next))
+                       for m in members)
         trace.records.append(IterationRecord(
             n=n, z=z_next, u=u_next, v=v_next, w=w_next, step=step,
             ratio=ratio, residual=residual,

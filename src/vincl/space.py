@@ -95,7 +95,8 @@ def as_rows(vectors, dim: int | None = None, context: str = "") -> np.ndarray:
         n = dim
         for row in rows:        # the first malformed row raises
             n = as_vector(row, n, context).shape[0]
-    if not np.isfinite(out).all():
+    finite = np.isfinite(out).ravel()       # as in `as_vector`
+    if not finite[finite.argmin()]:
         raise NonFiniteError("batch has non-finite coordinates")
     if dim is not None and out.shape[1] != dim:
         raise DimensionMismatchError(dim, out.shape[1], context)

@@ -18,6 +18,8 @@ from vincl.operators import (
     IdentitySetMap,
     InclusionInstance,
     MissingConstantsError,
+    eval_H_on_point,
+    eval_M_on_point,
 )
 from vincl.resolvent import (
     _SMALL_DIM,
@@ -423,6 +425,34 @@ def test_inner_iterations_counted():
     exact = Resolvent(example_4_7().instance, ResolventConfig(rho=0.35))
     exact(z)
     assert exact.inner_iterations == exact.probe_evaluations == 0
+
+
+@pytest.mark.parametrize("wrap", [lambda inst: inst, _opaque_h, _nonlinear],
+                         ids=["exact", "chord", "nonlinear"])
+def test_images_are_those_of_the_resolved_point(wrap):
+    # chord path: the bits the maps give at x; exact path: H(x) = z -
+    # rho*m, which the evaluated H(x) matches up to the solve's rounding
+    inst = wrap(example_4_7().instance)
+    res = Resolvent(inst, ResolventConfig(rho=0.35))
+    z = np.array([0.3, -0.8])
+    x, hx, members = res.images(z)
+    n = res.inner_iterations
+    np.testing.assert_array_equal(x, res(z))
+    assert res.inner_iterations == 2 * n    # as a call counts them
+    want = eval_M_on_point(inst, x)
+    assert len(members) == len(want)
+    for got, m in zip(members, want):
+        np.testing.assert_array_equal(got, m)
+    if res.exact:
+        np.testing.assert_array_equal(hx, z - 0.35 * members[0])
+        np.testing.assert_allclose(hx, eval_H_on_point(inst, x), rtol=0,
+                                   atol=1e-15)
+    else:
+        np.testing.assert_array_equal(hx, eval_H_on_point(inst, x))
+    with pytest.raises(NonFiniteError):
+        res.images(np.array([np.nan, 0.0]))
+    with pytest.raises(DimensionMismatchError):
+        res.images(np.ones(3))
 
 
 @pytest.mark.parametrize("c", [1e4, 1e6, 1e155, 1e160])

@@ -109,6 +109,7 @@ _EXACT = Resolvent(example_4_7().instance, ResolventConfig(rho=0.35))
 @pytest.mark.parametrize("call, context", [
     (lambda: _EXACT(np.ones(3)), "2 vs 3 (resolvent)"),
     (lambda: _EXACT(np.ones((2, 3))), "2 vs 3 (resolvent)"),
+    (lambda: _EXACT.images(np.ones(3)), "2 vs 3 (resolvent)"),
     (lambda: inner([1.0, 2.0], [1.0]), "2 vs 1 (inner)"),
     (lambda: hausdorff_distance([[1.0, 2.0]], [[1.0]]),
      "2 vs 1 (hausdorff_distance)"),
@@ -120,7 +121,8 @@ _EXACT = Resolvent(example_4_7().instance, ResolventConfig(rho=0.35))
     (lambda: NearestNodeSetMap([[0.0, 0.0]], [[[1.0]]]),
      "2 vs 1 (grid node point set)"),
     (lambda: as_rows([[1.0, 2.0], [1.0]]), "2 vs 1"),
-], ids=["resolvent-vector", "resolvent-batch", "inner", "hausdorff",
+], ids=["resolvent-vector", "resolvent-batch", "resolvent-images",
+        "inner", "hausdorff",
         "nadler-select", "pair-map-offset", "pair-map-eval",
         "nearest-node-points", "ragged-rows"])
 def test_each_entry_point_names_itself(call, context):
@@ -148,3 +150,10 @@ def test_as_vector_and_as_rows_agree():
     for bad in ([], [[]], [[[1.0, 2.0]]], [1.0, 2.0]):
         with pytest.raises(ValueError):
             as_rows(bad)
+    for k in range(6):          # a NaN or an Inf in any coordinate
+        for value in (np.nan, np.inf, -np.inf):
+            bad = np.ones((3, 2))
+            bad.flat[k] = value
+            with pytest.raises(NonFiniteError,
+                               match="^batch has non-finite coordinates$"):
+                as_rows(bad)

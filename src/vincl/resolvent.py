@@ -32,11 +32,10 @@ from .space import (DEGENERATE, RESOLVE_TOL, ConfigError, NonFiniteError,
 
 _COND_LIMIT = 1e12
 _EPS = np.finfo(float).eps
-# below this dimension the dense kernels come from numpy (`np.linalg.inv`
-# for a composite, a Cholesky reduction for a symmetric pencil), which
-# spares each process the scipy import that a small factorization does not
-# repay; at and above it they come from scipy's LAPACK, for its speed on
-# large matrices (at dim 400, getrf takes about a quarter of inv's time).
+# below this dimension a composite is factored by numpy (`np.linalg.inv`),
+# which spares each process the scipy import that a small factorization
+# does not repay; at and above it by scipy's LAPACK getrf, for its speed
+# on large matrices (at dim 400, getrf takes about a quarter of inv's time).
 # The built-ins (dims 2 to 8) fall below it, blackbox-50 and the dim-400
 # workloads above; any cut from 9 to 50 splits them the same way
 _SMALL_DIM = 16
@@ -115,15 +114,14 @@ class Composite:
     `invertible` is the one test of whether H + rho*M is invertible, for
     `Resolvent` and the surjectivity certificate: K is not `zero` and
     cond <= 1e12, which neither a scaling of K nor its dimension moves.
-    The first conclusive route decides: the pencil's symmetric-part bound
-    (`_definite`, no factorization), then `zero`, then, until `sv` has
-    been read, the factorization (`_cond_bound`), then the singular
-    values.  K is factored once, by the dimension: below `_SMALL_DIM`
-    rows (`small`) into its `inverse` by numpy, otherwise into `lu` by
-    LAPACK getrf, which loads scipy.  `inverse` or `lu`, `sv` (largest
-    first), `cond` = sigma_max / sigma_min (None where infinite), `det`
-    and the null direction of a singular `defect` are each computed on
-    first access.
+    The first conclusive route decides: the pencil's Weyl `margins` (no
+    factorization), then `zero`, then, until `sv` has been read, the
+    factorization (`_cond_bound`), then the singular values.  K is
+    factored once, by the dimension: below `_SMALL_DIM` rows (`small`)
+    into its `inverse` by numpy, otherwise into `lu` by LAPACK getrf,
+    which loads scipy.  `inverse` or `lu`, `sv` (largest first), `cond` =
+    sigma_max / sigma_min (None where infinite), `det` and the null
+    direction of a singular `defect` are each computed on first access.
     """
 
     def __init__(self, pencil, rho: float):
@@ -186,25 +184,16 @@ class Composite:
 
     @functools.cached_property
     def invertible(self) -> bool:
-        if self._definite():
+        # a Weyl margin > slack(f), f = ||L_H||_F + |rho|*||L_M||_F >=
+        # sigma_max, bounds sigma_min from below, as |x^T K x| <= ||K x||
+        # for a unit x: this settles cond up to about 1e9
+        if max(self.pencil.margins(self.rho)) > 0:
             return True
         if self.zero:
             return False
         if "sv" not in self.__dict__ and self._cond_bound() <= _COND_LIMIT:
             return True
         return self.cond is not None and self.cond <= _COND_LIMIT
-
-    def _definite(self) -> bool:
-        """Whether Weyl's inequality on the pencil's `bounds` puts every
-        eigenvalue of sym(K) on one side of 0, farther than slack(f), f =
-        ||L_H||_F + |rho|*||L_M||_F >= sigma_max.  Their least distance
-        from 0 is at most sigma_min, as |x^T K x| <= ||K x|| for a unit
-        x, so this settles cond up to about 1e9."""
-        (lo_h, hi_h, fro_h), (lo_m, hi_m, fro_m) = self.pencil.bounds
-        rho = self.rho
-        low = lo_h + min(rho * lo_m, rho * hi_m)
-        high = hi_h + max(rho * lo_m, rho * hi_m)
-        return max(low, -high) > slack(fro_h + abs(rho) * fro_m)
 
     def _cond_bound(self) -> float:
         """An upper bound on cond_2(K) from the factorization, inf where it
@@ -369,7 +358,7 @@ class Resolvent:
         if k is not None:   # a batch's rows are the columns of the rhs
             return k.solve((zv - k.offset).T).T
         if batch:
-            return np.array([self(row) for row in zv])
+            return np.array([self._chord_images(row)[0] for row in zv])
         return self._chord_images(zv)[0]
 
     def images(self, z):

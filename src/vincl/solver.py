@@ -45,7 +45,7 @@ from .operators import (
     set_values,
 )
 from .resolvent import Resolvent, ResolventConfig, theoretical_r_m
-from .space import ConfigError, as_rows, as_vector
+from .space import ConfigError, NonFiniteError, as_rows, as_vector
 
 TRACE_SCHEMA = "vincl.trace.v1"
 
@@ -382,7 +382,8 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
         When z0, u0, the error direction or an image of F is not of the
         instance's dimension.
     DivergenceError
-        On sustained step growth (>10x over a 20-iteration window); the
+        On sustained step growth (>10x over a 20-iteration window), or
+        where an iterate or an image of the maps becomes non-finite; the
         partial trace rides on the exception.
     NonSurjectiveError, ResolventIterationError
         Propagated from the resolvent.
@@ -418,43 +419,52 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
     # the divergence guard compares each step with the one 20 steps back
     window = deque(maxlen=21)
 
-    for n in range(cfg.max_iters):
-        # a zero error still adds 0.0: it turns a -0.0 of z into +0.0
-        e_n = cfg.errors.term(n) if cfg.errors is not None else 0.0
-        z_next = hu - rho * fvw + rho_omega + e_n
-        u_next, hu, members = resolvent.images(z_next)     # hu = H(u_next)
-        v_next = _nearest(v, set_values(inst.S, u_next))
-        w_next = _nearest(w, set_values(inst.T, u_next))
-        step = float(np.linalg.norm(u_next - u))
-        ratio = (step / prev_step) if (prev_step is not None and prev_step > 0) else None
-        fvw = as_vector(inst.F(v_next, w_next), inst.dim, "image of F")
-        residual = min(float(np.linalg.norm(inst.omega - fvw - m))
-                       for m in members)
-        trace.records.append(IterationRecord(
-            n=n, z=z_next, u=u_next, v=v_next, w=w_next, step=step,
-            ratio=ratio, residual=residual,
-            theta_n=None if rate is None else rate.theta(n + 1),
-            error_norm=0.0 if cfg.errors is None
-            else float(np.linalg.norm(e_n))))
+    # a diverging iterate overflows, and the check of the inf it leaves in
+    # z, an iterate or an image ends the run
+    with np.errstate(over="ignore"):
+        for n in range(cfg.max_iters):
+            # a zero error still adds 0.0: it turns a -0.0 of z into +0.0
+            e_n = cfg.errors.term(n) if cfg.errors is not None else 0.0
+            try:
+                z_next = hu - rho * fvw + rho_omega + e_n
+                u_next, hu, members = resolvent.images(z_next)
+                v_next = _nearest(v, set_values(inst.S, u_next))
+                w_next = _nearest(w, set_values(inst.T, u_next))
+                fvw = as_vector(inst.F(v_next, w_next), inst.dim,
+                                "image of F")
+            except NonFiniteError:
+                raise DivergenceError("iterate became non-finite",
+                                      trace) from None
+            step = float(np.linalg.norm(u_next - u))
+            ratio = (step / prev_step
+                     if prev_step is not None and prev_step > 0 else None)
+            residual = min(float(np.linalg.norm(inst.omega - fvw - m))
+                           for m in members)
+            trace.records.append(IterationRecord(
+                n=n, z=z_next, u=u_next, v=v_next, w=w_next, step=step,
+                ratio=ratio, residual=residual,
+                theta_n=None if rate is None else rate.theta(n + 1),
+                error_norm=0.0 if cfg.errors is None
+                else float(np.linalg.norm(e_n))))
 
-        if not np.isfinite(u_next).all():
-            raise DivergenceError("iterate became non-finite", trace)
-        window.append(step)
-        if len(window) > 20 and step > 10.0 * window[0] and step > cfg.tol:
-            raise DivergenceError(
-                f"step norm grew more than 10x over 20 iterations "
-                f"({window[0]:.3e} -> {step:.3e})", trace)
+            window.append(step)
+            if (len(window) > 20 and step > 10.0 * window[0]
+                    and step > cfg.tol):
+                raise DivergenceError(
+                    f"step norm grew more than 10x over 20 iterations "
+                    f"({window[0]:.3e} -> {step:.3e})", trace)
 
-        u, v, w = u_next, v_next, w_next
-        prev_step = step if step > 0 else prev_step
-        if step <= cfg.tol and residual <= res_bound:
-            trace.converged = True
-            trace.final_residual = residual
-            trace.message = f"converged after {n + 1} iterations"
-            break
-    else:
-        trace.final_residual = trace.records[-1].residual if trace.records else math.inf
-        trace.message = f"not converged within {cfg.max_iters} iterations"
+            u, v, w = u_next, v_next, w_next
+            prev_step = step if step > 0 else prev_step
+            if step <= cfg.tol and residual <= res_bound:
+                trace.converged = True
+                trace.final_residual = residual
+                trace.message = f"converged after {n + 1} iterations"
+                break
+        else:
+            trace.final_residual = (trace.records[-1].residual
+                                    if trace.records else math.inf)
+            trace.message = f"not converged within {cfg.max_iters} iterations"
 
     tail = trace.ratios[-10:]
     if tail:

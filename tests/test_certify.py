@@ -4,14 +4,14 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_scale_invariance import lift, variant
 from vincl.certify import (
     InsufficientEvidenceError,
     SamplePlan,
-    _pencil,
+    _det_polynomial_roots,
     certify_d_lipschitz,
     certify_expansive,
     certify_F_properties,
@@ -29,6 +29,7 @@ from vincl.operators import (
     AdditiveBiSlot,
     AffineMap,
     AffinePairMap,
+    AffinePencil,
     ConstantSetMap,
     Constants,
     DifferenceCoupling,
@@ -37,7 +38,7 @@ from vincl.operators import (
     SingletonSetMap,
     negate_map,
 )
-from vincl.resolvent import _SMALL_DIM, forward
+from vincl.resolvent import _SMALL_DIM, Composite, forward
 from vincl.space import NonFiniteError, SpaceConfig
 
 
@@ -199,34 +200,103 @@ def test_F_first_projection_with_identity_slots():
                                                                      abs=1e-9)
 
 
+def _orthogonal(rng, dim):
+    return np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+
+
 @settings(max_examples=200, deadline=None)
-@given(dim=st.integers(1, _SMALL_DIM - 1), seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(["posdef"] * 3 + ["indefinite", "negdef"]),
-       log_scale=st.floats(-6.0, 6.0))
-def test_small_pencil_matches_scipy_eigh(dim, seed, kind, log_scale):
-    # below the small dimension the pencil's eigenvalues come from numpy's
-    # Cholesky reduction: within 1e-10 * max|lambda| of scipy's
-    # generalized eigh, and None exactly where eigh rejects den
+@given(dim=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       log_cond=st.one_of(st.floats(0.0, 4.0), st.floats(13.0, 16.0)),
+       singular=st.booleans(), log_scale=st.floats(-6.0, 6.0),
+       selection=st.sampled_from(["identity", "affine"]),
+       affine_m=st.booleans())
+@example(dim=_SMALL_DIM, seed=1, log_cond=2.0, singular=False, log_scale=0.0,
+         selection="affine", affine_m=True)
+@example(dim=_SMALL_DIM - 1, seed=2, log_cond=2.0, singular=True,
+         log_scale=3.0, selection="identity", affine_m=False)
+def test_F_vs_H_increment_matches_scipy_eigh(dim, seed, log_cond, singular,
+                                            log_scale, selection, affine_m):
+    # the exact constant_vs_H_increment is min over d of <P d, L_H d> /
+    # ||L_H d||^2, P = F_1 L_S: the smallest eigenvalue of the symmetric
+    # pencil (sym(P' L_H), L_H' L_H), taken here by scipy's generalized
+    # eigh; it is None exactly where L_H is singular or its condition
+    # number is past 1e12, the rule of Composite.invertible
     rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    spectrum = rng.uniform(0.1, 10.0, dim)
-    if kind == "indefinite":
-        spectrum[rng.integers(dim)] = -1.0
-    elif kind == "negdef":
-        spectrum = -spectrum
-    den = (q * spectrum) @ q.T
-    g = 10.0 ** log_scale * rng.standard_normal((dim, dim))
-    num = (g + g.T) / 2.0
-    got = _pencil(num, den)
-    if kind != "posdef":
+    s = np.geomspace(1.0, 10.0 ** -log_cond, dim)
+    if singular:
+        s[rng.integers(dim)] = 0.0
+    lh = 10.0 ** log_scale * (_orthogonal(rng, dim) * s) @ _orthogonal(
+        rng, dim).T
+    first, ls = rng.standard_normal((2, dim, dim))
+    zero = AffineMap.zero(dim)
+    inst = InclusionInstance(
+        space=SpaceConfig(dim=dim), A=AffineMap.linear(lh), B=zero, C=zero,
+        D=zero, f=AffineMap.identity(dim),
+        g=zero if affine_m else (lambda x: 0.0 * x), H=AdditiveBiSlot(),
+        F=AffinePairMap(first, np.zeros((dim, dim)), np.zeros(dim)),
+        M=DifferenceCoupling(),
+        S=(IdentitySetMap() if selection == "identity"
+           else SingletonSetMap(AffineMap.linear(ls))),
+        T=IdentitySetMap(), omega=np.zeros(dim), rho=1.0,
+        constants=Constants(sigma=0.1, delta=0.1, eps1=1.0, eps2=1.0))
+    assert inst.pencil.affine is affine_m
+    got = certify_F_properties(inst)[0].details["constant_vs_H_increment"]
+    if singular or (dim > 1 and log_cond > 12.0):
         assert got is None
-        with pytest.raises(np.linalg.LinAlgError):
-            scipy.linalg.eigh(num, den, eigvals_only=True)
         return
-    vals = scipy.linalg.eigh(num, den, eigvals_only=True)
-    top = float(np.abs(vals).max())
-    assert abs(got[0] - vals[0]) <= 1e-10 * top
-    assert abs(got[1] - dim * max(-vals[0], vals[-1])) <= 1e-10 * dim * top
+    p = first if selection == "identity" else first @ ls
+    ref = scipy.linalg.eigh(0.5 * (p.T @ lh + lh.T @ p), lh.T @ lh,
+                            eigvals_only=True)
+    # both sides are accurate to about eps * cond(L_H)^2 * max |lambda|
+    assert abs(got - ref[0]) <= 1e-6 * float(np.abs(ref).max())
+
+
+def _root_clusters(roots):
+    """The sorted roots, those within 1e-6 of the one before merged."""
+    out = []
+    for r in sorted(roots):
+        if not out or r - out[-1] > 1e-6 * (1.0 + abs(r)):
+            out.append(r)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+       n_zero=st.integers(0, 3), repeat=st.booleans(),
+       rho0=st.sampled_from([None, 0.5, 1.0, 2.0]))
+@example(dim=3, seed=1, n_zero=3, repeat=False, rho0=None)   # L_M = 0
+@example(dim=4, seed=2, n_zero=2, repeat=True, rho0=1.0)
+def test_det_polynomial_roots_match_qz(dim, seed, n_zero, repeat, rho0):
+    # L_H = P diag(h) Q and L_M = P diag(m) Q, P and Q orthogonal: det(L_H
+    # + rho*L_M) = +-prod(h_i + rho*m_i), whose roots are -h_i / m_i where
+    # m_i != 0.  A zero m_i makes L_M singular and a repeated -h_i / m_i
+    # a repeated root; the roots, from K0^-1 L_M at rho0 (or at the first
+    # invertible scan node), are those of scipy's QZ, eig(L_H, -L_M)
+    rng = np.random.default_rng(seed)
+    roots = rng.choice([-1.0, 1.0], dim) * rng.uniform(0.1, 3.0, dim)
+    if repeat and dim > 1:
+        roots[1] = roots[0]
+    m = rng.choice([-1.0, 1.0], dim) * rng.uniform(0.5, 2.0, dim)
+    h = -roots * m
+    zero = rng.permutation(dim)[:n_zero]
+    m[zero], h[zero] = 0.0, rng.uniform(0.5, 2.0, len(zero))
+    p, q = _orthogonal(rng, dim), _orthogonal(rng, dim)
+    lh, lm = (p * h) @ q.T, (p * m) @ q.T
+    pencil = AffinePencil(AffineMap.linear(lh), AffineMap.linear(lm))
+    k = None
+    if rho0 is not None and Composite(pencil, rho0).invertible:
+        k = Composite(pencil, rho0)
+    got = _det_polynomial_roots(pencil, k)
+    expected = _root_clusters(roots[(m != 0.0) & (roots > 0.0)])
+    eigs = scipy.linalg.eig(lh, -lm, right=False)
+    # QZ leaves a zero m_i an infinite or a huge eigenvalue
+    eigs = eigs[np.isfinite(eigs) & (np.abs(eigs) < 1e8)]
+    qz = eigs.real[(np.abs(eigs.imag) <= 1e-8 * (1.0 + np.abs(eigs.real)))
+                   & (eigs.real > 1e-12)]
+    for found in (got, qz):
+        found = _root_clusters(found)
+        assert len(found) == len(expected)
+        np.testing.assert_allclose(found, expected, rtol=1e-7)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgWarning
 
 import vincl.operators
+import vincl.resolvent
+import vincl.space
 from vincl.certify import SamplePlan
 from vincl.instances import example_3_2, example_3_3, example_4_7
 from vincl.operators import (
@@ -425,6 +427,26 @@ def test_inner_iterations_counted():
     exact = Resolvent(example_4_7().instance, ResolventConfig(rho=0.35))
     exact(z)
     assert exact.inner_iterations == exact.probe_evaluations == 0
+
+
+def test_chord_batch_checks_each_row_once(monkeypatch):
+    # as_rows checks a batch; its rows go to the chord iteration without
+    # an as_vector check each, so a 10-row batch makes 10 as_vector calls
+    # fewer than its rows resolved one by one, to the same bits
+    inst = example_4_7().instance
+    inst = inst.with_(A=lambda x, a=inst.A: a(x))
+    res = Resolvent(inst, ResolventConfig(rho=0.35))
+    z = np.random.default_rng(3).standard_normal((10, 2))
+    res(z[0])                                       # runs the probe
+    calls = []
+    original = vincl.space.as_vector
+    for module in (vincl.space, vincl.operators, vincl.resolvent):
+        monkeypatch.setattr(module, "as_vector", lambda *args, **kwargs:
+                            calls.append(1) or original(*args, **kwargs))
+    rows = np.array([res(row) for row in z])
+    n_rows = len(calls)
+    np.testing.assert_array_equal(res(z), rows)
+    assert len(calls) - n_rows == n_rows - 10
 
 
 @pytest.mark.parametrize("wrap", [lambda inst: inst, _opaque_h, _nonlinear],

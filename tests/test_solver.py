@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import vincl.operators
 import vincl.resolvent
 import vincl.solver
 import vincl.space
+from vincl.cli import EXIT_NO_CONVERGENCE, main
 from vincl.instances import builtin_names, example_3_2, example_4_7, get_instance
 from vincl.operators import (
     AdditiveBiSlot,
@@ -20,6 +22,7 @@ from vincl.operators import (
     IdentitySetMap,
     InclusionInstance,
     MissingConstantsError,
+    dump_instance,
     eval_H_on_point,
     eval_M_on_point,
     set_values,
@@ -309,24 +312,51 @@ def test_solve_cauchy_tail_bound():
     assert tail <= steps[n] * theta0 / (1.0 - theta0) * (1.0 + 1e-6)
 
 
-def test_solve_divergence_guard():
-    # amplifying pair map makes the iteration expand; the guard must trip
+def _expanding(gain: float) -> InclusionInstance:
+    """u -> u under H and M, F(v, w) = gain * v: for gain < -1 the
+    iteration expands."""
     dim = 2
-    inst = InclusionInstance(
+    return InclusionInstance(
         space=SpaceConfig(dim=dim),
         A=AffineMap.identity(dim), B=AffineMap.zero(dim),
         C=AffineMap.zero(dim), D=AffineMap.zero(dim),
         f=AffineMap.identity(dim), g=AffineMap.zero(dim),
         H=AdditiveBiSlot(),
-        F=AffinePairMap(-10.0 * np.eye(dim), np.zeros((dim, dim)),
+        F=AffinePairMap(gain * np.eye(dim), np.zeros((dim, dim)),
                         np.zeros(dim)),
         M=DifferenceCoupling(), S=IdentitySetMap(), T=IdentitySetMap(),
         omega=np.zeros(dim), rho=1.0)
+
+
+def test_solve_divergence_guard():
+    # amplifying pair map makes the iteration expand; the guard must trip
     with pytest.raises(DivergenceError) as exc:
-        solve(inst, SolverConfig(z0=[1.0, 1.0], tol=1e-12, max_iters=500))
+        solve(_expanding(-10.0),
+              SolverConfig(z0=[1.0, 1.0], tol=1e-12, max_iters=500))
     assert exc.value.trace.iterations == 21
     assert str(exc.value) == ("step norm grew more than 10x over 20 "
                               "iterations (3.182e+00 -> 2.042e+15)")
+
+
+def test_solve_reports_an_overflowing_iterate_as_divergence(tmp_path):
+    # at gain -1e150 the second z overflows before the growth window
+    # fills: a DivergenceError with the partial trace, with no numpy
+    # warning on the way, and the CLI's exit code 2
+    inst = _expanding(-1e150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError,
+                           match="^iterate became non-finite$") as exc:
+            solve(inst, SolverConfig(z0=[1.0, 1.0], tol=1e-12,
+                                     max_iters=500))
+    trace = exc.value.trace
+    assert trace.iterations == 1
+    assert np.isfinite(trace.u_final).all()
+    path = tmp_path / "overflowing.json"
+    dump_instance(inst, str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["solve", "--instance", str(path)]) == EXIT_NO_CONVERGENCE
 
 
 def _reference_loop(inst, z0, rho, tol):

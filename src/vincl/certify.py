@@ -147,6 +147,13 @@ class Certificate(JsonRecord):
     details: dict = field(default_factory=dict)
 
 
+def _positive_claim(prop, claimed):
+    """Raise ConfigError unless the claimed constant of `prop` is > 0."""
+    if not claimed > 0:
+        raise ConfigError(f"{prop}: claimed constant must be > 0, got "
+                          f"{claimed}")
+
+
 def _witness_pair(x, y, lhs, rhs) -> dict:
     return {"x": np.asarray(x).tolist(), "y": np.asarray(y).tolist(),
             "lhs": float(lhs), "rhs": float(rhs)}
@@ -356,8 +363,7 @@ def _accretive(m, claimed, q, plan, dim, prop, sign):
     <dm, J_q(dx)> / ||dx||^q (times `sign` for the relaxed form, so that
     the constant is the smallest valid relaxation parameter).
     """
-    if not claimed > 0:
-        raise ValueError(f"claimed constant must be > 0, got {claimed}")
+    _positive_claim(prop, claimed)
     parts = affine_parts(m)
     if parts is not None:
         # <L d, J_q(d)> / ||d||^q = <L d, d> / ||d||^2 for every q > 1
@@ -414,16 +420,14 @@ def _norm_bound(m, claimed, plan, dim, prop, upper):
 def certify_lipschitz(m, claimed: float, plan: SamplePlan | None = None,
                       dim: int | None = None) -> Certificate:
     """Check ||m(x)-m(y)|| <= claimed * ||x-y||; exact = largest singular value."""
-    if not claimed > 0:
-        raise ValueError(f"claimed constant must be > 0, got {claimed}")
+    _positive_claim("lipschitz", claimed)
     return _norm_bound(m, claimed, plan, dim, "lipschitz", upper=True)
 
 
 def certify_expansive(m, claimed: float, plan: SamplePlan | None = None,
                       dim: int | None = None) -> Certificate:
     """Check ||m(x)-m(y)|| >= claimed * ||x-y||; exact = smallest singular value."""
-    if not claimed > 0:
-        raise ValueError(f"claimed constant must be > 0, got {claimed}")
+    _positive_claim("expansive", claimed)
     return _norm_bound(m, claimed, plan, dim, "expansive", upper=False)
 
 
@@ -594,9 +598,8 @@ def certify_d_lipschitz(set_map, claimed: float,
                         plan: SamplePlan | None = None,
                         dim: int | None = None) -> Certificate:
     """Check D(G(x), G(y)) <= claimed * ||x-y|| in the Hausdorff metric."""
-    if not claimed > 0:
-        raise ValueError(f"claimed constant must be > 0, got {claimed}")
     prop = "d_lipschitz"
+    _positive_claim(prop, claimed)
     if isinstance(set_map, IdentitySetMap):
         return _exact_cert(prop, claimed, 1.0, 0.0,
                            lambda: {"identity_slope": 1.0}, {}, upper=True)

@@ -294,8 +294,9 @@ def ordering_flags(c: Constants) -> list:
 
     Checks alpha > beta, mu1 > mu2, alpha1 > beta1, gamma1, gamma2 > 0,
     and positivity of every other declared constant, on whichever
-    constants are declared.  Violations are reported, not fatal:
-    certification surfaces them.
+    constants are declared.  Violations are reported, not fatal, except
+    alpha1, beta1, l1 or l2 <= 0, or alpha or beta <= 0 under the
+    difference coupling: there `certify_instance` raises ConfigError.
     """
     flags = []
     pairs = [("alpha", "beta"), ("mu1", "mu2"), ("alpha1", "beta1")]
@@ -535,9 +536,6 @@ class ResidualReport:
     v_defect: float
     w_defect: float
     memberships_ok: bool
-
-    def __float__(self):
-        return self.value
 
 
 def inclusion_residual(inst: InclusionInstance, u, v, w) -> ResidualReport:

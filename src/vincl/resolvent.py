@@ -11,7 +11,8 @@ where the probe gives no invertible model, a resolve raises at once.
     ||R(u) - R(v)|| <= ||u - v|| / (r + rho*m),
     r = mu1*alpha1^q - mu2*beta1^q + gamma1 + gamma2,   m = alpha - beta,
 
-against the worst observed quotient over a seeded sample.
+as the expansive bound ||Kx - Ky|| >= (r + rho*m)||x - y|| of K = H + rho*M
+on seeded samples, for R(Kx) = x.
 """
 
 import functools
@@ -257,6 +258,18 @@ class Composite:
                 "det": self.det}
 
 
+def _exact_composite(pencil, rho: float) -> Composite:
+    """The `Composite` of an affine pencil at rho, or NonSurjectiveError
+    carrying its `defect` where it is not invertible."""
+    k = Composite(pencil, rho)
+    defect = k.defect()
+    if defect is not None:
+        raise NonSurjectiveError(
+            f"composite H + rho*M is not invertible at rho={rho}"
+            f": {defect['description']}", defect)
+    return k
+
+
 class Resolvent:
     """R = (H((A,B),(C,D)) + rho*M(f,g))^(-1) of one instance at one rho.
 
@@ -273,9 +286,6 @@ class Resolvent:
     residual is evaluated where the probe met a non-finite image or J
     fails `Composite.invertible`.
 
-    `singular_values` holds those of K, largest first, on the exact path
-    (so `1 / singular_values[-1]` is R's exact Lipschitz constant), from
-    one values-only SVD taken on first access, and is None otherwise.
     `inner_iterations` totals the residual evaluations of the calls that
     returned or raised `ResolventIterationError`, `probe_evaluations` the
     evaluations of H and M this resolvent spent on the probe (dim + 1, or
@@ -303,16 +313,10 @@ class Resolvent:
     """
 
     def __init__(self, inst: InclusionInstance, cfg: ResolventConfig):
-        self.inst, self.cfg, self._composite = inst, cfg, None
+        self.inst, self.cfg = inst, cfg
         self.inner_iterations = self.probe_evaluations = 0
-        if inst.pencil.affine:
-            k = Composite(inst.pencil, cfg.rho)
-            defect = k.defect()
-            if defect is not None:
-                raise NonSurjectiveError(
-                    f"composite H + rho*M is not invertible at rho={cfg.rho}"
-                    f": {defect['description']}", defect)
-            self._composite = k
+        self._composite = (_exact_composite(inst.pencil, cfg.rho)
+                           if inst.pencil.affine else None)
 
     @property
     def exact(self) -> bool:
@@ -344,11 +348,6 @@ class Resolvent:
                       f"{'zero' if k.zero else 'singular'} linear part")
         raise ResolventIterationError(f"no chord model at rho={rho}: {reason}",
                                       math.inf, 0)
-
-    @property
-    def singular_values(self) -> np.ndarray | None:
-        """K's singular values on the exact path, else None."""
-        return None if self._composite is None else self._composite.sv
 
     def __call__(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -521,11 +520,7 @@ def theoretical_r_m(inst: InclusionInstance, constants=None):
 
 @dataclass(frozen=True)
 class AuditReport(JsonRecord):
-    """Observed resolvent contraction versus the theoretical bound.
-
-    `exact_ratio` is the exact worst quotient 1/sigma_min(H + rho*M) on
-    the exact path and None on the chord path.
-    """
+    """The observed contraction of R versus the bound (`audit_lipschitz`)."""
 
     rho: float
     r: float
@@ -540,37 +535,38 @@ class AuditReport(JsonRecord):
 
 def audit_lipschitz(inst: InclusionInstance, cfg: ResolventConfig,
                     plan=None) -> AuditReport:
-    """Check ||R(u)-R(v)|| <= ||u-v|| / (r + rho*m) over sampled pairs.
-
-    Pairs with u = v are skipped (the quotient is vacuous there).  The
-    resolvent is prepared once and applied to all u, then all v, as two
-    batches.  The audit passes when the worst quotient is within
-    `slack(worst + bound)` of the bound.  Raises ValueError where
-    r + rho*m <= 0, as there is no bound there.
-    """
-    from .certify import SamplePlan
-    plan = plan or SamplePlan()
+    """Check ||R(u)-R(v)|| <= ||u-v|| / (r + rho*m) on u = Kx, v = Ky over
+    the plan rows x, y: the expansive bound of K = H + rho*M, decided by
+    `certify`'s sampled-inequality engine.  `worst_pair` is its witness,
+    `worst_ratio` 1 over its constant (inf where that is 0), `exact_ratio`
+    1/sigma_min(K) on the exact path.  u and v are `forward` images, one
+    matrix product each on the exact path: nothing is resolved or probed.
+    Raises ValueError where r + rho*m <= 0, as there is no bound there,
+    and NonSurjectiveError as `Resolvent` does."""
+    from .certify import SamplePlan, _images_of, _norms, _ratio_form
     r, m = theoretical_r_m(inst)
     denom = r + cfg.rho * m
     if not denom > 0:
         raise ValueError(f"the bound 1/(r + rho*m) needs r + rho*m > 0; at "
                          f"rho={cfg.rho} r + rho*m = {denom:.6g}")
-    bound = 1.0 / denom
-    resolvent = Resolvent(inst, cfg)
-    u, v, _ = plan.arrays(inst.dim)
-    du = np.linalg.norm(u - v, axis=1)
-    keep = du >= DEGENERATE
-    u, v, du = u[keep], v[keep], du[keep]
-    worst, worst_pair = -np.inf, None
-    if du.size:
-        ratios = np.linalg.norm(resolvent(u) - resolvent(v), axis=1) / du
-        k = int(np.argmax(ratios))
-        worst = float(ratios[k])
-        worst_pair = {"u": u[k].tolist(), "v": v[k].tolist(), "ratio": worst}
-    exact_ratio = (None if resolvent.singular_values is None
-                   else float(1.0 / resolvent.singular_values[-1]))
-    passed = bool(worst <= bound + slack(worst + bound))
-    return AuditReport(rho=cfg.rho, r=r, m=m, bound=float(bound),
-                       worst_ratio=worst, worst_pair=worst_pair,
-                       n_pairs=int(du.size), passed=passed,
-                       exact_ratio=exact_ratio)
+    prop = "resolvent_lipschitz"
+    table = _images_of(plan or SamplePlan(), inst.dim, inst)
+    x, y, _ = table.rows(prop)
+    exact_ratio = None
+    if inst.pencil.affine:
+        k = _exact_composite(inst.pencil, cfg.rho)
+        u, v = (rows @ k.matrix.T + k.offset for rows in (x, y))
+        exact_ratio = float(1.0 / k.sv[-1])
+    else:
+        u, v = (as_rows([forward(inst, row, cfg.rho) for row in rows],
+                        inst.dim, f"forward image for {prop}")
+                for rows in (x, y))
+    cert = _ratio_form(prop, denom, table.plan, x, y, _norms(u - v),
+                       _norms(u) + _norms(v), upper=False)
+    constant = cert.constant
+    worst = (-math.inf if constant is None
+             else math.inf if constant == 0 else 1.0 / constant)
+    return AuditReport(rho=cfg.rho, r=r, m=m, bound=1.0 / denom,
+                       worst_ratio=worst, worst_pair=cert.witness,
+                       n_pairs=int((_norms(x - y) >= DEGENERATE).sum()),
+                       passed=cert.verdict != "fail", exact_ratio=exact_ratio)

@@ -20,7 +20,7 @@ from vincl.cli import (
     main,
 )
 from vincl.instances import example_4_7
-from vincl.operators import dump_instance
+from vincl.operators import dump_instance, instance_to_dict
 from vincl.solver import TRACE_SCHEMA, SolverConfig, solve
 
 
@@ -67,7 +67,6 @@ def test_solve_divergence_exit_two(capsys, tmp_path):
     # an expanding instance file: F amplifies by -10
     named = example_4_7()
     d_path = tmp_path / "expanding.json"
-    from vincl.operators import instance_to_dict
     d = instance_to_dict(named.instance)
     d["F"]["first"] = [[-10.0, 0.0], [0.0, -10.0]]
     d["F"]["second"] = [[0.0, 0.0], [0.0, 0.0]]
@@ -221,6 +220,21 @@ def test_unknown_instance_exit_one(capsys):
     code, _, err = run(capsys, "solve", "--instance", "no_such_thing")
     assert code == EXIT_PARSE
     assert "unknown instance" in err
+
+
+@pytest.mark.parametrize("name", ["alpha1", "beta1", "alpha", "beta", "l1",
+                                  "l2"])
+def test_verify_refuses_a_non_positive_claimed_constant(name, capsys,
+                                                        tmp_path):
+    doc = instance_to_dict(example_4_7().instance)
+    doc["constants"][name] = 0.0
+    path = tmp_path / "zero_constant.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", "--instance", str(path))
+    assert code == EXIT_PARSE
+    assert [line for line in err.splitlines()
+            if line.startswith("error:")] == [err.strip()]
+    assert "claimed constant must be > 0" in err and "Traceback" not in err
 
 
 def test_malformed_json_diagnostics(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -235,19 +236,18 @@ def test_resolvent_paths_and_singular_values():
     inst = example_4_7().instance
     exact = Resolvent(inst, ResolventConfig(rho=0.35))
     assert exact.exact
-    sv = exact.singular_values
+    sv = Composite(inst.pencil, 0.35).sv
     assert np.all(np.diff(sv) <= 0) and sv[-1] > 0
     assert exact.path == "exact"
     blackbox = inst.with_(A=lambda x: inst.A(x))
     chord = Resolvent(blackbox, ResolventConfig(rho=0.35))
-    assert not chord.exact and chord.singular_values is None
-    assert chord.path == "chord"
+    assert not chord.exact and chord.path == "chord"
     # example_3_3's composite at rho = 1 has a zero linear part: so has its
     # probed model, and a resolve raises at once
     zero = example_3_3().instance
     zero = zero.with_(A=lambda x, a=zero.A: a(x))
     none = Resolvent(zero, ResolventConfig(rho=1.0))
-    assert none.path == "chord" and none.singular_values is None
+    assert none.path == "chord"
     with pytest.raises(ResolventIterationError) as exc:
         none(np.zeros(zero.dim))
     assert exc.value.iterations == 0 and none.inner_iterations == 0
@@ -329,9 +329,8 @@ def test_invertible_matches_the_singular_value_rule(dim, log_cond, log_scale,
             assert kind not in _DEFINITE or not {"inverse", "lu"} & set(
                 vars(k))
         if rule:
-            res = Resolvent(inst, ResolventConfig(rho=1.0))
-            assert res.exact
-            np.testing.assert_array_equal(res.singular_values, sv)
+            assert Resolvent(inst, ResolventConfig(rho=1.0)).exact
+            np.testing.assert_array_equal(Composite(inst.pencil, 1.0).sv, sv)
         else:
             with pytest.raises(NonSurjectiveError) as exc:
                 Resolvent(inst, ResolventConfig(rho=1.0))
@@ -604,12 +603,92 @@ def test_audit_exact_ratio(named, rho):
     assert rep.to_dict()["exact_ratio"] == rep.exact_ratio
 
 
-def test_audit_damped_has_no_exact_ratio():
+def test_audit_chord_has_no_exact_ratio():
     rep = audit_lipschitz(_opaque_h(example_4_7().instance),
                           ResolventConfig(rho=0.35),
                           SamplePlan(seed=12, n_pairs=4))
     assert rep.exact_ratio is None
     assert rep.passed
+
+
+def test_audit_of_a_black_box_neither_probes_nor_resolves(monkeypatch):
+    # the audit reads forward images of the plan rows: no chord model is
+    # probed and no resolve runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("the audit resolved")
+    monkeypatch.setattr(vincl.resolvent, "_resolve_chord", refuse)
+    inst = _opaque_h(example_4_7().instance)
+    rep = audit_lipschitz(inst, ResolventConfig(rho=0.35),
+                          SamplePlan(seed=12, n_pairs=16))
+    assert rep.passed and rep.worst_pair is None
+    assert "probed" not in vars(inst.pencil)
+
+
+def _declared_r_m(inst):
+    """`inst` with the constants r and m need that it leaves undeclared:
+    r = 1 - 0.5 + 1 + 1 = 2.5."""
+    return inst.with_(constants=dataclasses.replace(
+        inst.constants, mu1=1.0, mu2=0.5, gamma1=1.0, gamma2=1.0,
+        alpha1=1.0, beta1=1.0))
+
+
+def test_audit_fails_a_black_box_composite_with_a_zero_linear_part():
+    # example_3_3's composite is constant at rho = 1: every pair of
+    # distinct rows has the same image, which no bound allows
+    inst = example_3_3().instance
+    inst = _declared_r_m(inst.with_(A=lambda x, a=inst.A: a(x)))
+    rep = audit_lipschitz(inst, ResolventConfig(rho=1.0))
+    assert rep.passed is False and rep.worst_ratio == np.inf
+    assert set(rep.worst_pair) == {"x", "y", "lhs", "rhs"}
+    assert rep.worst_pair["lhs"] == 0.0
+    assert rep.worst_pair["rhs"] == pytest.approx(1.0 / rep.bound)
+    assert rep.worst_pair["x"] != rep.worst_pair["y"]
+
+
+def test_audit_of_a_singular_affine_composite_raises_its_defect():
+    inst = _declared_r_m(example_3_3().instance)
+    with pytest.raises(NonSurjectiveError) as exc:
+        audit_lipschitz(inst, ResolventConfig(rho=1.0))
+    assert exc.value.defect == Composite(inst.pencil, 1.0).defect()
+
+
+_SLOTS = ("A", "B", "C", "D", "f", "g")
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 40), log_cond=st.floats(0.0, 3.0),
+       factor=st.floats(0.5, 1.5), rho=st.floats(0.25, 4.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_audit_agrees_with_the_exact_ratio_and_an_opaque_copy(dim, log_cond,
+                                                              factor, rho,
+                                                              seed):
+    # K = A + B + C + D + rho*(f - g) is a graded matrix, its slots random;
+    # the declared constants put r + rho*m at factor * sigma_min(K), so
+    # the bound holds exactly when factor <= 1
+    rng = np.random.default_rng(seed)
+    matrix = _graded_matrix(dim, 10.0 ** log_cond, seed, "graded")
+    slots = {s: 0.3 * rng.standard_normal((dim, dim)) / np.sqrt(dim)
+             for s in _SLOTS[1:]}
+    slots["A"] = matrix - (slots["B"] + slots["C"] + slots["D"]
+                           + rho * (slots["f"] - slots["g"]))
+    maps = {s: AffineMap(m, rng.standard_normal(dim))
+            for s, m in slots.items()}
+    inst = _linear_instance(matrix).with_(**maps)
+    sigma_min = float(Composite(inst.pencil, rho).sv[-1])
+    inst = inst.with_(constants=dataclasses.replace(
+        inst.constants, mu1=0.0, mu2=0.0, alpha1=1.0, beta1=1.0,
+        gamma1=factor * sigma_min, gamma2=0.0, alpha=0.0, beta=0.0))
+    cfg, plan = ResolventConfig(rho=rho), SamplePlan(seed=seed, n_pairs=32)
+    rep = audit_lipschitz(inst, cfg, plan)
+    assert rep.worst_ratio <= rep.exact_ratio * (1 + 1e-9)
+    if rep.exact_ratio <= rep.bound:
+        assert rep.passed
+    opaque = inst.with_(**{s: (lambda m: (lambda x: m(x)))(m)
+                           for s, m in maps.items()})
+    black = audit_lipschitz(opaque, cfg, plan)
+    assert black.exact_ratio is None and black.passed == rep.passed
+    assert abs(black.worst_ratio - rep.worst_ratio) <= vincl.space.slack(
+        black.worst_ratio + rep.worst_ratio)
 
 
 def test_audit_skips_coincident_pairs():

@@ -88,7 +88,8 @@ def test_builtin_verdicts_do_not_depend_on_scale(name):
 
 
 # exact path: example_4_7 lifted; sampled path: its black-box lift at dim
-# 10, whose range probes and audit resolve on the chord path
+# 10, whose range probes resolve on the chord path and whose audit reads
+# the forward images of the plan rows
 EXACT = [pytest.param(d, {}, None, id=f"exact-{d}") for d in (2, 50, 400)]
 SAMPLED = pytest.param(10, {"blackbox": True}, None, id="sampled-10")
 CASES = EXACT + [SAMPLED]

@@ -636,14 +636,15 @@ def certify_m_slot_accretive(inst: InclusionInstance, slot: str,
     name = "alpha" if slot == "f" else "beta"
     if claimed is None:
         claimed = inst.constants.require(name)[name]
+    prop, sign = (("strongly_accretive", +1) if slot == "f"
+                  else ("relaxed_accretive", -1))
+    _positive_claim(prop, claimed)
     plan = plan or SamplePlan()
     if is_difference_coupling(inst.M):
         if slot == "f":
             return certify_strong_accretive(inst.f, claimed, q, plan, dim)
         return certify_relaxed_accretive(negate_map(inst.g), claimed, q,
                                          plan, dim)
-    prop, sign = (("strongly_accretive", +1) if slot == "f"
-                  else ("relaxed_accretive", -1))
     table = _images_of(plan, dim, inst)
     x, y, w = table.rows(prop)
 
@@ -705,21 +706,25 @@ def _range_witness(defect: dict) -> dict:
             "image_norm": None}
 
 
-def _affine_range_defect(pencil, rho_grid, details):
-    """Part (ii) for an affine composite: the first defect found (or
-    None) and the smallest singular value over the grid; the roots start
-    from the best-conditioned invertible grid composite."""
-    grid, witness, min_sv, best = [], None, np.inf, None
-    for rho in rho_grid:
-        k = Composite(pencil, float(rho))
-        min_sv = min(min_sv, float(k.sv[-1]))
-        grid.append({"rho": k.rho, "det": k.det, "cond": k.cond,
+def _affine_range_defect(pencil, rho_grid, rho, details):
+    """Part (ii) for an affine composite: the first defect (or None) and
+    sigma_min(K(rho)); the roots start from the invertible grid composite
+    of the largest sigma_min_lower / (||L_H||_F + rho*||L_M||_F)."""
+    (_, _, fro_h), (_, _, fro_m) = pencil.bounds
+    grid, witness, best, at_rho = [], None, (0.0, None), None
+    for node in rho_grid:
+        k = Composite(pencil, float(node))
+        margin = max(pencil.margins(k.rho))
+        low = margin if margin > 0 else float(k.sv[-1])
+        grid.append({"rho": k.rho, "det": k.det, "sigma_min_lower": low,
                      "singular": not k.invertible})
+        at_rho = k if k.rho == rho else at_rho
         if not k.invertible:
             witness = witness or _range_witness(k.defect())
-        elif best is None or k.cond < best.cond:
-            best = k
-    roots = _det_polynomial_roots(pencil, best)
+        elif (score := low / (fro_h + k.rho * fro_m)) > best[0]:
+            best = (score, k)
+    constant = float((at_rho or Composite(pencil, rho)).sv[-1])
+    roots = _det_polynomial_roots(pencil, best[1])
     details["grid"] = grid
     details["determinant_positive_roots"] = roots
     if witness is None and roots is None:
@@ -729,7 +734,7 @@ def _affine_range_defect(pencil, rho_grid, details):
         witness = {"rho": roots[0],
                    "defect": "determinant vanishes at a positive rho",
                    "image_norm": None}
-    return witness, (float(min_sv) if np.isfinite(min_sv) else None)
+    return witness, constant
 
 
 def _probed_range_defect(inst, rho_grid, plan, details):
@@ -763,11 +768,12 @@ def certify_generalized_mixed_accretive(inst: InclusionInstance,
     relaxed slot certificates plus alpha >= beta.  Part (ii): H + rho*M is
     surjective; for affine instances the composite linear map must be
     invertible on the rho grid, decided by `Composite` as in `Resolvent`
-    (K not zero and cond <= 1e12), and the determinant (a polynomial
-    in rho) must neither vanish identically nor have a positive real
-    root; it has none, and no eigenvalues of the pencil are computed,
-    where Weyl's inequality keeps sym(L_H + rho*L_M) definite at every
-    rho >= 0 (`AffinePencil.margins`).  Black-box composites are probed
+    (K not zero and cond <= 1e12), and the determinant, a polynomial in
+    rho, must neither vanish identically nor have a positive real root
+    (`_det_polynomial_roots`).  A grid entry's `sigma_min_lower` is the
+    Weyl margin (`AffinePencil.margins`) where > 0, else sigma_min(K) by
+    SVD; the constant is sigma_min(H + inst.rho*M), the inverse of the
+    resolvent's Lipschitz constant.  Black-box composites are probed
     instead: a resolve (the chord `Resolvent` path) must reach the
     first 8 sample points at each grid rho, which fails at once where
     the probed model is not invertible.  The witness on failure
@@ -801,7 +807,7 @@ def _surjectivity_cert(inst, rho_grid, plan, cert_f, cert_g) -> Certificate:
     if inst.pencil.affine:
         method = "exact_affine"
         witness, constant = _affine_range_defect(inst.pencil, rho_grid,
-                                                 details)
+                                                 inst.rho, details)
     else:
         method, constant = "sampled", None
         witness = _probed_range_defect(inst, rho_grid, plan, details)

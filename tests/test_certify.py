@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 
 import numpy as np
@@ -39,7 +40,7 @@ from vincl.operators import (
     negate_map,
 )
 from vincl.resolvent import _SMALL_DIM, Composite, forward
-from vincl.space import NonFiniteError, SpaceConfig
+from vincl.space import ConfigError, NonFiniteError, SpaceConfig
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +355,128 @@ def test_generalized_class_fails_off_grid_via_polynomial():
     cert = certify_generalized_mixed_accretive(example_3_3().instance,
                                                rho_grid=[0.5])
     assert cert.verdict == "fail"
+
+
+def _pencil_instance(lh, lm, rho):
+    """The affine instance whose composite is K(rho) = lh + rho*lm: A = lh
+    and f = lm under the additive H and the difference coupling, the
+    other slots zero."""
+    dim = len(lh)
+    zero = AffineMap.zero(dim)
+    return InclusionInstance(
+        space=SpaceConfig(dim=dim), A=AffineMap.linear(lh), B=zero, C=zero,
+        D=zero, f=AffineMap.linear(lm), g=zero, H=AdditiveBiSlot(),
+        F=AffinePairMap(np.zeros((dim, dim)), np.zeros((dim, dim)),
+                        np.zeros(dim)),
+        M=DifferenceCoupling(), S=IdentitySetMap(), T=IdentitySetMap(),
+        omega=np.zeros(dim), rho=rho,
+        constants=Constants(alpha=0.05, beta=0.05))
+
+
+def _random_pencil(rng, dim, kind, singular_at=1.0):
+    """(L_H, L_M).  "positive": each a Gram matrix / dim plus 0.1 I plus a
+    skew part, so sym(L_H + rho*L_M) >= 0.1 I at every rho >= 0;
+    "negative": minus that; "indefinite": Gaussian; "singular": Gaussian
+    with L_H + singular_at*L_M of rank dim - 1."""
+    if kind in ("positive", "negative"):
+        a, b, c, d = rng.standard_normal((4, dim, dim))
+        sign = 1.0 if kind == "positive" else -1.0
+        return (sign * (a @ a.T / dim + 0.1 * np.eye(dim) + b - b.T),
+                sign * (c @ c.T / dim + 0.1 * np.eye(dim) + d - d.T))
+    lh, lm = rng.standard_normal((2, dim, dim))
+    if kind == "singular":
+        u, s, vt = np.linalg.svd(lh + singular_at * lm)
+        s[-1] = 0.0
+        lh = (u * s) @ vt - singular_at * lm
+    return lh, lm
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["positive", "negative", "indefinite",
+                             "singular"]),
+       grid=st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]),
+                     min_size=1, max_size=4, unique=True),
+       declared=st.sampled_from([0.5, 1.0, 1.7]))
+@example(dim=_SMALL_DIM, seed=1, kind="indefinite", grid=[0.5, 1.0],
+         declared=1.0)
+@example(dim=_SMALL_DIM - 1, seed=2, kind="singular", grid=[1.0, 2.0],
+         declared=1.7)
+@example(dim=_SMALL_DIM, seed=3, kind="negative", grid=[0.25, 3.0],
+         declared=0.5)
+def test_surjectivity_grid_against_svd(dim, seed, kind, grid, declared):
+    # each grid entry's sigma_min_lower bounds sigma_min(K) from below,
+    # and is sigma_min itself where sym(K) is indefinite; `singular` is
+    # cond > 1e12 of the SVD, and the first singular entry the witness;
+    # the constant is sigma_min(K(inst.rho))
+    rng = np.random.default_rng(seed)
+    inst = _pencil_instance(*_random_pencil(rng, dim, kind, grid[0]),
+                            declared)
+    lh, lm = inst.pencil.h.matrix, inst.pencil.m.matrix
+    cert = certify_generalized_mixed_accretive(inst, rho_grid=grid)
+    assert [e["rho"] for e in cert.details["grid"]] == grid
+    for entry in cert.details["grid"]:
+        k = entry["rho"] * lm + lh
+        sv = np.linalg.svd(k, compute_uv=False)
+        assert entry["sigma_min_lower"] <= sv[-1] * (1.0 + 1e-12)
+        eigs = np.linalg.eigvalsh(0.5 * (k + k.T))
+        if eigs[0] < 0.0 < eigs[-1]:
+            assert entry["sigma_min_lower"] == sv[-1]
+        cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
+        assert entry["singular"] == bool(cond > 1e12)
+    singular = [e["rho"] for e in cert.details["grid"] if e["singular"]]
+    if singular:
+        assert cert.verdict == "fail" and cert.witness["rho"] == singular[0]
+    assert cert.constant == np.linalg.svd(declared * lm + lh,
+                                          compute_uv=False)[-1]
+
+
+def test_definite_grid_takes_one_svd_at_the_declared_rho(monkeypatch):
+    # where the Weyl margins show sym(K) definite, a grid entry takes no
+    # decomposition: the one values-only SVD is that of K(inst.rho), a
+    # grid node or not.  An indefinite pencil takes one per grid rho,
+    # the declared rho's reused, and reports the exact sigma_min
+    calls = []
+    original = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    rng = np.random.default_rng(5)
+    dim, grid = 20, [0.5, 1.0, 2.0, 3.0]
+    for declared in (1.0, 1.7):
+        lh, lm = _random_pencil(rng, dim, "positive")
+        calls.clear()
+        cert = certify_generalized_mixed_accretive(
+            _pencil_instance(lh, lm, declared), rho_grid=grid)
+        assert cert.verdict == "pass"
+        assert len(calls) == 1
+        assert cert.constant == original(declared * lm + lh,
+                                         compute_uv=False)[-1]
+        for entry in cert.details["grid"]:
+            assert 0.0 < entry["sigma_min_lower"] < original(
+                entry["rho"] * lm + lh, compute_uv=False)[-1]
+    lh, lm = _random_pencil(rng, dim, "indefinite")
+    calls.clear()
+    cert = certify_generalized_mixed_accretive(
+        _pencil_instance(lh, lm, 1.0), rho_grid=grid)
+    assert len(calls) == len(grid)
+    for entry in cert.details["grid"]:
+        assert entry["sigma_min_lower"] == original(
+            entry["rho"] * lm + lh, compute_uv=False)[-1]
+
+
+@pytest.mark.parametrize("slot,name", [("f", "alpha"), ("g", "beta")])
+@pytest.mark.parametrize("claimed", [0.0, -0.5])
+def test_m_slot_claim_must_be_positive_under_any_coupling(slot, name,
+                                                          claimed):
+    # a coupling other than the difference one takes the sampled path,
+    # which must refuse a non-positive claim as the exact one does
+    inst = example_4_7().instance
+    inst = inst.with_(M=lambda a, b: (a - b,), constants=dataclasses.replace(
+        inst.constants, **{name: claimed}))
+    with pytest.raises(ConfigError, match="claimed constant must be > 0"):
+        certify_m_slot_accretive(inst, slot)
+    with pytest.raises(ConfigError, match="claimed constant must be > 0"):
+        certify_instance(inst, SamplePlan(seed=1))
 
 
 # ---------------------------------------------------------------------------

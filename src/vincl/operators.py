@@ -417,6 +417,37 @@ def m_composite(inst: InclusionInstance):
     return AffineMap(fp[0] - gp[0], fp[1] - gp[1])
 
 
+def selection_parts(set_map):
+    """(L, c) of a set map whose one value is L x + c: (None, None) for an
+    `IdentitySetMap`, whose value is x itself, the parts of the map of a
+    `SingletonSetMap` of an `AffineMap`; None for any other set map."""
+    if isinstance(set_map, IdentitySetMap):
+        return None, None
+    if isinstance(set_map, SingletonSetMap):
+        return affine_parts(set_map.map)
+    return None
+
+
+def step_composite(inst: InclusionInstance):
+    """Affine realization of u -> F(Su, Tu) + M(f(u), g(u)), or None.
+
+    L = F1 L_S + F2 L_T + L_M with offset F1 c_S + F2 c_T + c_F + c_M.
+    Exact only when `inst.pencil.m` exists, F is an `AffinePairMap` and S
+    and T each have `selection_parts`; an identity selection adds its
+    F matrix as it is, so the assembly is O(dim^2) with no product.
+    """
+    m, fp = inst.pencil.m, pair_affine_parts(inst.F)
+    selections = [selection_parts(s) for s in (inst.S, inst.T)]
+    if m is None or fp is None or None in selections:
+        return None
+    matrix, offset = m.matrix.copy(), m.offset + fp[2]
+    for pair, (ls, cs) in zip(fp[:2], selections):
+        matrix += pair if ls is None else pair @ ls
+        if cs is not None:
+            offset += pair @ cs
+    return AffineMap(matrix, offset)
+
+
 class AffinePencil:
     """The affine composites of one instance, `h`: x -> H((Ax, Bx), (Cx,
     Dx)) and `m`: x -> M(f(x), g(x)), each None where `h_composite` or

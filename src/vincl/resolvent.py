@@ -278,8 +278,9 @@ class Resolvent:
     resolve: "exact" when H is additive, M the difference coupling and
     A..D, f, g affine; the constructor forms the composite K as a
     `Composite` of the instance's `AffinePencil`, decides its
-    invertibility and keeps its factorization, so a call is one product
-    with the inverse (below `_SMALL_DIM`) or a triangular solve.
+    invertibility and keeps it, factored, as `composite` (None on the
+    chord path), so a call is one product with the inverse (below
+    `_SMALL_DIM`) or a triangular solve.
     Otherwise "chord": a call runs `_resolve_chord` with J = J_H +
     rho*J_M of the instance's probed model (`AffinePencil.probed`, taken
     on the first call), or raises `ResolventIterationError` before any
@@ -315,13 +316,13 @@ class Resolvent:
     def __init__(self, inst: InclusionInstance, cfg: ResolventConfig):
         self.inst, self.cfg = inst, cfg
         self.inner_iterations = self.probe_evaluations = 0
-        self._composite = (_exact_composite(inst.pencil, cfg.rho)
-                           if inst.pencil.affine else None)
+        self.composite = (_exact_composite(inst.pencil, cfg.rho)
+                          if inst.pencil.affine else None)
 
     @property
     def exact(self) -> bool:
         """Whether calls solve the factored composite directly."""
-        return self._composite is not None
+        return self.composite is not None
 
     @property
     def path(self) -> str:
@@ -353,7 +354,7 @@ class Resolvent:
         z = np.asarray(z, dtype=float)
         batch = z.ndim == 2
         zv = (as_rows if batch else as_vector)(z, self.inst.dim, "resolvent")
-        k = self._composite
+        k = self.composite
         if k is not None:   # a batch's rows are the columns of the rhs
             return k.solve((zv - k.offset).T).T
         if batch:
@@ -371,7 +372,7 @@ class Resolvent:
         the evaluated H(x) up to the rounding of the solve.  Checks and
         raises as a call on a vector does."""
         zv = as_vector(z, self.inst.dim, "resolvent")
-        k = self._composite
+        k = self.composite
         if k is None:
             return self._chord_images(zv)
         x = k.solve(zv - k.offset)

@@ -11,8 +11,15 @@ One step of the scheme, from the current z:
 with an error term e_n -> 0 whose increments are geometrically summable.
 H(u_n) and M(f(u_n), g(u_n)) are the images the resolve of z_n holds
 (`Resolvent.images`).  On the exact path H(u_n) = z_n - rho*m_n, so
-z_(n+1) - z_n = rho*(omega - F(v_n, w_n) - m_n) + e_n, whose fixed point
-zeroes the evaluated inclusion residual whatever the rounding of the solve.
+
+    z_(n+1) = z_n + rho*(omega - Phi(u_n)) + e_n,
+    Phi(u) = F(Su, Tu) + M(f(u), g(u)),
+
+whose fixed point zeroes the evaluated inclusion residual ||omega -
+Phi(u)|| whatever the rounding of the solve.  Where S and T are single-
+valued affine selections and F is affine, Phi is the affine map
+`step_composite` assembles once per solve, so a step is the solve of K =
+H + rho*M and one matvec with Phi's matrix.
 The per-step contraction factor predicted by the theory is
 
     theta_n = (1/(r + rho*m)) * (tau^q + c_q*rho^q*(eps1*l1*k + eps2*l2*k)^q
@@ -42,7 +49,9 @@ from .operators import (
     MissingConstantsError,
     _write_atomic,
     eval_H_on_point,
+    selection_parts,
     set_values,
+    step_composite,
 )
 from .resolvent import Resolvent, ResolventConfig, theoretical_r_m
 from .space import ConfigError, NonFiniteError, as_rows, as_vector
@@ -371,10 +380,14 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
     or `max_iters` is exhausted.
 
     The residual is `inclusion_residual`'s value, min over m in
-    M(f(u), g(u)) of ||omega - F(v, w) - m||.  The maps are taken to be
-    deterministic functions: F is called once per iteration, and its image
-    at (v_n, w_n) serves both that residual and z_(n+1); H and M are
-    called only by the resolve, whose images at u_n serve them too.
+    M(f(u), g(u)) of ||omega - F(v, w) - m||.  Where the resolvent is
+    exact and `step_composite` gives Phi(u) = F(Su, Tu) + m(u), a step is
+    the solve of K and one matvec with Phi's matrix, no map of the
+    instance is called, and the residual is ||omega - Phi(u)||.
+    Elsewhere the maps are taken to be deterministic functions: F is
+    called once per iteration, and its image at (v_n, w_n) serves both
+    that residual and z_(n+1); H and M are called only by the resolve,
+    whose images at u_n serve them too.
 
     Raises
     ------
@@ -402,46 +415,71 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
         trace.varpi = cfg.errors.varpi
     res_bound = 10.0 * cfg.tol * (1.0 + float(np.linalg.norm(inst.omega)))
     trace.residual_bound = res_bound
-    rho_omega = rho * inst.omega
 
-    z0 = as_vector(cfg.z0, inst.dim, "z0")
-    if cfg.u0 is None:
-        u, hu, _ = resolvent.images(z0)
-    else:
-        u = np.array(as_vector(cfg.u0, inst.dim, "u0"))
-        hu = eval_H_on_point(inst, u)
+    z = as_vector(cfg.z0, inst.dim, "z0")
+    u0 = (None if cfg.u0 is None
+          else np.array(as_vector(cfg.u0, inst.dim, "u0")))
     if cfg.errors is not None:
         as_vector(cfg.errors.direction, inst.dim, "error direction")
-    v = _nearest(u, set_values(inst.S, u))
-    w = _nearest(u, set_values(inst.T, u))
-    fvw = as_vector(inst.F(v, w), inst.dim, "image of F")
+    omega, k = inst.omega, resolvent.composite
+    phi = step_composite(inst) if k is not None else None
+    if phi is not None:     # the composed step: Phi(u) = phi.matrix @ u + c
+        (ls, cs), (lt, ct) = (selection_parts(s) for s in (inst.S, inst.T))
+        if u0 is None:
+            u = k.solve(z - k.offset)
+        else:
+            z, u = k.matrix @ u0 + k.offset, u0
+        gap = omega - (phi.matrix @ u + phi.offset)
+    else:
+        if u0 is None:
+            u, hu, _ = resolvent.images(z)
+        else:
+            u, hu = u0, eval_H_on_point(inst, u0)
+        v = _nearest(u, set_values(inst.S, u))
+        w = _nearest(u, set_values(inst.T, u))
+        fvw = as_vector(inst.F(v, w), inst.dim, "image of F")
+        rho_omega = rho * omega
     prev_step = None
     # the divergence guard compares each step with the one 20 steps back
     window = deque(maxlen=21)
 
     # a diverging iterate overflows, and the check of the inf it leaves in
-    # z, an iterate or an image ends the run
-    with np.errstate(over="ignore"):
+    # z, an iterate or an image ends the run; a composed step multiplies
+    # an inf in z or u before its check, which leaves NaN
+    with np.errstate(over="ignore",
+                     invalid=None if phi is None else "ignore"):
         for n in range(cfg.max_iters):
             # a zero error still adds 0.0: it turns a -0.0 of z into +0.0
             e_n = cfg.errors.term(n) if cfg.errors is not None else 0.0
             try:
-                z_next = hu - rho * fvw + rho_omega + e_n
-                u_next, hu, members = resolvent.images(z_next)
-                v_next = _nearest(v, set_values(inst.S, u_next))
-                w_next = _nearest(w, set_values(inst.T, u_next))
-                fvw = as_vector(inst.F(v_next, w_next), inst.dim,
-                                "image of F")
+                if phi is not None:
+                    z = z + rho * gap + e_n
+                    u_next = k.solve(z - k.offset)
+                    image = phi.matrix @ u_next + phi.offset
+                    v = u_next if ls is None else ls @ u_next + cs
+                    w = u_next if lt is None else lt @ u_next + ct
+                    # no map checked its image: one test covers them all
+                    finite = np.isfinite((z, u_next, image, v, w)).ravel()
+                    if not finite[finite.argmin()]:
+                        raise NonFiniteError("non-finite iterate")
+                    gap = omega - image
+                    residual = float(np.linalg.norm(gap))
+                else:
+                    z = hu - rho * fvw + rho_omega + e_n
+                    u_next, hu, members = resolvent.images(z)
+                    v = _nearest(v, set_values(inst.S, u_next))
+                    w = _nearest(w, set_values(inst.T, u_next))
+                    fvw = as_vector(inst.F(v, w), inst.dim, "image of F")
+                    residual = min(float(np.linalg.norm(omega - fvw - m))
+                                   for m in members)
             except NonFiniteError:
                 raise DivergenceError("iterate became non-finite",
                                       trace) from None
             step = float(np.linalg.norm(u_next - u))
             ratio = (step / prev_step
                      if prev_step is not None and prev_step > 0 else None)
-            residual = min(float(np.linalg.norm(inst.omega - fvw - m))
-                           for m in members)
             trace.records.append(IterationRecord(
-                n=n, z=z_next, u=u_next, v=v_next, w=w_next, step=step,
+                n=n, z=z, u=u_next, v=v, w=w, step=step,
                 ratio=ratio, residual=residual,
                 theta_n=None if rate is None else rate.theta(n + 1),
                 error_norm=0.0 if cfg.errors is None
@@ -454,7 +492,7 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
                     f"step norm grew more than 10x over 20 iterations "
                     f"({window[0]:.3e} -> {step:.3e})", trace)
 
-            u, v, w = u_next, v_next, w_next
+            u = u_next
             prev_step = step if step > 0 else prev_step
             if step <= cfg.tol and residual <= res_bound:
                 trace.converged = True

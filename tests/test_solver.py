@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 from test_scale_invariance import lift, variant
@@ -17,17 +19,21 @@ from vincl.operators import (
     AdditiveBiSlot,
     AffineMap,
     AffinePairMap,
+    ConstantSetMap,
     Constants,
     DifferenceCoupling,
     IdentitySetMap,
     InclusionInstance,
     MissingConstantsError,
+    SingletonSetMap,
     dump_instance,
     eval_H_on_point,
     eval_M_on_point,
     set_values,
+    step_composite,
 )
-from vincl.resolvent import Resolvent, ResolventConfig, audit_lipschitz, resolve
+from vincl.resolvent import (_SMALL_DIM, Resolvent, ResolventConfig,
+                             audit_lipschitz, resolve)
 from vincl.solver import (
     DivergenceError,
     GeometricErrors,
@@ -359,20 +365,22 @@ def test_solve_reports_an_overflowing_iterate_as_divergence(tmp_path):
         assert main(["solve", "--instance", str(path)]) == EXIT_NO_CONVERGENCE
 
 
-def _reference_loop(inst, z0, rho, tol):
+def _reference_loop(inst, z0, rho, tol, u0=None, errors=None):
     """The iteration written plainly, with a fresh `resolve` per step and
     H(u_n) and M(f(u_n), g(u_n)) evaluated at each iterate, not taken
     from the resolve: the (z, u, v, w, step, residual) of each step, and
     whether it converged."""
     rcfg = ResolventConfig(rho=rho)
     bound = 10.0 * tol * (1.0 + float(np.linalg.norm(inst.omega)))
-    u = resolve(inst, rcfg, np.asarray(z0, dtype=float))
+    u = (resolve(inst, rcfg, np.asarray(z0, dtype=float)) if u0 is None
+         else np.asarray(u0, dtype=float))
     v = nadler_select(u, set_values(inst.S, u))
     w = nadler_select(u, set_values(inst.T, u))
     fvw = np.asarray(inst.F(v, w))
     steps = []
-    for _ in range(5000):     # + 0.0: solve adds its zero error term
-        z = eval_H_on_point(inst, u) - rho * fvw + rho * inst.omega + 0.0
+    for n in range(5000):     # solve adds a zero error term as 0.0
+        e_n = 0.0 if errors is None else errors.term(n)
+        z = eval_H_on_point(inst, u) - rho * fvw + rho * inst.omega + e_n
         u_next = resolve(inst, rcfg, z)
         v = nadler_select(v, set_values(inst.S, u_next))
         w = nadler_select(w, set_values(inst.T, u_next))
@@ -385,6 +393,16 @@ def _reference_loop(inst, z0, rho, tol):
         if step <= tol and residual <= bound:
             return steps, True
     return steps, False
+
+
+def _assert_records_close(records, steps, omega):
+    """Each record's z, u, v, w and residual within `slack` of the norms
+    of the step's z, u, v, w and omega."""
+    for rec, (z, u, v, w, _, residual) in zip(records, steps):
+        scale = sum(np.linalg.norm(x) for x in (z, u, v, w, omega))
+        for got, want in ((rec.z, z), (rec.u, u), (rec.v, v), (rec.w, w)):
+            assert np.all(np.abs(got - want) <= slack(scale))
+        assert abs(rec.residual - residual) <= slack(scale)
 
 
 def _affine_cases():
@@ -469,14 +487,15 @@ def test_black_box_solve_calls_the_maps_once_per_resolve_residual():
     assert calls == {"A": 233, "f": 233, "F": 230}
 
 
-def _counting(monkeypatch, counts, module, name, owners=()):
-    """Count the calls of module.name in counts[name], also through the
-    names `owners` imported it under."""
+def _counting(monkeypatch, counts, module, name, owners=(), key=None):
+    """Count the calls of module.name in counts[key], key defaulting to
+    name, also through the names `owners` imported it under."""
     original = getattr(module, name)
-    counts[name] = 0
+    key = key or name
+    counts[key] = 0
 
     def wrapper(*args, **kwargs):
-        counts[name] += 1
+        counts[key] += 1
         return original(*args, **kwargs)
     for owner in (module, *owners):
         monkeypatch.setattr(owner, name, wrapper)
@@ -512,26 +531,154 @@ def test_solve_factors_a_composite_past_the_small_dimension_once(monkeypatch):
     assert counts == {"inv": 0, "dgetrf": 1, "dgetri": 0, "svd": 0}
 
 
-def test_solve_checks_each_set_value_once(monkeypatch):
-    # per iteration: S and T each checked once, by `set_values`; the six
-    # as_vector calls check the resolvent's z, the point and image of M
-    # and F's two points and image.  H(u_n) comes from the resolve, as
-    # z_n - rho*m_n, and M is one matvec on the pencil: no slot map A..D,
-    # f or g is called
+_TWO_POINTS = ConstantSetMap(np.array([[0.0, 0.0], [1.0, -1.0]]))
+
+
+def _calls_per_iteration(monkeypatch, inst):
+    """The calls solve(inst) makes per iteration of as_vector, as_rows and
+    the affine maps' and pair maps' `__call__`: those of 20 iterations
+    less those of 10, over 10."""
     counts = {}
     for name in ("as_vector", "as_rows"):
         _counting(monkeypatch, counts, vincl.space, name,
                   (vincl.operators, vincl.resolvent, vincl.solver))
-    _counting(monkeypatch, counts, AffineMap, "__call__")
-    inst = example_4_7().instance
+    for cls in (AffineMap, AffinePairMap):
+        _counting(monkeypatch, counts, cls, "__call__", key=cls.__name__)
     solve(inst, SolverConfig(z0=[1.0, 1.0], max_iters=1))   # builds the pencil
     per_run = []
     for n in (10, 20):
         counts.update(dict.fromkeys(counts, 0))
         solve(inst, SolverConfig(z0=[1.0, 1.0], tol=1e-12, max_iters=n))
         per_run.append(dict(counts))
-    assert {k: (per_run[1][k] - per_run[0][k]) / 10 for k in counts} == \
-        {"as_vector": 6, "as_rows": 2, "__call__": 0}
+    return {k: (per_run[1][k] - per_run[0][k]) / 10 for k in counts}
+
+
+def test_solve_checks_each_set_value_once(monkeypatch):
+    # a set-valued S keeps example_4_7 on the general loop.  Per
+    # iteration: S and T each checked once, by `set_values`; the six
+    # as_vector calls check the resolvent's z, the point and image of M
+    # and F's two points and image.  H(u_n) comes from the resolve, as
+    # z_n - rho*m_n, and M is one matvec on the pencil: no slot map A..D,
+    # f or g is called
+    inst = example_4_7().instance.with_(S=_TWO_POINTS)
+    assert _calls_per_iteration(monkeypatch, inst) == {
+        "as_vector": 6, "as_rows": 2, "AffineMap": 0, "AffinePairMap": 1}
+
+
+@pytest.mark.parametrize("name", ["example_4_7", "reduction_single_slot"])
+def test_composed_step_checks_no_vector_and_calls_no_map(monkeypatch, name):
+    # identity S and T, or an affine singleton T: a step is the solve of
+    # K and matvecs, whose outputs one test for non-finite coordinates
+    # covers
+    assert _calls_per_iteration(monkeypatch, get_instance(name).instance) \
+        == {"as_vector": 0, "as_rows": 0, "AffineMap": 0, "AffinePairMap": 0}
+
+
+def _path_cases():
+    e47 = example_4_7().instance
+    yield "identity_selections", e47, True
+    yield "affine_singleton_T", get_instance(
+        "reduction_single_slot").instance, True
+    yield "affine_singleton_S", e47.with_(S=SingletonSetMap(AffineMap(
+        np.array([[0.5, 0.1], [0.0, 0.4]]), np.array([0.2, -0.1])))), True
+    yield "black_box_F", e47.with_(F=lambda x, y: e47.F(x, y)), False
+    yield "set_valued_S", e47.with_(S=_TWO_POINTS), False
+    yield "black_box_singleton_S", e47.with_(
+        S=SingletonSetMap(lambda x: 0.5 * x)), False
+    yield "two_member_M", e47.with_(M=_two_member), False
+    # step_composite exists, but the resolvent is a chord one
+    yield "black_box_A", e47.with_(A=lambda x: e47.A(x)), False
+
+
+@pytest.mark.parametrize("case", list(_path_cases()), ids=lambda c: c[0])
+def test_solve_composes_the_step_exactly_where_the_instance_allows(
+        monkeypatch, case):
+    # the general loop takes the value sets of S and T at each iterate,
+    # the composed step never
+    _, inst, composed = case
+    counts = {}
+    _counting(monkeypatch, counts, vincl.operators, "set_values",
+              (vincl.solver,))
+    trace = solve(inst, SolverConfig(z0=[1.0, -2.0], tol=1e-10))
+    assert trace.converged
+    assert counts["set_values"] == (0 if composed
+                                    else 2 * (trace.iterations + 1))
+    assert (step_composite(inst) is not None and Resolvent(
+        inst, ResolventConfig(rho=inst.rho)).exact) == composed
+
+
+@pytest.mark.parametrize("case", list(_affine_cases()),
+                         ids=lambda case: case[0])
+def test_composed_solve_matches_the_general_loop_of_a_black_box_copy(case):
+    # the copy's plain-callable maps take the general loop and the chord
+    # resolvent
+    _, inst, z0, rho = case
+    cfg = SolverConfig(z0=z0, rho=rho, tol=1e-10)
+    trace = solve(inst, cfg)
+    general = solve(variant(inst, 1.0, blackbox=True), cfg)
+    assert trace.converged and general.converged
+    assert trace.iterations == general.iterations
+    _assert_records_close(
+        trace.records, [(r.z, r.u, r.v, r.w, r.step, r.residual)
+                        for r in general.records], inst.omega)
+
+
+def _random_affine(dim, seed, s_affine, t_affine):
+    """An affine instance whose step contracts at every rho in [0.5, 2]:
+    L_H and L_M are I + 0.05(Q1 + Q2) and I + 0.05(Q3 - Q4), F's matrices
+    0.05 Q, and an affine selection 0.9 Q, for orthogonal Qs; so sigma_min
+    of K is >= 0.9 (1 + rho) and the step's gain <= 0.85.  Offsets and
+    omega are standard normal."""
+    rng = np.random.default_rng(seed)
+
+    def q(c):
+        return c * np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+
+    def affine(matrix):
+        return AffineMap(matrix, rng.standard_normal(dim))
+
+    def selection(is_affine):
+        return (SingletonSetMap(affine(q(0.9))) if is_affine
+                else IdentitySetMap())
+
+    eye = np.eye(dim)
+    return InclusionInstance(
+        space=SpaceConfig(dim=dim), A=affine(eye + q(0.05)),
+        B=affine(q(0.05)), C=AffineMap.zero(dim), D=AffineMap.zero(dim),
+        f=affine(eye + q(0.05)), g=affine(q(0.05)), H=AdditiveBiSlot(),
+        F=AffinePairMap(q(0.05), q(0.05), rng.standard_normal(dim)),
+        M=DifferenceCoupling(), S=selection(s_affine),
+        T=selection(t_affine), omega=rng.standard_normal(dim), rho=1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       s_affine=st.booleans(), t_affine=st.booleans(),
+       rho=st.floats(0.5, 2.0), with_u0=st.booleans(),
+       with_errors=st.booleans())
+@example(dim=_SMALL_DIM - 1, seed=1, s_affine=True, t_affine=False, rho=0.5,
+         with_u0=True, with_errors=True)
+@example(dim=_SMALL_DIM, seed=2, s_affine=False, t_affine=True, rho=2.0,
+         with_u0=False, with_errors=True)
+def test_composed_step_matches_the_reference_loop(dim, seed, s_affine,
+                                                  t_affine, rho, with_u0,
+                                                  with_errors):
+    # the composed step against the iteration written plainly, across
+    # the dimension where numpy's inverse gives way to LU factors
+    inst = _random_affine(dim, seed, s_affine, t_affine)
+    rng = np.random.default_rng([seed, 1])
+    z0 = rng.standard_normal(dim)
+    u0 = rng.standard_normal(dim) if with_u0 else None
+    errors = (GeometricErrors(c0=0.1, factor=0.5,
+                              direction=rng.standard_normal(dim))
+              if with_errors else None)
+    assert step_composite(inst) is not None
+    trace = solve(inst, SolverConfig(z0=z0, rho=rho, tol=1e-10, u0=u0,
+                                     errors=errors))
+    steps, converged = _reference_loop(inst, z0, rho, 1e-10, u0, errors)
+    assert trace.converged and converged
+    assert trace.iterations == len(steps)
+    _assert_records_close(trace.records, steps, inst.omega)
 
 
 def test_solve_propagates_unexpected_theta_errors(monkeypatch):

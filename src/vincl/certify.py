@@ -90,6 +90,8 @@ class SamplePlan:
     n_pairs: int = 512
     scale: float = 3.0
     include_lattice: bool = True
+    _rows: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def _lattice(self, dim: int):
         eye = np.eye(dim)
@@ -109,9 +111,11 @@ class SamplePlan:
 
         Lattice rows come first (consecutive lattice points, u two steps
         on, wrapping), then `n_pairs` seeded rows; u varies the fixed
-        slots of H and F.  Raises InsufficientEvidenceError when the plan
-        has no samples.
+        slots of H and F.  Kept on the plan, read-only, per dim.  Raises
+        InsufficientEvidenceError when the plan has no samples.
         """
+        if dim in self._rows:
+            return self._rows[dim]
         blocks = []
         if self.include_lattice:
             lat = np.array(self._lattice(dim))
@@ -123,7 +127,8 @@ class SamplePlan:
         if not len(xyu):
             raise InsufficientEvidenceError(
                 "sample plan produced no samples (empty lattice and n_pairs=0)")
-        return xyu[:, 0], xyu[:, 1], xyu[:, 2]
+        xyu.flags.writeable = False
+        return self._rows.setdefault(dim, (xyu[:, 0], xyu[:, 1], xyu[:, 2]))
 
 
 @dataclass(frozen=True)
@@ -247,11 +252,11 @@ class _PlanImages:
     `certify_instance` builds one and passes it where the certificate
     functions take a plan; each of them, called alone, wraps its plan in
     a table of its own (`_images_of`).  The rows are `plan.arrays(dim)`,
-    made when a certificate first needs them; a map's images take one
-    call per X row and one per Y row.  Instance maps are taken to be
-    deterministic functions, so what more than one certificate reads is
-    kept and reused: the images of the slot maps A..D and the increments
-    and image norms of the composed H.
+    which the plan keeps; a map's images take one call per X row and one
+    per Y row.  Instance maps are taken to be deterministic functions, so
+    what more than one certificate reads is kept and reused: the images
+    of the slot maps A..D and the increments and image norms of the
+    composed H.
     """
 
     def __init__(self, plan, dim, inst=None):
@@ -259,9 +264,9 @@ class _PlanImages:
         self._kept = {}
 
     def _keep(self, key, make):
-        """make(), a tuple of arrays, made once and kept read-only: the
-        maps receive views of these rows and images, so a map that writes
-        into its argument raises instead of changing what later
+        """make(), a tuple of arrays, made once and kept read-only, as the
+        plan's rows are: the maps receive views of these, so a map that
+        writes into its argument raises instead of changing what later
         certificates read."""
         if key not in self._kept:
             kept = make()
@@ -277,7 +282,7 @@ class _PlanImages:
                 f"{prop}: no exact path available and no sample plan")
         if self.dim is None:
             raise ValueError("dim required for a black-box map")
-        return self._keep("rows", lambda: self.plan.arrays(self.dim))
+        return self.plan.arrays(self.dim)
 
     def images(self, m, prop):
         """m(X) and m(Y) as (n, dim) arrays, kept when m is one of the
@@ -342,13 +347,14 @@ def _accretive_form(prop, claimed, plan, x, y, dm, mag, q, sign=1,
 
 def _ratio_form(prop, claimed, plan, x, y, num, mag, upper):
     """num / ||x-y|| <= claimed (>= unless `upper`), num a distance of
-    images whose norms add up to `mag`; the quotient is the lhs itself."""
+    images whose norms add up to `mag`; the quotient is the lhs itself.
+    Returns the certificate and the count of rows with x != y."""
     nx = _norms(x - y)
     keep = nx >= DEGENERATE
     ratio = _ratio(num, nx, keep)
     tol = slack(ratio + abs(claimed), x.shape[1] * _ratio(mag, nx, keep))
     return _sampled_cert(prop, claimed, plan, x, y, ratio, claimed, tol,
-                         ratio, keep, upper=upper)
+                         ratio, keep, upper=upper), int(keep.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +420,7 @@ def _norm_bound(m, claimed, plan, dim, prop, upper):
                            len(svals) * svals.max(), witness,
                            {"singular_values": svals.tolist()}, upper=upper)
     plan, x, y, dm, mag = _map_samples(m, plan, dim, prop)
-    return _ratio_form(prop, claimed, plan, x, y, _norms(dm), mag, upper)
+    return _ratio_form(prop, claimed, plan, x, y, _norms(dm), mag, upper)[0]
 
 
 def certify_lipschitz(m, claimed: float, plan: SamplePlan | None = None,
@@ -494,7 +500,7 @@ def certify_mixed_lipschitz(inst: InclusionInstance,
     x, y, _ = table.rows(prop)
     dh, mag = table.h_increments(prop)
     return _ratio_form(prop, claimed, table.plan, x, y, _norms(dh), mag,
-                       upper=True)
+                       upper=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +592,7 @@ def certify_F_properties(inst: InclusionInstance,
             x, y, _ = table.rows(prop)
             df, mag = f_increments()
             lipschitz.append(_ratio_form(prop, eps, table.plan, x, y,
-                                         _norms(df), mag, upper=True))
+                                         _norms(df), mag, upper=True)[0])
     return accretive + lipschitz
 
 
@@ -613,7 +619,7 @@ def certify_d_lipschitz(set_map, claimed: float,
         prop, claimed, table.plan, x, y,
         np.array([hausdorff_distance(a, b) for a, b in sets]),
         np.array([max(map(np.linalg.norm, a)) + max(map(np.linalg.norm, b))
-                  for a, b in sets]), upper=True)
+                  for a, b in sets]), upper=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +722,7 @@ def _affine_range_defect(pencil, rho_grid, rho, details):
         k = Composite(pencil, float(node))
         margin = max(pencil.margins(k.rho))
         low = margin if margin > 0 else float(k.sv[-1])
-        grid.append({"rho": k.rho, "det": k.det, "sigma_min_lower": low,
+        grid.append({"rho": k.rho, "sigma_min_lower": low,
                      "singular": not k.invertible})
         at_rho = k if k.rho == rho else at_rho
         if not k.invertible:
@@ -770,14 +776,14 @@ def certify_generalized_mixed_accretive(inst: InclusionInstance,
     invertible on the rho grid, decided by `Composite` as in `Resolvent`
     (K not zero and cond <= 1e12), and the determinant, a polynomial in
     rho, must neither vanish identically nor have a positive real root
-    (`_det_polynomial_roots`).  A grid entry's `sigma_min_lower` is the
-    Weyl margin (`AffinePencil.margins`) where > 0, else sigma_min(K) by
-    SVD; the constant is sigma_min(H + inst.rho*M), the inverse of the
-    resolvent's Lipschitz constant.  Black-box composites are probed
-    instead: a resolve (the chord `Resolvent` path) must reach the
-    first 8 sample points at each grid rho, which fails at once where
-    the probed model is not invertible.  The witness on failure
-    carries the first defect: of part (ii), then alpha < beta, then the
+    (`_det_polynomial_roots`).  A grid entry holds `rho`, `singular` and
+    `sigma_min_lower`, the Weyl margin (`AffinePencil.margins`) where > 0,
+    with no factorization, else sigma_min(K) by SVD; the constant is
+    sigma_min(H + inst.rho*M), the inverse of the resolvent's Lipschitz
+    constant.  Black-box composites are probed instead: a resolve (the
+    chord `Resolvent` path) must reach the first 8 sample points at each
+    grid rho, which fails at once where the probed model is not
+    invertible.  The witness on failure carries the first defect: of part (ii), then alpha < beta, then the
     slot certificates' witnesses.  A grid rho <= 0 raises ConfigError.
     """
     got = inst.constants.require("alpha", "beta")

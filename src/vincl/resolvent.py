@@ -28,8 +28,8 @@ from .operators import (
     eval_H_on_point,
     eval_M_on_point,
 )
-from .space import (DEGENERATE, RESOLVE_TOL, ConfigError, NonFiniteError,
-                    as_rows, as_vector, slack)
+from .space import (RESOLVE_TOL, ConfigError, NonFiniteError, as_rows,
+                    as_vector, slack)
 
 _COND_LIMIT = 1e12
 _EPS = np.finfo(float).eps
@@ -228,8 +228,8 @@ class Composite:
 
     @functools.cached_property
     def det(self) -> float:
-        """det(matrix) from slogdet: inf where it overflows, without a
-        warning."""
+        """det(matrix) from slogdet, for a singular `defect`: inf where it
+        overflows, without a warning."""
         sign, log_abs = np.linalg.slogdet(self.matrix)
         with np.errstate(over="ignore"):
             return float(sign * np.exp(log_abs))
@@ -562,12 +562,12 @@ def audit_lipschitz(inst: InclusionInstance, cfg: ResolventConfig,
         u, v = (as_rows([forward(inst, row, cfg.rho) for row in rows],
                         inst.dim, f"forward image for {prop}")
                 for rows in (x, y))
-    cert = _ratio_form(prop, denom, table.plan, x, y, _norms(u - v),
-                       _norms(u) + _norms(v), upper=False)
+    cert, n_pairs = _ratio_form(prop, denom, table.plan, x, y, _norms(u - v),
+                                _norms(u) + _norms(v), upper=False)
     constant = cert.constant
     worst = (-math.inf if constant is None
              else math.inf if constant == 0 else 1.0 / constant)
     return AuditReport(rho=cfg.rho, r=r, m=m, bound=1.0 / denom,
                        worst_ratio=worst, worst_pair=cert.witness,
-                       n_pairs=int((_norms(x - y) >= DEGENERATE).sum()),
-                       passed=cert.verdict != "fail", exact_ratio=exact_ratio)
+                       n_pairs=n_pairs, passed=cert.verdict != "fail",
+                       exact_ratio=exact_ratio)

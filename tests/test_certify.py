@@ -464,6 +464,26 @@ def test_definite_grid_takes_one_svd_at_the_declared_rho(monkeypatch):
             entry["rho"] * lm + lh, compute_uv=False)[-1]
 
 
+def test_definite_grid_takes_no_determinant_and_no_factorization(
+        monkeypatch):
+    # a grid entry holds rho, sigma_min_lower and singular; where the Weyl
+    # margins show sym(K) definite it takes no slogdet and no LU, numpy's
+    # or LAPACK's
+    calls = collections.Counter()
+    for module, name in ((np.linalg, "slogdet"), (np.linalg, "inv"),
+                         (scipy.linalg.lapack, "dgetrf")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _n=name, _f=original,
+                            **k: calls.update([_n]) or _f(*a, **k))
+    lh, lm = _random_pencil(np.random.default_rng(6), 20, "positive")
+    cert = certify_generalized_mixed_accretive(
+        _pencil_instance(lh, lm, 1.0), rho_grid=[0.5, 1.0, 2.0, 3.0])
+    assert cert.verdict == "pass"
+    assert not calls
+    for entry in cert.details["grid"]:
+        assert set(entry) == {"rho", "sigma_min_lower", "singular"}
+
+
 @pytest.mark.parametrize("slot,name", [("f", "alpha"), ("g", "beta")])
 @pytest.mark.parametrize("claimed", [0.0, -0.5])
 def test_m_slot_claim_must_be_positive_under_any_coupling(slot, name,

@@ -62,7 +62,7 @@ from .resolvent import (
     ResolventIterationError,
     theoretical_r_m,
 )
-from .space import DEGENERATE, ConfigError, as_rows, slack
+from .space import DEGENERATE, ConfigError, as_rows, check_rho, slack
 
 _RANGE_PROBES = 8       # black-box range probes per rho
 _REAL_ROOT = 1e-8       # pencil eigenvalues with |imag| <= this*(1+|real|)
@@ -696,7 +696,7 @@ def _det_polynomial_roots(pencil, k):
     roots = k.rho - 1.0 / mu[np.abs(mu) * _COND_LIMIT > np.linalg.norm(a)]
     real = ((np.abs(roots.imag) <= _REAL_ROOT * (1.0 + np.abs(roots.real)))
             & (roots.real > _POSITIVE_ROOT))
-    return sorted(set(round(float(r), 10) for r in roots.real[real]))
+    return sorted(set(float(f"{r:.10g}") for r in roots.real[real]))
 
 
 def _range_witness(defect: dict) -> dict:
@@ -783,8 +783,9 @@ def certify_generalized_mixed_accretive(inst: InclusionInstance,
     constant.  Black-box composites are probed instead: a resolve (the
     chord `Resolvent` path) must reach the first 8 sample points at each
     grid rho, which fails at once where the probed model is not
-    invertible.  The witness on failure carries the first defect: of part (ii), then alpha < beta, then the
-    slot certificates' witnesses.  A grid rho <= 0 raises ConfigError.
+    invertible.  The witness on failure carries the first defect: of part
+    (ii), then alpha < beta, then the slot certificates' witnesses.  A
+    grid rho that is not a finite number > 0 raises ConfigError.
     """
     got = inst.constants.require("alpha", "beta")
     return _surjectivity_cert(
@@ -800,8 +801,7 @@ def _surjectivity_cert(inst, rho_grid, plan, cert_f, cert_g) -> Certificate:
     if rho_grid is None:
         rho_grid = sorted({0.5, 1.0, 2.0, inst.rho})
     for rho in rho_grid:
-        if not rho > 0:
-            raise ConfigError(f"rho must be > 0, got {rho}")
+        check_rho(rho)
     symmetric_ok = got["alpha"] >= got["beta"] - slack(
         abs(got["alpha"]) + abs(got["beta"]))
     details = {

@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .space import (ConfigError, EmptySetError, NonFiniteError, SpaceConfig,
-                    as_rows, as_vector, slack)
+from .space import (EmptySetError, NonFiniteError, SpaceConfig, as_rows,
+                    as_vector, check_rho, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +295,8 @@ def ordering_flags(c: Constants) -> list:
     Checks alpha > beta, mu1 > mu2, alpha1 > beta1, gamma1, gamma2 > 0,
     and positivity of every other declared constant, on whichever
     constants are declared.  Violations are reported, not fatal, except
-    alpha1, beta1, l1 or l2 <= 0, or alpha or beta <= 0 under the
-    difference coupling: there `certify_instance` raises ConfigError.
+    alpha, beta, alpha1, beta1, l1 or l2 <= 0, under any coupling: there
+    `certify_instance` raises ConfigError.
     """
     flags = []
     pairs = [("alpha", "beta"), ("mu1", "mu2"), ("alpha1", "beta1")]
@@ -342,8 +342,7 @@ class InclusionInstance:
 
     def __post_init__(self):
         om = as_vector(self.omega, self.space.dim, "omega")
-        if not self.rho > 0:
-            raise ConfigError(f"rho must be > 0, got {self.rho}")
+        check_rho(self.rho)
         object.__setattr__(self, "omega", om)
 
     @property

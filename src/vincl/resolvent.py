@@ -1,11 +1,12 @@
 """The proximal-point mapping R(z) = (H((A,B),(C,D)) + rho*M(f,g))^(-1)(z).
 
 A `Resolvent` is prepared once per (instance, rho).  For affine instances
-the composite is a dense linear system, factored once and solved per
-call.  Black-box operators are resolved by chord steps (Kelley, "Iterative
-Methods for Linear and Nonlinear Equations", SIAM 1995, ch. 5) on a linear
-model of the composite, probed once per instance, under Anderson mixing;
-where the probe gives no invertible model, a resolve raises at once.
+the composite is a dense linear system, shown invertible by Weyl margins
+or singular values, factored once and solved per call.  Black-box
+operators are resolved by chord steps (Kelley, "Iterative Methods for
+Linear and Nonlinear Equations", SIAM 1995, ch. 5) on a linear model of
+the composite, probed once per instance, under Anderson mixing; where the
+probe gives no invertible model, a resolve raises at once.
 `audit_lipschitz` checks the theoretical contraction bound
 
     ||R(u) - R(v)|| <= ||u - v|| / (r + rho*m),
@@ -28,8 +29,8 @@ from .operators import (
     eval_H_on_point,
     eval_M_on_point,
 )
-from .space import (RESOLVE_TOL, ConfigError, NonFiniteError, as_rows,
-                    as_vector, slack)
+from .space import (RESOLVE_TOL, NonFiniteError, as_rows, as_vector,
+                    check_rho, slack)
 
 _COND_LIMIT = 1e12
 _EPS = np.finfo(float).eps
@@ -91,8 +92,7 @@ class ResolventConfig:
     max_inner_iters: int = 20000
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ConfigError(f"rho must be > 0, got {self.rho}")
+        check_rho(self.rho)
 
 
 def forward(inst: InclusionInstance, x, rho: float | None = None) -> np.ndarray:
@@ -115,13 +115,13 @@ class Composite:
     `invertible` is the one test of whether H + rho*M is invertible, for
     `Resolvent` and the surjectivity certificate: K is not `zero` and
     cond <= 1e12, which neither a scaling of K nor its dimension moves.
-    The first conclusive route decides: the pencil's Weyl `margins` (no
-    factorization), then `zero`, then, until `sv` has been read, the
-    factorization (`_cond_bound`), then the singular values.  K is
-    factored once, by the dimension: below `_SMALL_DIM` rows (`small`)
-    into its `inverse` by numpy, otherwise into `lu` by LAPACK getrf,
-    which loads scipy.  `inverse` or `lu`, `sv` (largest first), `cond` =
-    sigma_max / sigma_min (None where infinite), `det` and the null
+    Two routes decide it: the pencil's Weyl `margins`, with no
+    factorization, settle every K whose symmetric part they show
+    definite; any other K is decided by `zero` and its singular values.
+    K is factored once, by the dimension: below `_SMALL_DIM` rows
+    (`small`) into its `inverse` by numpy, otherwise into `lu` by LAPACK
+    getrf, which loads scipy.  `inverse` or `lu`, `sv` (largest first),
+    `cond` = sigma_max / sigma_min (None where infinite) and the null
     direction of a singular `defect` are each computed on first access.
     """
 
@@ -169,18 +169,14 @@ class Composite:
         return None if np.isinf(cond) else cond
 
     @functools.cached_property
-    def _scaled_norm(self):
-        """(max|K|, ||K / max|K|||_F): no square under- or overflows."""
-        scale = float(np.abs(self.matrix).max())
-        return scale, float(np.linalg.norm(self.matrix / (scale or 1.0)))
-
-    @functools.cached_property
     def zero(self) -> bool:
         """Whether K is zero up to rounding, ||K||_F <= slack(||L_H||_F +
         |rho|*||L_M||_F) from `bounds`: what H and rho*M leave where they
         cancel is noise, however well conditioned, and the image a point."""
         (_, _, fro_h), (_, _, fro_m) = self.pencil.bounds
-        scale, unit = self._scaled_norm
+        # ||K||_F as max|K| * ||K / max|K|||_F: no square under- or overflows
+        scale = float(np.abs(self.matrix).max())
+        unit = float(np.linalg.norm(self.matrix / (scale or 1.0)))
         return scale * unit <= slack(fro_h + abs(self.rho) * fro_m)
 
     @functools.cached_property
@@ -190,49 +186,8 @@ class Composite:
         # for a unit x: this settles cond up to about 1e9
         if max(self.pencil.margins(self.rho)) > 0:
             return True
-        if self.zero:
-            return False
-        if "sv" not in self.__dict__ and self._cond_bound() <= _COND_LIMIT:
-            return True
-        return self.cond is not None and self.cond <= _COND_LIMIT
-
-    def _cond_bound(self) -> float:
-        """An upper bound on cond_2(K) from the factorization, inf where it
-        gives none: b*(1 + dim*eps*b), b = ||K||_F * ||K^-1||_F >= cond_2(K)
-        (Golub & Van Loan, "Matrix Computations", section 2.3), the second
-        factor covering the rounding of the computed inverse.  K^-1 is
-        `inverse` for a `small` K, else getri on `lu`.  The norms are of K
-        and K^-1 scaled by 1/max|K| and max|K|, so that no square under-
-        or overflows."""
-        dim, (scale, unit) = self.matrix.shape[0], self._scaled_norm
-        if self.small:
-            try:
-                inverse = self.inverse
-            except np.linalg.LinAlgError:
-                return math.inf
-        else:
-            from scipy.linalg import lapack
-            lu, piv, info = self.lu
-            if info != 0:
-                return math.inf
-            inverse, info = lapack.dgetri(
-                lu, piv, lwork=int(lapack.dgetri_lwork(dim)[0]))
-            if info != 0:
-                return math.inf
-        # an overflow, or 0 * inf, leaves b non-finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            b = unit * float(np.linalg.norm(inverse * scale))
-        if not math.isfinite(b):
-            return math.inf
-        return b * (1.0 + dim * _EPS * b)
-
-    @functools.cached_property
-    def det(self) -> float:
-        """det(matrix) from slogdet, for a singular `defect`: inf where it
-        overflows, without a warning."""
-        sign, log_abs = np.linalg.slogdet(self.matrix)
-        with np.errstate(over="ignore"):
-            return float(sign * np.exp(log_abs))
+        return (not self.zero and self.cond is not None
+                and self.cond <= _COND_LIMIT)
 
     def defect(self) -> dict | None:
         """None when K is invertible.  Otherwise why H + rho*M is not onto:
@@ -254,8 +209,7 @@ class Composite:
                 "description": "the composite image is a proper affine "
                                "subspace",
                 "null_direction": np.linalg.svd(self.matrix)[2][-1].tolist(),
-                "cond": self.cond,
-                "det": self.det}
+                "cond": self.cond}
 
 
 def _exact_composite(pencil, rho: float) -> Composite:

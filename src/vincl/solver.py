@@ -54,7 +54,7 @@ from .operators import (
     step_composite,
 )
 from .resolvent import Resolvent, ResolventConfig, theoretical_r_m
-from .space import ConfigError, NonFiniteError, as_rows, as_vector
+from .space import ConfigError, NonFiniteError, as_rows, as_vector, check_rho
 
 TRACE_SCHEMA = "vincl.trace.v1"
 
@@ -112,15 +112,17 @@ class _Rate:
 
     def __init__(self, inst: InclusionInstance, rho: float | None):
         rho = inst.rho if rho is None else rho
-        if not rho > 0:
-            raise ConfigError(f"rho must be > 0, got {rho}")
+        check_rho(rho)
         got = inst.constants.require("sigma", "delta")
         self.r, self.m = theoretical_r_m(inst)
         got.update(inst.constants.require("tau", "eps1", "eps2", "l1", "l2"))
         q = self.q = inst.space.q
         self.rho, self.denom = rho, self.r + rho * self.m
         self.tau_term = got["tau"] ** q
-        self._c_rho = inst.space.c_q * rho ** q
+        try:    # a float power raises where it overflows; a product does not
+            self._c_rho = inst.space.c_q * rho ** q
+        except OverflowError:
+            self._c_rho = math.inf
         self._e1, self._e2 = got["eps1"] * got["l1"], got["eps2"] * got["l2"]
         self._coupling_renormalized = rho * q * (got["sigma"] + got["delta"])
         self.coupling_term = self._coupling_renormalized * self.tau_term
@@ -208,7 +210,7 @@ def check_condition_vi(inst: InclusionInstance,
     Verdicts: "violated_radicand" (negative radicand), "violated_lower"
     (root not strictly positive), "violated_upper" (root >= r + rho*m),
     else "satisfied".  Missing constants raise MissingConstantsError
-    naming them; rho <= 0 raises ValueError.
+    naming them; a rho that is not a finite number > 0 raises ConfigError.
     """
     rate = _Rate(inst, rho)
     rad, root = rate.root(None)

@@ -29,6 +29,14 @@ class ConfigError(ValueError):
     an instance source that names no instance or cannot be read."""
 
 
+def check_rho(rho) -> None:
+    """Raise ConfigError unless the step size rho is finite and > 0."""
+    if not rho > 0:
+        raise ConfigError(f"rho must be > 0, got {rho}")
+    if rho == np.inf:
+        raise ConfigError(f"rho must be finite, got {rho}")
+
+
 class DimensionMismatchError(ValueError):
     """Two vectors (or a vector and an operator) of different dimensions."""
 

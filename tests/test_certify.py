@@ -464,6 +464,21 @@ def test_definite_grid_takes_one_svd_at_the_declared_rho(monkeypatch):
             entry["rho"] * lm + lh, compute_uv=False)[-1]
 
 
+def test_small_positive_determinant_root_is_kept():
+    # det(diag(1, 1e-11) + rho*diag(0, -1)) = 1e-11 - rho: its root is
+    # kept to 10 significant digits, not rounded to 10 decimals, 0.0; the
+    # certificate's, from K0 at a grid rho, to the rounding of rho0 - 1/mu
+    lh, lm = np.diag([1.0, 1e-11]), np.diag([0.0, -1.0])
+    pencil = AffinePencil(AffineMap.linear(lh), AffineMap.linear(lm))
+    assert _det_polynomial_roots(pencil, None) == [1e-11]
+    cert = certify_generalized_mixed_accretive(
+        _pencil_instance(lh, lm, 1.0))
+    assert cert.verdict == "fail"
+    assert cert.witness["defect"] == "determinant vanishes at a positive rho"
+    assert cert.witness["rho"] == pytest.approx(1e-11, rel=1e-6)
+    assert cert.details["determinant_positive_roots"] == [cert.witness["rho"]]
+
+
 def test_definite_grid_takes_no_determinant_and_no_factorization(
         monkeypatch):
     # a grid entry holds rho, sigma_min_lower and singular; where the Weyl

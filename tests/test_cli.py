@@ -77,6 +77,37 @@ def test_solve_divergence_exit_two(capsys, tmp_path):
     assert code == EXIT_NO_CONVERGENCE
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--rho", "inf"),
+    ("check-condition", "--rho", "inf", "--format", "json"),
+    ("verify", "--rho-grid", "inf"),
+    ("verify", "--rho-grid", "1,-inf"),
+    ("check-condition", "--rho", "nan"),
+])
+def test_rho_not_finite_and_positive_is_a_config_error(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, "--instance", "example_4_7")
+    assert code == EXIT_PARSE
+    assert out == "" and err.startswith("error: rho must be ")
+    assert "Traceback" not in err
+
+
+def test_huge_rho_violates_the_upper_bound_without_a_traceback():
+    # rho^q overflows to inf: the root passes r + rho*m, in a fresh process
+    code = ("import sys; from vincl.cli import main; sys.exit(main(["
+            "'check-condition', '--instance', 'example_4_7', '--rho', "
+            "'1e200', '--format', 'json']))")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=os.path.dirname(
+                              os.path.dirname(os.path.abspath(
+                                  vincl.__file__)))))
+    assert proc.returncode == EXIT_CONDITION_VIOLATED, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "violated_upper"
+    assert "Traceback" not in proc.stderr
+
+
 def test_check_condition_exit_codes(capsys):
     code, out, _ = run(capsys, "check-condition", "--instance",
                        "example_4_7", "--rho", "0.35")

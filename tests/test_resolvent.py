@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import warnings
 
@@ -8,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgWarning
 
+from test_scale_invariance import lift
 import vincl.operators
 import vincl.resolvent
 import vincl.space
-from vincl.certify import SamplePlan
+from vincl.certify import SamplePlan, certify_instance
 from vincl.instances import example_3_2, example_3_3, example_4_7
 from vincl.operators import (
     AdditiveBiSlot,
@@ -137,8 +139,7 @@ def test_resolve_singular_linear_part_raises(diag):
     defect = exc.value.defect
     assert defect["kind"] == "singular linear part"
     assert set(defect) == {"rho", "kind", "description", "null_direction",
-                           "cond", "det"}
-    assert defect["det"] == pytest.approx(np.prod(diag), abs=1e-20)
+                           "cond"}
     assert abs(defect["null_direction"][int(np.argmin(diag))]) == \
         pytest.approx(1.0)
 
@@ -311,10 +312,9 @@ def _graded_matrix(dim, cond, seed, kind):
          seed=11)
 def test_invertible_matches_the_singular_value_rule(dim, log_cond, log_scale,
                                                     kind, slot, seed):
-    # the symmetric-part bound and the LU bracket may only ever say
-    # "invertible" where the SVD rule sigma_max > 0 and sigma_max /
-    # sigma_min <= 1e12 does; a well-conditioned K takes no SVD, and a
-    # definite one no factorization at all
+    # the symmetric-part bound may only ever say "invertible" where the
+    # SVD rule sigma_max > 0 and sigma_max / sigma_min <= 1e12 does; a
+    # well-conditioned definite K takes no SVD and no factorization
     matrix = 10.0 ** log_scale * _graded_matrix(dim, 10.0 ** log_cond, seed,
                                                 kind)
     inst = _linear_instance(matrix, slot)
@@ -324,10 +324,8 @@ def test_invertible_matches_the_singular_value_rule(dim, log_cond, log_scale,
         sv = np.linalg.svd(k.matrix, compute_uv=False)
         rule = bool(sv[-1] > 0 and sv[0] / sv[-1] <= 1e12)
         assert k.invertible is rule
-        if kind not in ("singular", "zero") and log_cond <= 3.0:
-            assert "sv" not in vars(k)      # settled at every scale
-            assert kind not in _DEFINITE or not {"inverse", "lu"} & set(
-                vars(k))
+        if kind in _DEFINITE and log_cond <= 3.0:    # at every scale
+            assert not {"sv", "inverse", "lu"} & set(vars(k))
         if rule:
             assert Resolvent(inst, ResolventConfig(rho=1.0)).exact
             np.testing.assert_array_equal(Composite(inst.pencil, 1.0).sv, sv)
@@ -337,20 +335,86 @@ def test_invertible_matches_the_singular_value_rule(dim, log_cond, log_scale,
             assert exc.value.defect == Composite(inst.pencil, 1.0).defect()
 
 
-def test_invertible_reads_the_singular_values_once_taken():
+def test_invertible_does_not_depend_on_the_order_of_reads():
     # an indefinite symmetric part leaves the pencil's bound inconclusive:
-    # the inverse's bracket decides, unless the singular values were read
-    # first
-    pencil = _diagonal_instance([1.0, -2.0, 4.0]).pencil
-    k = Composite(pencil, 1.0)
-    assert k.small and k.invertible and "inverse" in vars(k)
-    assert not {"lu", "sv"} & set(vars(k))
-    k = Composite(pencil, 1.0)
-    assert k.cond == 4.0 and k.invertible
-    assert not {"inverse", "lu"} & set(vars(k))     # no factorization
-    # a definite one is settled by the bound, with no factorization
+    # the singular values decide, whether or not they were read first,
+    # and nothing is factored
+    for diag in ([1.0, -2.0, 4.0], [1.0, -2.0, 0.0]):
+        pencil = _diagonal_instance(diag).pencil
+        k, first = Composite(pencil, 1.0), Composite(pencil, 1.0)
+        first.sv
+        assert k.invertible is first.invertible is (0.0 not in diag)
+        for c in (k, first):
+            assert "sv" in vars(c) and not {"inverse", "lu"} & set(vars(c))
+    # a definite one is settled by the bound, with no decomposition
     k = Composite(_diagonal_instance([1.0, 2.0, 4.0]).pencil, 1.0)
     assert k.invertible and not {"inverse", "lu", "sv"} & set(vars(k))
+
+
+def _counting(monkeypatch, *targets):
+    """A Counter of the calls of each (module, name) of `targets`, a
+    values-only `np.linalg.svd` counted as "svdvals"."""
+    calls = collections.Counter()
+    for module, name in targets:
+        def wrapper(*args, _name=name, _f=getattr(module, name), **kwargs):
+            values_only = _name == "svd" and kwargs.get("compute_uv") is False
+            calls.update(["svdvals" if values_only else _name])
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [3, 20])
+def test_indefinite_composite_takes_one_values_only_svd(monkeypatch, dim):
+    # where the margins are inconclusive `invertible` takes one values-only
+    # SVD, read first or not, and no factorization; a Resolvent then
+    # factors K once: by numpy below _SMALL_DIM, by LAPACK getrf above
+    inst = _linear_instance(_graded_matrix(dim, 10.0, dim, "graded"))
+    assert max(inst.pencil.margins(1.0)) <= 0
+    calls = _counting(monkeypatch, (np.linalg, "svd"), (np.linalg, "inv"),
+                      (scipy.linalg.lapack, "dgetrf"),
+                      (scipy.linalg.lapack, "dgetri"))
+    for read_sv_first in (False, True):
+        calls.clear()
+        k = Composite(inst.pencil, 1.0)
+        if read_sv_first:
+            k.sv
+        assert k.invertible
+        assert calls == {"svdvals": 1}
+    calls.clear()
+    z = np.linspace(-1.0, 1.0, dim)
+    x = Resolvent(inst, ResolventConfig(rho=1.0))(z)
+    assert calls == {"svdvals": 1, "inv" if dim < _SMALL_DIM else "dgetrf": 1}
+    np.testing.assert_allclose(forward(inst, x, 1.0), z, atol=1e-12)
+
+
+def test_no_determinant_and_no_getri_on_singular_or_indefinite_instances(
+        monkeypatch):
+    # a singular defect reports cond and the null direction; neither it,
+    # the certificates nor a resolvent take a determinant or an inverse
+    # from the LU factors
+    indefinite = example_4_7().instance.with_(
+        C=AffineMap.linear(np.diag([2.0, -4.0])),
+        D=AffineMap.linear(np.diag([1.0, -1.0])))
+    calls = _counting(monkeypatch, (np.linalg, "slogdet"),
+                      (np.linalg, "det"), (scipy.linalg.lapack, "dgetri"))
+    for dim in (2, 20):
+        diag = np.linspace(1.0, 2.0, dim)
+        diag[1] = 0.0
+        singular = _diagonal_instance(diag).with_(
+            constants=indefinite.constants)
+        for inst in (singular, lift(indefinite, dim)):
+            certify_instance(inst, SamplePlan(seed=1))
+            defect = Composite(inst.pencil, inst.rho).defect()
+            if inst is singular:
+                assert defect["kind"] == "singular linear part"
+                with pytest.raises(NonSurjectiveError):
+                    Resolvent(inst, ResolventConfig(rho=inst.rho))
+            else:
+                assert defect is None and max(inst.pencil.margins(
+                    inst.rho)) <= 0
+                Resolvent(inst, ResolventConfig(rho=inst.rho))(np.ones(dim))
+    assert not calls
 
 
 def test_negative_rho_bounds_the_symmetric_part_from_the_other_side():

@@ -84,6 +84,8 @@ class SamplePlan:
     The lattice contributes signed unit vectors, the origin, and scaled
     axis sums; the remainder are seeded standard-normal draws scaled by
     `scale`.  Identical (seed, n_pairs, scale) yield identical samples.
+    ConfigError unless seed and n_pairs are integers >= 0 and scale is a
+    finite number > 0.
     """
 
     seed: int = 0
@@ -92,6 +94,16 @@ class SamplePlan:
     include_lattice: bool = True
     _rows: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
+
+    def __post_init__(self):
+        for name in ("seed", "n_pairs"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 0:
+                raise ConfigError(f"sample plan {name} must be an integer "
+                                  f">= 0, got {value!r}")
+        if not 0.0 < self.scale < np.inf:
+            raise ConfigError(f"sample plan scale must be a finite number "
+                              f"> 0, got {self.scale!r}")
 
     def _lattice(self, dim: int):
         eye = np.eye(dim)
@@ -672,15 +684,19 @@ def _det_polynomial_roots(pencil, k):
     & Van Loan, "Matrix Computations", section 7.7), the roots are rho0 -
     1/mu over the eigenvalues mu of A but those with |mu| * 1e12 <=
     ||A||_F, the condition limit of `Composite.invertible`, below which
-    the rounding of a zero eigenvalue of a singular L_M lies.  K0 is `k`,
-    else the first invertible composite at dim + 1 distinct nodes; with
-    none, the determinant, of degree <= dim, is the zero polynomial.  No
-    eigenvalues are computed where L_M = 0, or where a Weyl margin
-    (`AffinePencil.margins`) is > 0 at rho = 0 and does not fall with rho,
-    so that sym(K(rho)) is definite at every rho >= 0."""
+    the rounding of a zero eigenvalue of a singular L_M lies.  K0 is K(0)
+    where invertible, whose roots -1/mu take no subtraction and so keep
+    their relative accuracy near 0; else `k`, else the first invertible
+    composite at dim + 1 distinct nodes; with none, the determinant, of
+    degree <= dim, is the zero polynomial.  No eigenvalues are computed
+    where L_M = 0, or where a Weyl margin (`AffinePencil.margins`) is > 0
+    at rho = 0 and does not fall with rho, so that sym(K(rho)) is definite
+    at every rho >= 0."""
     dim = len(pencil.h.matrix)
-    k = k or next((c for c in (Composite(pencil, t) for t in np.linspace(
-        0.0, max(1.0, dim), dim + 1)) if c.invertible), None)
+    k0 = Composite(pencil, 0.0)
+    k = k0 if k0.invertible else k or next((c for c in (
+        Composite(pencil, t) for t in np.linspace(
+            0.0, max(1.0, dim), dim + 1)[1:]) if c.invertible), None)
     if k is None:
         return None
     # L_M = 0 by the plain norm, although `bounds` holds ||L_M||_F:

@@ -29,8 +29,8 @@ from .operators import (
     eval_H_on_point,
     eval_M_on_point,
 )
-from .space import (RESOLVE_TOL, NonFiniteError, as_rows, as_vector,
-                    check_rho, slack)
+from .space import (RESOLVE_TOL, ConfigError, NonFiniteError, as_rows,
+                    as_vector, check_rho, slack)
 
 _COND_LIMIT = 1e12
 _EPS = np.finfo(float).eps
@@ -85,7 +85,7 @@ class ResolventConfig:
     The instance decides the path (see `Resolvent`); a black-box resolve
     of z stops at residual `RESOLVE_TOL * max(1, ||z||)`, or at the
     residual's rounding floor where that is larger, or after
-    `max_inner_iters` iterations.
+    `max_inner_iters` iterations, which must be >= 1.
     """
 
     rho: float
@@ -93,6 +93,9 @@ class ResolventConfig:
 
     def __post_init__(self):
         check_rho(self.rho)
+        if self.max_inner_iters < 1:
+            raise ConfigError(
+                f"max_inner_iters must be >= 1, got {self.max_inner_iters}")
 
 
 def forward(inst: InclusionInstance, x, rho: float | None = None) -> np.ndarray:

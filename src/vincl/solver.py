@@ -16,10 +16,11 @@ H(u_n) and M(f(u_n), g(u_n)) are the images the resolve of z_n holds
     Phi(u) = F(Su, Tu) + M(f(u), g(u)),
 
 whose fixed point zeroes the evaluated inclusion residual ||omega -
-Phi(u)|| whatever the rounding of the solve.  Where S and T are single-
-valued affine selections and F is affine, Phi is the affine map
-`step_composite` assembles once per solve, so a step is the solve of K =
-H + rho*M and one matvec with Phi's matrix.
+Phi(u)|| whatever the rounding of the solve.  `solve` runs one step
+function, z_n -> (u_n, v_n, w_n, residual, z_(n+1) - e_n), the start-up
+included: where S and T are single-valued affine selections and F is
+affine, the composed one, the solve of K = H + rho*M and one matvec with
+Phi's matrix, which `step_composite` assembles once; else the general one.
 The per-step contraction factor predicted by the theory is
 
     theta_n = (1/(r + rho*m)) * (tau^q + c_q*rho^q*(eps1*l1*k + eps2*l2*k)^q
@@ -49,6 +50,7 @@ from .operators import (
     MissingConstantsError,
     _write_atomic,
     eval_H_on_point,
+    eval_M_on_point,
     selection_parts,
     set_values,
     step_composite,
@@ -376,20 +378,57 @@ class SolverConfig:
             object.__setattr__(self, "u0", as_vector(self.u0))
 
 
+def _composed_step(inst: InclusionInstance, k, phi, rho: float):
+    """The composed step: no map of the instance is called, the residual
+    is ||omega - Phi(u)|| and t = z + rho*(omega - Phi(u)).  A given u
+    stands for R(z), and z is then K u."""
+    (ls, cs), (lt, ct) = (selection_parts(s) for s in (inst.S, inst.T))
+    omega = inst.omega
+
+    def step(z, u=None, v=None, w=None):
+        if u is None:
+            u = k.solve(z - k.offset)
+        else:
+            z = k.matrix @ u + k.offset
+        image = phi.matrix @ u + phi.offset
+        v = u if ls is None else ls @ u + cs
+        w = u if lt is None else lt @ u + ct
+        # no map checked its image: one test covers them all
+        finite = np.isfinite((z, u, image, v, w)).ravel()
+        if not finite[finite.argmin()]:
+            raise NonFiniteError("non-finite iterate")
+        gap = omega - image
+        return u, v, w, float(np.linalg.norm(gap)), z + rho * gap
+    return step
+
+
+def _general_step(inst: InclusionInstance, resolvent, rho: float):
+    """The general step, the maps taken to be deterministic functions: v
+    and w are the points of S(u) and T(u) nearest the last ones, or u.  F
+    is called once; its image at (v, w) serves the residual, min over m in
+    M(f(u), g(u)) of ||omega - F(v, w) - m||, and t = H(u) - rho*F(v, w) +
+    rho*omega.  H and M are called only by the resolve, whose images at u
+    serve them too, or at a given u, which stands for R(z)."""
+    omega, rho_omega = inst.omega, rho * inst.omega
+
+    def step(z, u=None, v=None, w=None):
+        if u is None:
+            u, hu, members = resolvent.images(z)
+        else:
+            hu, members = eval_H_on_point(inst, u), eval_M_on_point(inst, u)
+        v = _nearest(u if v is None else v, set_values(inst.S, u))
+        w = _nearest(u if w is None else w, set_values(inst.T, u))
+        fvw = as_vector(inst.F(v, w), inst.dim, "image of F")
+        residual = min(float(np.linalg.norm(omega - fvw - m))
+                       for m in members)
+        return u, v, w, residual, hu - rho * fvw + rho_omega
+    return step
+
+
 def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
     """Run the iteration until the step norm falls below `tol` and the
     inclusion residual confirms the fixed point (<= 10*tol*(1+||omega||)),
     or `max_iters` is exhausted.
-
-    The residual is `inclusion_residual`'s value, min over m in
-    M(f(u), g(u)) of ||omega - F(v, w) - m||.  Where the resolvent is
-    exact and `step_composite` gives Phi(u) = F(Su, Tu) + m(u), a step is
-    the solve of K and one matvec with Phi's matrix, no map of the
-    instance is called, and the residual is ||omega - Phi(u)||.
-    Elsewhere the maps are taken to be deterministic functions: F is
-    called once per iteration, and its image at (v_n, w_n) serves both
-    that residual and z_(n+1); H and M are called only by the resolve,
-    whose images at u_n serve them too.
 
     Raises
     ------
@@ -398,14 +437,16 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
         instance's dimension.
     DivergenceError
         On sustained step growth (>10x over a 20-iteration window), or
-        where an iterate or an image of the maps becomes non-finite; the
-        partial trace rides on the exception.
+        where an iterate or an image of the maps becomes non-finite, at
+        the start-up too; the partial trace rides on the exception.
     NonSurjectiveError, ResolventIterationError
         Propagated from the resolvent.
     """
     rho = inst.rho if cfg.rho is None else cfg.rho
     resolvent = Resolvent(inst, ResolventConfig(rho=rho))
-    trace = SolveTrace(rho=rho, tol=cfg.tol)
+    res_bound = 10.0 * cfg.tol * (1.0 + float(np.linalg.norm(inst.omega)))
+    trace = SolveTrace(rho=rho, tol=cfg.tol, residual_bound=res_bound,
+                       varpi=None if cfg.errors is None else cfg.errors.varpi)
     try:
         rate = _Rate(inst, rho)
     except MissingConstantsError:
@@ -413,100 +454,59 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
     else:
         trace.theta_declared = rate.theta(None)
         trace.theta_rate_bound = rate.theta(None, renormalized=True)
-    if cfg.errors is not None:
-        trace.varpi = cfg.errors.varpi
-    res_bound = 10.0 * cfg.tol * (1.0 + float(np.linalg.norm(inst.omega)))
-    trace.residual_bound = res_bound
 
     z = as_vector(cfg.z0, inst.dim, "z0")
-    u0 = (None if cfg.u0 is None
-          else np.array(as_vector(cfg.u0, inst.dim, "u0")))
+    u0 = None if cfg.u0 is None else as_vector(cfg.u0, inst.dim, "u0")
     if cfg.errors is not None:
         as_vector(cfg.errors.direction, inst.dim, "error direction")
-    omega, k = inst.omega, resolvent.composite
-    phi = step_composite(inst) if k is not None else None
-    if phi is not None:     # the composed step: Phi(u) = phi.matrix @ u + c
-        (ls, cs), (lt, ct) = (selection_parts(s) for s in (inst.S, inst.T))
-        if u0 is None:
-            u = k.solve(z - k.offset)
-        else:
-            z, u = k.matrix @ u0 + k.offset, u0
-        gap = omega - (phi.matrix @ u + phi.offset)
-    else:
-        if u0 is None:
-            u, hu, _ = resolvent.images(z)
-        else:
-            u, hu = u0, eval_H_on_point(inst, u0)
-        v = _nearest(u, set_values(inst.S, u))
-        w = _nearest(u, set_values(inst.T, u))
-        fvw = as_vector(inst.F(v, w), inst.dim, "image of F")
-        rho_omega = rho * omega
+    phi = step_composite(inst) if resolvent.exact else None
+    take_step = (_general_step(inst, resolvent, rho) if phi is None
+                 else _composed_step(inst, resolvent.composite, phi, rho))
     prev_step = None
     # the divergence guard compares each step with the one 20 steps back
     window = deque(maxlen=21)
 
     # a diverging iterate overflows, and the check of the inf it leaves in
-    # z, an iterate or an image ends the run; a composed step multiplies
-    # an inf in z or u before its check, which leaves NaN
-    with np.errstate(over="ignore",
-                     invalid=None if phi is None else "ignore"):
-        for n in range(cfg.max_iters):
-            # a zero error still adds 0.0: it turns a -0.0 of z into +0.0
-            e_n = cfg.errors.term(n) if cfg.errors is not None else 0.0
-            try:
-                if phi is not None:
-                    z = z + rho * gap + e_n
-                    u_next = k.solve(z - k.offset)
-                    image = phi.matrix @ u_next + phi.offset
-                    v = u_next if ls is None else ls @ u_next + cs
-                    w = u_next if lt is None else lt @ u_next + ct
-                    # no map checked its image: one test covers them all
-                    finite = np.isfinite((z, u_next, image, v, w)).ravel()
-                    if not finite[finite.argmin()]:
-                        raise NonFiniteError("non-finite iterate")
-                    gap = omega - image
-                    residual = float(np.linalg.norm(gap))
-                else:
-                    z = hu - rho * fvw + rho_omega + e_n
-                    u_next, hu, members = resolvent.images(z)
-                    v = _nearest(v, set_values(inst.S, u_next))
-                    w = _nearest(w, set_values(inst.T, u_next))
-                    fvw = as_vector(inst.F(v, w), inst.dim, "image of F")
-                    residual = min(float(np.linalg.norm(omega - fvw - m))
-                                   for m in members)
-            except NonFiniteError:
-                raise DivergenceError("iterate became non-finite",
-                                      trace) from None
-            step = float(np.linalg.norm(u_next - u))
-            ratio = (step / prev_step
-                     if prev_step is not None and prev_step > 0 else None)
-            trace.records.append(IterationRecord(
-                n=n, z=z, u=u_next, v=v, w=w, step=step,
-                ratio=ratio, residual=residual,
-                theta_n=None if rate is None else rate.theta(n + 1),
-                error_norm=0.0 if cfg.errors is None
-                else float(np.linalg.norm(e_n))))
+    # z, an iterate or an image ends the run; a composed step's matvec or a
+    # map's inf - inf makes a NaN of an inf, which the check refuses too
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            u, v, w, _, t = take_step(z, u0)
+            for n in range(cfg.max_iters):
+                # a zero error still adds 0.0: it turns a -0.0 of z into +0.0
+                e_n = cfg.errors.term(n) if cfg.errors is not None else 0.0
+                z = t + e_n
+                u_next, v, w, residual, t = take_step(z, None, v, w)
+                step = float(np.linalg.norm(u_next - u))
+                ratio = step / prev_step if prev_step else None
+                trace.records.append(IterationRecord(
+                    n=n, z=z, u=u_next, v=v, w=w, step=step,
+                    ratio=ratio, residual=residual,
+                    theta_n=None if rate is None else rate.theta(n + 1),
+                    error_norm=0.0 if cfg.errors is None
+                    else float(np.linalg.norm(e_n))))
 
-            window.append(step)
-            if (len(window) > 20 and step > 10.0 * window[0]
-                    and step > cfg.tol):
-                raise DivergenceError(
-                    f"step norm grew more than 10x over 20 iterations "
-                    f"({window[0]:.3e} -> {step:.3e})", trace)
+                window.append(step)
+                if (len(window) > 20 and step > 10.0 * window[0]
+                        and step > cfg.tol):
+                    raise DivergenceError(
+                        f"step norm grew more than 10x over 20 iterations "
+                        f"({window[0]:.3e} -> {step:.3e})", trace)
 
-            u = u_next
-            prev_step = step if step > 0 else prev_step
-            if step <= cfg.tol and residual <= res_bound:
-                trace.converged = True
-                trace.final_residual = residual
-                trace.message = f"converged after {n + 1} iterations"
-                break
-        else:
-            trace.final_residual = (trace.records[-1].residual
-                                    if trace.records else math.inf)
-            trace.message = f"not converged within {cfg.max_iters} iterations"
+                u = u_next
+                prev_step = step if step > 0 else prev_step
+                if step <= cfg.tol and residual <= res_bound:
+                    trace.converged = True
+                    trace.final_residual = residual
+                    trace.message = f"converged after {n + 1} iterations"
+                    break
+            else:
+                trace.final_residual = trace.records[-1].residual
+                trace.message = (f"not converged within {cfg.max_iters} "
+                                 f"iterations")
+        except NonFiniteError:
+            raise DivergenceError("iterate became non-finite", trace) from None
 
     tail = trace.ratios[-10:]
-    if tail:
-        trace.observed_rate = float(max(tail))
+    trace.observed_rate = float(max(tail)) if tail else None
     return trace

@@ -435,7 +435,8 @@ def test_definite_grid_takes_one_svd_at_the_declared_rho(monkeypatch):
     # where the Weyl margins show sym(K) definite, a grid entry takes no
     # decomposition: the one values-only SVD is that of K(inst.rho), a
     # grid node or not.  An indefinite pencil takes one per grid rho,
-    # the declared rho's reused, and reports the exact sigma_min
+    # the declared rho's reused, and one of K(0) for the determinant's
+    # roots, and reports the exact sigma_min
     calls = []
     original = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd",
@@ -458,7 +459,7 @@ def test_definite_grid_takes_one_svd_at_the_declared_rho(monkeypatch):
     calls.clear()
     cert = certify_generalized_mixed_accretive(
         _pencil_instance(lh, lm, 1.0), rho_grid=grid)
-    assert len(calls) == len(grid)
+    assert len(calls) == len(grid) + 1
     for entry in cert.details["grid"]:
         assert entry["sigma_min_lower"] == original(
             entry["rho"] * lm + lh, compute_uv=False)[-1]
@@ -467,7 +468,7 @@ def test_definite_grid_takes_one_svd_at_the_declared_rho(monkeypatch):
 def test_small_positive_determinant_root_is_kept():
     # det(diag(1, 1e-11) + rho*diag(0, -1)) = 1e-11 - rho: its root is
     # kept to 10 significant digits, not rounded to 10 decimals, 0.0; the
-    # certificate's, from K0 at a grid rho, to the rounding of rho0 - 1/mu
+    # certificate's too, as K0 = K(0) leaves -1/mu with no subtraction
     lh, lm = np.diag([1.0, 1e-11]), np.diag([0.0, -1.0])
     pencil = AffinePencil(AffineMap.linear(lh), AffineMap.linear(lm))
     assert _det_polynomial_roots(pencil, None) == [1e-11]
@@ -475,7 +476,7 @@ def test_small_positive_determinant_root_is_kept():
         _pencil_instance(lh, lm, 1.0))
     assert cert.verdict == "fail"
     assert cert.witness["defect"] == "determinant vanishes at a positive rho"
-    assert cert.witness["rho"] == pytest.approx(1e-11, rel=1e-6)
+    assert cert.witness["rho"] == 1e-11
     assert cert.details["determinant_positive_roots"] == [cert.witness["rho"]]
 
 

@@ -339,6 +339,41 @@ def test_invalid_values_exit_one_with_message(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [("--samples", "-5"), ("--seed", "-3")],
+                         ids=" ".join)
+@pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
+def test_negative_sample_count_or_seed_exits_one(capsys, tmp_path, argv,
+                                                 sampled):
+    # example_4_7 certifies exactly and never read the plan, so exited 0;
+    # a nearest-node S takes a sampled certificate, whose draw ended in a
+    # numpy traceback
+    source = "example_4_7"
+    if sampled:
+        d = instance_to_dict(example_4_7().instance)
+        d["S"] = {"nodes": [[0.0, 0.0], [1.0, 0.0]],
+                  "points": [[[0.0, 0.0]], [[1.0, 0.0], [0.5, 0.0]]]}
+        source = str(tmp_path / "nearest_node_S.json")
+        with open(source, "w") as fh:
+            json.dump(d, fh)
+    code, out, err = run(capsys, "verify", "--instance", source, *argv)
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error: sample plan ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_solve_from_an_overflowing_u0_exits_two_under_warnings_as_errors():
+    # the start-up's K u0 overflowed outside the loop's errstate: numpy
+    # warned, and under -W error the warning ended in a traceback, exit 1
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "vincl.cli",
+         "solve", "--instance", "example_4_7", "--u0", "1e308,1e308"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+            os.path.abspath(vincl.__file__)))))
+    assert proc.returncode == EXIT_NO_CONVERGENCE, proc.stderr
+    assert proc.stderr == "error: iterate became non-finite\n"
+
+
 @pytest.mark.parametrize("flag", ["--z0", "--u0", "--omega"])
 def test_vector_value_may_begin_with_a_minus_sign(capsys, flag):
     # argparse would take "-1,2" for an option; both forms read the value

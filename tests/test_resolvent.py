@@ -38,7 +38,8 @@ from vincl.resolvent import (
     resolve,
     theoretical_r_m,
 )
-from vincl.space import DimensionMismatchError, NonFiniteError, SpaceConfig
+from vincl.space import (ConfigError, DimensionMismatchError, NonFiniteError,
+                         SpaceConfig)
 
 
 def test_resolve_inverts_forward_image():
@@ -252,6 +253,16 @@ def test_resolvent_paths_and_singular_values():
     with pytest.raises(ResolventIterationError) as exc:
         none(np.zeros(zero.dim))
     assert exc.value.iterations == 0 and none.inner_iterations == 0
+
+
+@pytest.mark.parametrize("iters", [0, -3])
+def test_max_inner_iters_below_one_is_a_config_error(iters):
+    # it was taken, and a black-box resolve then raised
+    # ResolventIterationError: "chord iteration exceeded 0 iterations"
+    with pytest.raises(ConfigError,
+                       match=f"^max_inner_iters must be >= 1, got {iters}$"):
+        ResolventConfig(rho=0.35, max_inner_iters=iters)
+    assert ResolventConfig(rho=0.35, max_inner_iters=1).max_inner_iters == 1
 
 
 _DEFINITE = {"posdef": 1.0, "negdef": -1.0}

@@ -158,6 +158,23 @@ def test_empty_plan_raises():
         SamplePlan(n_pairs=0, include_lattice=False).arrays(2)
 
 
+@pytest.mark.parametrize("fields", [
+    {"seed": -3}, {"seed": 1.5}, {"n_pairs": -5}, {"n_pairs": 2.0},
+    {"scale": 0.0}, {"scale": -1.0}, {"scale": np.inf}, {"scale": np.nan},
+], ids=repr)
+def test_sample_plan_refuses_a_bad_field(fields):
+    # a negative count or seed reached numpy, which raised ValueError at
+    # the first draw, or was never read where no map was sampled
+    (name, value), = fields.items()
+    with pytest.raises(ConfigError, match=f"^sample plan {name} must be "):
+        SamplePlan(**fields)
+
+
+def test_sample_plan_takes_numpy_integers_and_an_integer_scale():
+    plan = SamplePlan(seed=np.int64(3), n_pairs=np.int32(2), scale=1)
+    assert (plan.seed, plan.n_pairs, plan.scale) == (3, 2, 1)
+
+
 # ---------------------------------------------------------------------------
 # Engine vs reference loop
 # ---------------------------------------------------------------------------

@@ -365,6 +365,45 @@ def test_solve_reports_an_overflowing_iterate_as_divergence(tmp_path):
         assert main(["solve", "--instance", str(path)]) == EXIT_NO_CONVERGENCE
 
 
+def test_black_box_copy_trips_the_divergence_guard_alike():
+    # the general step on the chord resolvent grows as the composed one
+    with pytest.raises(DivergenceError) as exc:
+        solve(variant(_expanding(-10.0), 1.0, blackbox=True),
+              SolverConfig(z0=[1.0, 1.0], tol=1e-12, max_iters=500))
+    assert exc.value.trace.iterations == 21
+    assert str(exc.value) == ("step norm grew more than 10x over 20 "
+                              "iterations (3.182e+00 -> 2.042e+15)")
+
+
+def test_black_box_copy_reports_an_overflowing_iterate_as_divergence():
+    inst = variant(_expanding(-1e150), 1.0, blackbox=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError,
+                           match="^iterate became non-finite$") as exc:
+            solve(inst, SolverConfig(z0=[1.0, 1.0], tol=1e-12,
+                                     max_iters=500))
+    assert exc.value.trace.iterations == 1
+    assert np.isfinite(exc.value.trace.u_final).all()
+
+
+@pytest.mark.parametrize("blackbox", [False, True],
+                         ids=["composed", "general"])
+def test_solve_from_an_overflowing_u0_is_divergence(blackbox):
+    # the start-up runs under the loop's errstate and its non-finite
+    # check: K u0 (composed) or H(u0) (general) overflows, with no numpy
+    # warning, and the run ends before its first record.  The composed
+    # start-up warned, the general one raised NonFiniteError
+    inst = variant(example_4_7().instance, 1.0, blackbox=blackbox)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError,
+                           match="^iterate became non-finite$") as exc:
+            solve(inst, SolverConfig(z0=[1.0, 1.0], u0=[1e308, 1e308]))
+    assert exc.value.trace.iterations == 0
+    assert Resolvent(inst, ResolventConfig(rho=inst.rho)).exact != blackbox
+
+
 def _reference_loop(inst, z0, rho, tol, u0=None, errors=None):
     """The iteration written plainly, with a fresh `resolve` per step and
     H(u_n) and M(f(u_n), g(u_n)) evaluated at each iterate, not taken
@@ -393,6 +432,15 @@ def _reference_loop(inst, z0, rho, tol, u0=None, errors=None):
         if step <= tol and residual <= bound:
             return steps, True
     return steps, False
+
+
+def _assert_records_equal(records, steps):
+    """Each record's z, u, v, w, step and residual those of the step, to
+    the bit."""
+    for rec, (z, u, v, w, step, residual) in zip(records, steps):
+        for got, want in ((rec.z, z), (rec.u, u), (rec.v, v), (rec.w, w)):
+            np.testing.assert_array_equal(got, want)
+        assert (rec.step, rec.residual) == (step, residual)
 
 
 def _assert_records_close(records, steps, omega):
@@ -470,10 +518,7 @@ def test_black_box_solve_matches_per_step_resolve_to_the_bit(case):
     assert Resolvent(inst, ResolventConfig(rho=rho)).path == "chord"
     assert trace.converged and converged
     assert trace.iterations == len(steps)
-    for rec, (z, u, v, w, step, residual) in zip(trace.records, steps):
-        for got, want in ((rec.z, z), (rec.u, u), (rec.v, v), (rec.w, w)):
-            np.testing.assert_array_equal(got, want)
-        assert (rec.step, rec.residual) == (step, residual)
+    _assert_records_equal(trace.records, steps)
 
 
 def test_black_box_solve_calls_the_maps_once_per_resolve_residual():
@@ -554,7 +599,7 @@ def _calls_per_iteration(monkeypatch, inst):
 
 
 def test_solve_checks_each_set_value_once(monkeypatch):
-    # a set-valued S keeps example_4_7 on the general loop.  Per
+    # a set-valued S keeps example_4_7 on the general step.  Per
     # iteration: S and T each checked once, by `set_values`; the six
     # as_vector calls check the resolvent's z, the point and image of M
     # and F's two points and image.  H(u_n) comes from the resolve, as
@@ -593,7 +638,7 @@ def _path_cases():
 @pytest.mark.parametrize("case", list(_path_cases()), ids=lambda c: c[0])
 def test_solve_composes_the_step_exactly_where_the_instance_allows(
         monkeypatch, case):
-    # the general loop takes the value sets of S and T at each iterate,
+    # the general step takes the value sets of S and T at each iterate,
     # the composed step never
     _, inst, composed = case
     counts = {}
@@ -610,7 +655,7 @@ def test_solve_composes_the_step_exactly_where_the_instance_allows(
 @pytest.mark.parametrize("case", list(_affine_cases()),
                          ids=lambda case: case[0])
 def test_composed_solve_matches_the_general_loop_of_a_black_box_copy(case):
-    # the copy's plain-callable maps take the general loop and the chord
+    # the copy's plain-callable maps take the general step and the chord
     # resolvent
     _, inst, z0, rho = case
     cfg = SolverConfig(z0=z0, rho=rho, tol=1e-10)
@@ -651,11 +696,31 @@ def _random_affine(dim, seed, s_affine, t_affine):
         T=selection(t_affine), omega=rng.standard_normal(dim), rho=1.0)
 
 
+def _solve_and_reference_loop(inst, seed, rho, with_u0, with_errors):
+    """solve(inst) and `_reference_loop` from a seeded z0, a seeded u0 or
+    none and a seeded error sequence or none: the trace and the steps."""
+    rng = np.random.default_rng([seed, 1])
+    z0 = rng.standard_normal(inst.dim)
+    u0 = rng.standard_normal(inst.dim) if with_u0 else None
+    errors = (GeometricErrors(c0=0.1, factor=0.5,
+                              direction=rng.standard_normal(inst.dim))
+              if with_errors else None)
+    trace = solve(inst, SolverConfig(z0=z0, rho=rho, tol=1e-10, u0=u0,
+                                     errors=errors))
+    steps, converged = _reference_loop(inst, z0, rho, 1e-10, u0, errors)
+    assert trace.converged and converged
+    assert trace.iterations == len(steps)
+    return trace, steps
+
+
+_DRAWS = dict(dim=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+              s_affine=st.booleans(), t_affine=st.booleans(),
+              rho=st.floats(0.5, 2.0), with_u0=st.booleans(),
+              with_errors=st.booleans())
+
+
 @settings(max_examples=60, deadline=None)
-@given(dim=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
-       s_affine=st.booleans(), t_affine=st.booleans(),
-       rho=st.floats(0.5, 2.0), with_u0=st.booleans(),
-       with_errors=st.booleans())
+@given(**_DRAWS)
 @example(dim=_SMALL_DIM - 1, seed=1, s_affine=True, t_affine=False, rho=0.5,
          with_u0=True, with_errors=True)
 @example(dim=_SMALL_DIM, seed=2, s_affine=False, t_affine=True, rho=2.0,
@@ -666,19 +731,27 @@ def test_composed_step_matches_the_reference_loop(dim, seed, s_affine,
     # the composed step against the iteration written plainly, across
     # the dimension where numpy's inverse gives way to LU factors
     inst = _random_affine(dim, seed, s_affine, t_affine)
-    rng = np.random.default_rng([seed, 1])
-    z0 = rng.standard_normal(dim)
-    u0 = rng.standard_normal(dim) if with_u0 else None
-    errors = (GeometricErrors(c0=0.1, factor=0.5,
-                              direction=rng.standard_normal(dim))
-              if with_errors else None)
     assert step_composite(inst) is not None
-    trace = solve(inst, SolverConfig(z0=z0, rho=rho, tol=1e-10, u0=u0,
-                                     errors=errors))
-    steps, converged = _reference_loop(inst, z0, rho, 1e-10, u0, errors)
-    assert trace.converged and converged
-    assert trace.iterations == len(steps)
+    trace, steps = _solve_and_reference_loop(inst, seed, rho, with_u0,
+                                             with_errors)
     _assert_records_close(trace.records, steps, inst.omega)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_DRAWS)
+@example(dim=_SMALL_DIM - 1, seed=1, s_affine=True, t_affine=False, rho=0.5,
+         with_u0=True, with_errors=True)
+def test_general_step_matches_the_reference_loop_to_the_bit(
+        dim, seed, s_affine, t_affine, rho, with_u0, with_errors):
+    # the black-box copy takes the general step on the chord resolvent,
+    # the start-up from u0 included: the images the resolve holds are the
+    # bits the reference loop evaluates
+    inst = variant(_random_affine(dim, seed, s_affine, t_affine), 1.0,
+                   blackbox=True)
+    assert not Resolvent(inst, ResolventConfig(rho=rho)).exact
+    trace, steps = _solve_and_reference_loop(inst, seed, rho, with_u0,
+                                             with_errors)
+    _assert_records_equal(trace.records, steps)
 
 
 def test_solve_propagates_unexpected_theta_errors(monkeypatch):

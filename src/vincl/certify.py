@@ -684,19 +684,20 @@ def _det_polynomial_roots(pencil, k):
     & Van Loan, "Matrix Computations", section 7.7), the roots are rho0 -
     1/mu over the eigenvalues mu of A but those with |mu| * 1e12 <=
     ||A||_F, the condition limit of `Composite.invertible`, below which
-    the rounding of a zero eigenvalue of a singular L_M lies.  K0 is K(0)
-    where invertible, whose roots -1/mu take no subtraction and so keep
-    their relative accuracy near 0; else `k`, else the first invertible
-    composite at dim + 1 distinct nodes; with none, the determinant, of
-    degree <= dim, is the zero polynomial.  No eigenvalues are computed
-    where L_M = 0, or where a Weyl margin (`AffinePencil.margins`) is > 0
-    at rho = 0 and does not fall with rho, so that sym(K(rho)) is definite
-    at every rho >= 0."""
+    the rounding of a zero eigenvalue of a singular L_M lies.  K0 is `k`,
+    else the first invertible composite at dim + 1 distinct nodes; with
+    none, the determinant, of degree <= dim, is the zero polynomial.  A
+    positive root r < rho0 comes from rho0 - 1/mu by cancellation; where
+    K(0) is invertible, the positive root -1/mu0 of A0 = K(0)^-1 L_M
+    nearest r takes its place if its error, about eps*||A0||_F*r^2, is
+    below eps*||A||_F*(rho0 - r)^2, so that a root near 0 keeps its
+    relative accuracy.  No eigenvalues are computed where L_M = 0, or
+    where a Weyl margin (`AffinePencil.margins`) is > 0 at rho = 0 and
+    does not fall with rho, so that sym(K(rho)) is definite at every rho
+    >= 0."""
     dim = len(pencil.h.matrix)
-    k0 = Composite(pencil, 0.0)
-    k = k0 if k0.invertible else k or next((c for c in (
-        Composite(pencil, t) for t in np.linspace(
-            0.0, max(1.0, dim), dim + 1)[1:]) if c.invertible), None)
+    k = k or next((c for c in (Composite(pencil, t) for t in np.linspace(
+        0.0, max(1.0, dim), dim + 1)) if c.invertible), None)
     if k is None:
         return None
     # L_M = 0 by the plain norm, although `bounds` holds ||L_M||_F:
@@ -707,12 +708,28 @@ def _det_polynomial_roots(pencil, k):
     if any(at_0 > 0 and at_1 >= at_0 for at_0, at_1 in zip(
             pencil.margins(0.0), pencil.margins(1.0))):
         return []
-    a = k.solve(pencil.m.matrix)
+    roots, norm_a = _positive_roots(k, pencil.m.matrix)
+    small = roots < k.rho
+    if small.any() and (k0 := Composite(pencil, 0.0)).invertible:
+        near, norm_a0 = _positive_roots(k0, pencil.m.matrix)
+        if len(near):
+            s = near[np.abs(near - roots[small, None]).argmin(axis=1)]
+            better = norm_a0 * s ** 2 < norm_a * (k.rho - roots[small]) ** 2
+            roots[small] = np.where(better, s, roots[small])
+    return sorted(set(float(f"{r:.10g}") for r in roots))
+
+
+def _positive_roots(k, lm):
+    """The positive real roots rho0 - 1/mu of det(K(rho)) from K0 = `k` at
+    rho0, over the eigenvalues mu of A = K0^-1 L_M with |mu| * 1e12 >
+    ||A||_F, and ||A||_F."""
+    a = k.solve(lm)
     mu = np.linalg.eigvals(a)
-    roots = k.rho - 1.0 / mu[np.abs(mu) * _COND_LIMIT > np.linalg.norm(a)]
+    norm_a = float(np.linalg.norm(a))
+    roots = k.rho - 1.0 / mu[np.abs(mu) * _COND_LIMIT > norm_a]
     real = ((np.abs(roots.imag) <= _REAL_ROOT * (1.0 + np.abs(roots.real)))
             & (roots.real > _POSITIVE_ROOT))
-    return sorted(set(float(f"{r:.10g}") for r in roots.real[real]))
+    return roots.real[real], norm_a
 
 
 def _range_witness(defect: dict) -> dict:

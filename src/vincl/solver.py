@@ -50,7 +50,6 @@ from .operators import (
     MissingConstantsError,
     _write_atomic,
     eval_H_on_point,
-    eval_M_on_point,
     selection_parts,
     set_values,
     step_composite,
@@ -408,19 +407,20 @@ def _general_step(inst: InclusionInstance, resolvent, rho: float):
     is called once; its image at (v, w) serves the residual, min over m in
     M(f(u), g(u)) of ||omega - F(v, w) - m||, and t = H(u) - rho*F(v, w) +
     rho*omega.  H and M are called only by the resolve, whose images at u
-    serve them too, or at a given u, which stands for R(z)."""
+    serve them too; a given u stands for R(z) and takes H at u alone, as
+    its residual, nan, goes unused."""
     omega, rho_omega = inst.omega, rho * inst.omega
 
     def step(z, u=None, v=None, w=None):
         if u is None:
             u, hu, members = resolvent.images(z)
         else:
-            hu, members = eval_H_on_point(inst, u), eval_M_on_point(inst, u)
+            hu, members = eval_H_on_point(inst, u), ()
         v = _nearest(u if v is None else v, set_values(inst.S, u))
         w = _nearest(u if w is None else w, set_values(inst.T, u))
         fvw = as_vector(inst.F(v, w), inst.dim, "image of F")
-        residual = min(float(np.linalg.norm(omega - fvw - m))
-                       for m in members)
+        residual = min((float(np.linalg.norm(omega - fvw - m))
+                        for m in members), default=math.nan)
         return u, v, w, residual, hu - rho * fvw + rho_omega
     return step
 
@@ -444,9 +444,7 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
     """
     rho = inst.rho if cfg.rho is None else cfg.rho
     resolvent = Resolvent(inst, ResolventConfig(rho=rho))
-    res_bound = 10.0 * cfg.tol * (1.0 + float(np.linalg.norm(inst.omega)))
-    trace = SolveTrace(rho=rho, tol=cfg.tol, residual_bound=res_bound,
-                       varpi=None if cfg.errors is None else cfg.errors.varpi)
+    trace = SolveTrace(rho=rho, tol=cfg.tol)
     try:
         rate = _Rate(inst, rho)
     except MissingConstantsError:
@@ -454,9 +452,14 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
     else:
         trace.theta_declared = rate.theta(None)
         trace.theta_rate_bound = rate.theta(None, renormalized=True)
+    if cfg.errors is not None:
+        trace.varpi = cfg.errors.varpi
+    res_bound = 10.0 * cfg.tol * (1.0 + float(np.linalg.norm(inst.omega)))
+    trace.residual_bound = res_bound
 
     z = as_vector(cfg.z0, inst.dim, "z0")
-    u0 = None if cfg.u0 is None else as_vector(cfg.u0, inst.dim, "u0")
+    u0 = (None if cfg.u0 is None
+          else np.array(as_vector(cfg.u0, inst.dim, "u0")))
     if cfg.errors is not None:
         as_vector(cfg.errors.direction, inst.dim, "error direction")
     phi = step_composite(inst) if resolvent.exact else None
@@ -478,7 +481,8 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
                 z = t + e_n
                 u_next, v, w, residual, t = take_step(z, None, v, w)
                 step = float(np.linalg.norm(u_next - u))
-                ratio = step / prev_step if prev_step else None
+                ratio = (step / prev_step
+                         if prev_step is not None and prev_step > 0 else None)
                 trace.records.append(IterationRecord(
                     n=n, z=z, u=u_next, v=v, w=w, step=step,
                     ratio=ratio, residual=residual,
@@ -501,12 +505,14 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
                     trace.message = f"converged after {n + 1} iterations"
                     break
             else:
-                trace.final_residual = trace.records[-1].residual
+                trace.final_residual = (trace.records[-1].residual
+                                        if trace.records else math.inf)
                 trace.message = (f"not converged within {cfg.max_iters} "
                                  f"iterations")
         except NonFiniteError:
             raise DivergenceError("iterate became non-finite", trace) from None
 
     tail = trace.ratios[-10:]
-    trace.observed_rate = float(max(tail)) if tail else None
+    if tail:
+        trace.observed_rate = float(max(tail))
     return trace

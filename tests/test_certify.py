@@ -435,8 +435,9 @@ def test_definite_grid_takes_one_svd_at_the_declared_rho(monkeypatch):
     # where the Weyl margins show sym(K) definite, a grid entry takes no
     # decomposition: the one values-only SVD is that of K(inst.rho), a
     # grid node or not.  An indefinite pencil takes one per grid rho,
-    # the declared rho's reused, and one of K(0) for the determinant's
-    # roots, and reports the exact sigma_min
+    # the declared rho's reused, and reports the exact sigma_min; this
+    # one has positive roots below the grid rho they start from, so K(0)
+    # takes one more for the refinement of those roots
     calls = []
     original = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd",
@@ -468,7 +469,8 @@ def test_definite_grid_takes_one_svd_at_the_declared_rho(monkeypatch):
 def test_small_positive_determinant_root_is_kept():
     # det(diag(1, 1e-11) + rho*diag(0, -1)) = 1e-11 - rho: its root is
     # kept to 10 significant digits, not rounded to 10 decimals, 0.0; the
-    # certificate's too, as K0 = K(0) leaves -1/mu with no subtraction
+    # certificate's too: K0 at a grid rho gives it as rho0 - 1/mu, with
+    # cancellation, and K(0), invertible, as -1/mu0 with none
     lh, lm = np.diag([1.0, 1e-11]), np.diag([0.0, -1.0])
     pencil = AffinePencil(AffineMap.linear(lh), AffineMap.linear(lm))
     assert _det_polynomial_roots(pencil, None) == [1e-11]
@@ -478,6 +480,22 @@ def test_small_positive_determinant_root_is_kept():
     assert cert.witness["defect"] == "determinant vanishes at a positive rho"
     assert cert.witness["rho"] == 1e-11
     assert cert.details["determinant_positive_roots"] == [cert.witness["rho"]]
+
+
+def test_ill_conditioned_k_at_zero_keeps_a_large_root():
+    # det(diag(1 - 0.01*rho, 1e-11 + rho)) has roots 100 and -1e-11: K(0),
+    # invertible at cond 1e11, would put A0 = diag(-0.01, 1e11) and drop
+    # mu0 = -0.01 below the condition limit; the roots come from the best
+    # grid composite, and K(0) only refines a root below its rho
+    lh, lm = np.diag([1.0, 1e-11]), np.diag([-0.01, 1.0])
+    pencil = AffinePencil(AffineMap.linear(lh), AffineMap.linear(lm))
+    assert Composite(pencil, 0.0).invertible
+    cert = certify_generalized_mixed_accretive(
+        _pencil_instance(lh, lm, 1.0))
+    assert cert.verdict == "fail"
+    assert cert.witness["defect"] == "determinant vanishes at a positive rho"
+    assert cert.witness["rho"] == 100.0
+    assert cert.details["determinant_positive_roots"] == [100.0]
 
 
 def test_definite_grid_takes_no_determinant_and_no_factorization(

@@ -381,19 +381,13 @@ _KINDS = ("general", "negative", "positive")
 @example(seed=28131, dim=45, kind="general", rho=1.0)
 @example(seed=12, dim=38, kind="general", rho=2.0)
 @example(seed=110792, dim=1, kind="general", rho=2.0)
-# H and rho*M cancel to a K 6e4 times smaller than ||H|| + rho*||M||:
-# the residual's rounding floor lies above tol, and the stop there is
-# 1e-7 from the exact resolve, which itself is 1e-7 from the exact value
-@example(seed=117, dim=1, kind="general", rho=1.0)
 def test_damped_resolve_matches_exact_within_inner_tol(seed, dim, kind, rho):
     # the chord step on the probed model solves an affine K, definite or
     # not, at any dimension: every resolve of an invertible,
     # well-conditioned K converges, and a residual below the stopping
     # tolerance tol = RESOLVE_TOL * max(1, ||z||) puts x within
     # tol / sigma_min(K) of the exact solution; a stop at the residual's
-    # rounding floor, 8 eps (||H(x)|| + rho*||m|| + ||z||), where that is
-    # larger, puts it within floor / sigma_min(K); `slack` is the
-    # rounding of the exact resolve
+    # rounding floor instead is within `slack` of it
     inst, opaque, k = _affine_and_black_box(seed, dim, kind, rho)
     sv = np.linalg.svd(k, compute_uv=False)
     assume(sv[0] <= 1e3 * sv[-1])
@@ -404,12 +398,7 @@ def test_damped_resolve_matches_exact_within_inner_tol(seed, dim, kind, rho):
     xd, xe = damped(z), exact(z)
     tol = RESOLVE_TOL * np.maximum(1.0, np.linalg.norm(z, axis=1))
     slack = 1e-12 * (1.0 + np.linalg.norm(xe, axis=1))
-    floor = 8 * np.finfo(float).eps * np.array([
-        np.linalg.norm(eval_H_on_point(inst, x))
-        + rho * np.linalg.norm(eval_M_on_point(inst, x)[0])
-        + np.linalg.norm(zi) for x, zi in zip(xe, z)])
-    assert np.all(np.linalg.norm(xd - xe, axis=1)
-                  <= np.maximum(tol, floor) / sv[-1] + slack)
+    assert np.all(np.linalg.norm(xd - xe, axis=1) <= tol / sv[-1] + slack)
 
 
 def test_a_composite_cancelling_to_rounding_has_no_chord_model():

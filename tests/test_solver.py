@@ -815,3 +815,17 @@ def test_solve_summary_json_fields():
         assert key in summary
     assert summary["theta_declared"] == pytest.approx(0.29032157, abs=1e-6)
     assert summary["theta_rate_bound"] == pytest.approx(0.91799163, abs=1e-6)
+
+
+def test_general_start_up_from_u0_takes_no_image_of_M():
+    # a given u0 stands for R(z0): the start-up takes H(u0) for z_1, and
+    # M is called by the resolves alone, never at (f(u0), g(u0))
+    inst = variant(example_4_7().instance, 1.0, blackbox=True)
+    firsts = []
+    inst = inst.with_(M=(lambda m: lambda x, y: firsts.append(
+        np.array(x, dtype=float)) or m(x, y))(inst.M))
+    u0 = np.array([0.3, -0.7])
+    trace = solve(inst, SolverConfig(z0=[1.0, 1.0], u0=u0, max_iters=3))
+    assert trace.iterations == 3 and firsts
+    at_u0 = np.asarray(inst.f(u0), dtype=float)
+    assert not any(np.array_equal(x, at_u0) for x in firsts)

@@ -42,16 +42,15 @@ import numpy as np
 from .operators import (
     AffineMap,
     AffinePencil,
-    IdentitySetMap,
     InclusionInstance,
     JsonRecord,
-    SingletonSetMap,
     affine_parts,
     eval_H_on_rows,
     hausdorff_distance,
     is_difference_coupling,
     negate_map,
     pair_affine_parts,
+    selection_parts,
     set_values,
 )
 from .resolvent import (
@@ -62,7 +61,7 @@ from .resolvent import (
     ResolventIterationError,
     theoretical_r_m,
 )
-from .space import DEGENERATE, ConfigError, as_rows, check_rho, slack
+from .space import DEGENERATE, as_rows, check_count, check_positive, slack
 
 _RANGE_PROBES = 8       # black-box range probes per rho
 _REAL_ROOT = 1e-8       # pencil eigenvalues with |imag| <= this*(1+|real|)
@@ -96,14 +95,9 @@ class SamplePlan:
                         compare=False)
 
     def __post_init__(self):
-        for name in ("seed", "n_pairs"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 0:
-                raise ConfigError(f"sample plan {name} must be an integer "
-                                  f">= 0, got {value!r}")
-        if not 0.0 < self.scale < np.inf:
-            raise ConfigError(f"sample plan scale must be a finite number "
-                              f"> 0, got {self.scale!r}")
+        check_count(self.seed, "sample plan seed", 0)
+        check_count(self.n_pairs, "sample plan n_pairs", 0)
+        check_positive(self.scale, "sample plan scale")
 
     def _lattice(self, dim: int):
         eye = np.eye(dim)
@@ -164,13 +158,6 @@ class Certificate(JsonRecord):
     details: dict = field(default_factory=dict)
 
 
-def _positive_claim(prop, claimed):
-    """Raise ConfigError unless the claimed constant of `prop` is > 0."""
-    if not claimed > 0:
-        raise ConfigError(f"{prop}: claimed constant must be > 0, got "
-                          f"{claimed}")
-
-
 def _witness_pair(x, y, lhs, rhs) -> dict:
     return {"x": np.asarray(x).tolist(), "y": np.asarray(y).tolist(),
             "lhs": float(lhs), "rhs": float(rhs)}
@@ -181,8 +168,9 @@ def _exact_cert(prop, claimed, value, spread, witness, details, sign=1,
     """The exact certificate of value >= sign*claimed (<= when `upper`) up
     to `slack(|value| + |claimed|, spread)`, with constant sign*value;
     `witness()` is called only when the comparison fails."""
+    # tol shifts value, not the claim, which may lie near the float maximum
     required, tol = sign * claimed, slack(abs(value) + abs(claimed), spread)
-    ok = value <= required + tol if upper else value >= required - tol
+    ok = value - tol <= required if upper else value + tol >= required
     return Certificate(prop, sign * value, claimed, "exact_affine",
                        "pass" if ok else "fail", None if ok else witness(),
                        details)
@@ -381,7 +369,7 @@ def _accretive(m, claimed, q, plan, dim, prop, sign):
     <dm, J_q(dx)> / ||dx||^q (times `sign` for the relaxed form, so that
     the constant is the smallest valid relaxation parameter).
     """
-    _positive_claim(prop, claimed)
+    check_positive(claimed, f"{prop}: claimed constant")
     parts = affine_parts(m)
     if parts is not None:
         # <L d, J_q(d)> / ||d||^q = <L d, d> / ||d||^2 for every q > 1
@@ -438,14 +426,14 @@ def _norm_bound(m, claimed, plan, dim, prop, upper):
 def certify_lipschitz(m, claimed: float, plan: SamplePlan | None = None,
                       dim: int | None = None) -> Certificate:
     """Check ||m(x)-m(y)|| <= claimed * ||x-y||; exact = largest singular value."""
-    _positive_claim("lipschitz", claimed)
+    check_positive(claimed, "lipschitz: claimed constant")
     return _norm_bound(m, claimed, plan, dim, "lipschitz", upper=True)
 
 
 def certify_expansive(m, claimed: float, plan: SamplePlan | None = None,
                       dim: int | None = None) -> Certificate:
     """Check ||m(x)-m(y)|| >= claimed * ||x-y||; exact = smallest singular value."""
-    _positive_claim("expansive", claimed)
+    check_positive(claimed, "expansive: claimed constant")
     return _norm_bound(m, claimed, plan, dim, "expansive", upper=False)
 
 
@@ -565,10 +553,9 @@ def certify_F_properties(inst: InclusionInstance,
             return fx - fy, _norms(fx) + _norms(fy)
 
         # the selection x -> x, or x -> L x + c of an affine singleton map
-        identity = isinstance(set_map, IdentitySetMap)
-        sel = (affine_parts(set_map.map)
-               if isinstance(set_map, SingletonSetMap) else None)
-        if exact and (identity or sel is not None):
+        sel = selection_parts(set_map)
+        identity = sel is not None and sel[0] is None
+        if exact and sel is not None:
             left = fp[k].T if identity else sel[0].T @ fp[k].T
             num = _sym(left @ hc.matrix)
             vs_h = (None if h_inv is None else float(
@@ -617,11 +604,12 @@ def certify_d_lipschitz(set_map, claimed: float,
                         dim: int | None = None) -> Certificate:
     """Check D(G(x), G(y)) <= claimed * ||x-y|| in the Hausdorff metric."""
     prop = "d_lipschitz"
-    _positive_claim(prop, claimed)
-    if isinstance(set_map, IdentitySetMap):
+    check_positive(claimed, f"{prop}: claimed constant")
+    sel = selection_parts(set_map)
+    if sel is not None and sel[0] is None:      # the identity
         return _exact_cert(prop, claimed, 1.0, 0.0,
                            lambda: {"identity_slope": 1.0}, {}, upper=True)
-    if isinstance(set_map, SingletonSetMap) and affine_parts(set_map.map) is not None:
+    if sel is not None:                         # an affine singleton map
         return _norm_bound(set_map.map, claimed, None, dim, prop, upper=True)
     table = _images_of(plan, dim)
     x, y, _ = table.rows(prop)
@@ -656,7 +644,7 @@ def certify_m_slot_accretive(inst: InclusionInstance, slot: str,
         claimed = inst.constants.require(name)[name]
     prop, sign = (("strongly_accretive", +1) if slot == "f"
                   else ("relaxed_accretive", -1))
-    _positive_claim(prop, claimed)
+    check_positive(claimed, f"{prop}: claimed constant")
     plan = plan or SamplePlan()
     if is_difference_coupling(inst.M):
         if slot == "f":
@@ -834,7 +822,7 @@ def _surjectivity_cert(inst, rho_grid, plan, cert_f, cert_g) -> Certificate:
     if rho_grid is None:
         rho_grid = sorted({0.5, 1.0, 2.0, inst.rho})
     for rho in rho_grid:
-        check_rho(rho)
+        check_positive(rho)
     symmetric_ok = got["alpha"] >= got["beta"] - slack(
         abs(got["alpha"]) + abs(got["beta"]))
     details = {

@@ -7,9 +7,9 @@ verify           run the certification battery against the declared constants
 check-condition  evaluate the two-sided rate condition at a given rho
 list-instances   list the built-in instances
 
-Exit codes: 0 success; 1 parse/config errors; 2 divergence or
-non-convergence; 3 certification failure; 4 rate condition violated;
-5 non-surjective composite.
+Exit codes: 0 success; 1 parse/config errors or an unwritable --output;
+2 divergence or non-convergence; 3 certification failure; 4 rate condition
+violated; 5 non-surjective composite.
 """
 
 import argparse
@@ -159,13 +159,17 @@ def _cmd_list(args) -> int:
     return EXIT_OK
 
 
+def _num(value, spec=".9g") -> str:
+    """`value` formatted by `spec`, or "-" where it is None."""
+    return "-" if value is None else format(value, spec)
+
+
 def _human_certificates(bundle) -> str:
     lines = ["certificate bundle:"]
     for key, cert in sorted(bundle.certificates.items()):
-        cons = "-" if cert.constant is None else f"{cert.constant:.9g}"
-        claim = "-" if cert.claimed is None else f"{cert.claimed:.9g}"
-        lines.append(f"  {key:32s} {cert.verdict:9s} constant={cons:>12s} "
-                     f"claimed={claim:>10s} [{cert.method}]")
+        lines.append(f"  {key:32s} {cert.verdict:9s} "
+                     f"constant={_num(cert.constant):>12s} "
+                     f"claimed={_num(cert.claimed):>10s} [{cert.method}]")
         if cert.verdict == "fail" and cert.witness:
             lines.append(f"    witness: {json.dumps(cert.witness, sort_keys=True)}")
     if bundle.ordering_flags:
@@ -193,15 +197,11 @@ def _human_condition(rep) -> str:
         f"  c_q rho^q (...)^q     = {t['error_term']:.9g}",
         f"  rho q (sigma+delta) tau^q = {t['coupling_term']:.9g}",
         f"  radicand              = {rep.radicand:.9g}",
-        f"  q-th root             = "
-        + ("-" if rep.root is None else f"{rep.root:.9g}"),
+        f"  q-th root             = {_num(rep.root)}",
         f"  r + rho*m             = {rep.r_plus_rho_m:.9g}  "
         f"(r={rep.r:.9g}, m={rep.m:.9g})",
-        f"  theta (declared form) = "
-        + ("-" if rep.theta is None else f"{rep.theta:.9g}"),
-        f"  step-ratio bound      = "
-        + ("-" if rep.theta_rate_bound is None
-           else f"{rep.theta_rate_bound:.9g}"),
+        f"  theta (declared form) = {_num(rep.theta)}",
+        f"  step-ratio bound      = {_num(rep.theta_rate_bound)}",
         f"  verdict: {rep.verdict}",
     ]
     return "\n".join(lines)
@@ -235,13 +235,9 @@ def _human_trace(trace) -> str:
         f"  final residual     = {s['final_residual']:.6g} "
         f"(bound {s['residual_bound']:.6g})",
         f"  u                  = {s['u']}",
-        f"  observed tail rate = "
-        + ("-" if s["observed_rate"] is None else f"{s['observed_rate']:.6g}"),
-        f"  theta (declared)   = "
-        + ("-" if s["theta_declared"] is None else f"{s['theta_declared']:.6g}"),
-        f"  step-ratio bound   = "
-        + ("-" if s["theta_rate_bound"] is None
-           else f"{s['theta_rate_bound']:.6g}"),
+        f"  observed tail rate = {_num(s['observed_rate'], '.6g')}",
+        f"  theta (declared)   = {_num(s['theta_declared'], '.6g')}",
+        f"  step-ratio bound   = {_num(s['theta_rate_bound'], '.6g')}",
     ]
     return "\n".join(lines)
 
@@ -288,7 +284,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except (ConfigError, DimensionMismatchError, MissingConstantsError,
-            NonFiniteError) as exc:
+            NonFiniteError, OSError) as exc:    # OSError: --output unwritable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .space import (EmptySetError, NonFiniteError, SpaceConfig, as_rows,
-                    as_vector, check_rho, slack)
+                    as_vector, check_positive, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +270,11 @@ class Constants:
     l1: float | None = None
     l2: float | None = None
 
+    def __post_init__(self):
+        for name, value in self.asdict().items():
+            if value is not None:   # <= 0 is flagged by `ordering_flags`
+                check_positive(value, name, None)
+
     def asdict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -342,7 +347,7 @@ class InclusionInstance:
 
     def __post_init__(self):
         om = as_vector(self.omega, self.space.dim, "omega")
-        check_rho(self.rho)
+        check_positive(self.rho)
         object.__setattr__(self, "omega", om)
 
     @property
@@ -662,7 +667,7 @@ def instance_from_dict(d: dict) -> InclusionInstance:
         raise ValueError(f"unsupported H mode: {d.get('H')!r}")
     if d.get("M", "f-minus-g") != "f-minus-g":
         raise ValueError(f"unsupported M mode: {d.get('M')!r}")
-    space = SpaceConfig(dim=int(d["dim"]), q=float(d.get("q", 2.0)),
+    space = SpaceConfig(dim=d["dim"], q=float(d.get("q", 2.0)),
                         c_q=float(d.get("c_q", 1.0)))
     fobj = d["F"]
     F = AffinePairMap(np.asarray(fobj["first"], dtype=float),
@@ -706,6 +711,10 @@ def _write_atomic(path: str, text: str) -> None:
     """Write `text` to `path` via a temporary file and `os.replace`, so
     `path` never holds a partial write."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:            # a failed write or replace leaves no tmp behind
+        if os.path.isfile(tmp):
+            os.remove(tmp)

@@ -29,8 +29,8 @@ from .operators import (
     eval_H_on_point,
     eval_M_on_point,
 )
-from .space import (RESOLVE_TOL, ConfigError, NonFiniteError, as_rows,
-                    as_vector, check_rho, slack)
+from .space import (RESOLVE_TOL, NonFiniteError, as_rows, as_vector,
+                    check_count, check_positive, slack)
 
 _COND_LIMIT = 1e12
 _EPS = np.finfo(float).eps
@@ -92,10 +92,8 @@ class ResolventConfig:
     max_inner_iters: int = 20000
 
     def __post_init__(self):
-        check_rho(self.rho)
-        if self.max_inner_iters < 1:
-            raise ConfigError(
-                f"max_inner_iters must be >= 1, got {self.max_inner_iters}")
+        check_positive(self.rho)
+        check_count(self.max_inner_iters, "max_inner_iters", 1)
 
 
 def forward(inst: InclusionInstance, x, rho: float | None = None) -> np.ndarray:

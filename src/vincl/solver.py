@@ -55,7 +55,8 @@ from .operators import (
     step_composite,
 )
 from .resolvent import Resolvent, ResolventConfig, theoretical_r_m
-from .space import ConfigError, NonFiniteError, as_rows, as_vector, check_rho
+from .space import (ConfigError, NonFiniteError, as_rows, as_vector,
+                    check_count, check_positive)
 
 TRACE_SCHEMA = "vincl.trace.v1"
 
@@ -85,6 +86,8 @@ class GeometricErrors:
     direction: np.ndarray
 
     def __post_init__(self):
+        check_positive(self.c0, "c0", None)
+        check_positive(self.factor, "factor", None)
         if not 0.0 < self.factor < 1.0:
             raise ConfigError(f"factor must be in (0, 1), got {self.factor}")
         object.__setattr__(self, "direction", as_vector(self.direction))
@@ -113,7 +116,7 @@ class _Rate:
 
     def __init__(self, inst: InclusionInstance, rho: float | None):
         rho = inst.rho if rho is None else rho
-        check_rho(rho)
+        check_positive(rho)
         got = inst.constants.require("sigma", "delta")
         self.r, self.m = theoretical_r_m(inst)
         got.update(inst.constants.require("tau", "eps1", "eps2", "l1", "l2"))
@@ -368,10 +371,10 @@ class SolverConfig:
     u0: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ConfigError(f"tol must be > 0, got {self.tol}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
+        check_positive(self.tol, "tol")
+        check_count(self.max_iters, "max_iters", 1)
+        if self.rho is not None:
+            check_positive(self.rho)
         object.__setattr__(self, "z0", as_vector(self.z0))
         if self.u0 is not None:
             object.__setattr__(self, "u0", as_vector(self.u0))
@@ -501,18 +504,14 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
                 prev_step = step if step > 0 else prev_step
                 if step <= cfg.tol and residual <= res_bound:
                     trace.converged = True
-                    trace.final_residual = residual
                     trace.message = f"converged after {n + 1} iterations"
                     break
             else:
-                trace.final_residual = (trace.records[-1].residual
-                                        if trace.records else math.inf)
                 trace.message = (f"not converged within {cfg.max_iters} "
                                  f"iterations")
         except NonFiniteError:
             raise DivergenceError("iterate became non-finite", trace) from None
 
-    tail = trace.ratios[-10:]
-    if tail:
-        trace.observed_rate = float(max(tail))
+    trace.final_residual = trace.records[-1].residual
+    trace.observed_rate = max(trace.ratios[-10:], default=None)
     return trace

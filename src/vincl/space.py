@@ -14,6 +14,7 @@ import numpy as np
 REL_TOL = 1e-9          # the relative tolerance of every verdict; see `slack`
 DEGENERATE = 1e-12      # sample pairs closer than this carry no evidence
 RESOLVE_TOL = 1e-13     # black-box resolves of z stop at this * max(1, ||z||)
+_REALS = (int, float, np.integer, np.floating)      # bool is refused apart
 
 
 def slack(size, spread=0.0):
@@ -29,12 +30,24 @@ class ConfigError(ValueError):
     an instance source that names no instance or cannot be read."""
 
 
-def check_rho(rho) -> None:
-    """Raise ConfigError unless the step size rho is finite and > 0."""
-    if not rho > 0:
-        raise ConfigError(f"rho must be > 0, got {rho}")
-    if rho == np.inf:
-        raise ConfigError(f"rho must be finite, got {rho}")
+def check_positive(value, name="rho", floor=0, error=ConfigError) -> None:
+    """The positive rule: raise `error` unless `value` is a real number,
+    not a bool or a str, finite and > `floor` (of any sign if None)."""
+    if isinstance(value, bool) or not isinstance(value, _REALS):
+        raise error(f"{name} must be a number, got {value!r}")
+    if floor is not None and not value > floor:
+        raise error(f"{name} must be > {floor}, got {value}")
+    if not abs(value) < np.inf:         # nan fails too
+        raise error(f"{name} must be finite, got {value}")
+
+
+def check_count(value, name: str, least: int) -> None:
+    """The count rule: raise ConfigError unless `value` is an `int` or a
+    numpy integer, not a bool, >= `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
 
 
 class DimensionMismatchError(ValueError):
@@ -49,7 +62,7 @@ class DimensionMismatchError(ValueError):
 
 
 class InvalidExponentError(ValueError):
-    """Smoothness exponent q must be > 1."""
+    """Smoothness exponent q must be finite and > 1."""
 
 
 class NonFiniteError(ValueError):
@@ -131,12 +144,9 @@ class SpaceConfig:
     c_q: float = 1.0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if not self.q > 1.0:
-            raise InvalidExponentError(f"q must be > 1, got {self.q}")
-        if not self.c_q > 0.0:
-            raise ValueError(f"c_q must be > 0, got {self.c_q}")
+        check_count(self.dim, "dim", 1)
+        check_positive(self.q, "q", 1, InvalidExponentError)
+        check_positive(self.c_q, "c_q")
 
 
 def inner(x, y) -> float:
@@ -159,10 +169,9 @@ def duality_map(x, q: float) -> np.ndarray:
     Raises
     ------
     InvalidExponentError
-        If q <= 1.
+        If q is not a finite number > 1.
     """
-    if not q > 1.0:
-        raise InvalidExponentError(f"q must be > 1, got {q}")
+    check_positive(q, "q", 1, InvalidExponentError)
     xv = as_vector(x)
     n = np.linalg.norm(xv)
     if n == 0.0:

@@ -313,6 +313,42 @@ def test_output_file_atomic_write(capsys, tmp_path):
     assert not os.path.exists(str(out_path) + ".tmp")
 
 
+@pytest.mark.parametrize("target", ["a_directory", "missing/x.json"])
+def test_an_unwritable_output_exits_one_and_leaves_no_tmp(capsys, tmp_path,
+                                                          target):
+    # a directory raised IsADirectoryError from os.replace and left
+    # a_directory.tmp behind; a missing parent raised FileNotFoundError
+    (tmp_path / "a_directory").mkdir()
+    code, out, err = run(capsys, "list-instances", "--output",
+                         str(tmp_path / target))
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("argv", [("--tol", "inf"), ("--error-c0", "inf"),
+                                  ("--error-c0", "nan")], ids=" ".join)
+def test_solve_refuses_a_number_that_is_not_finite(capsys, argv):
+    # --tol inf "converged in 1 iterations" with exit 0; a non-finite c0
+    # was reported as a non-finite iterate, exit 2
+    code, out, err = run(capsys, "solve", "--instance", "example_4_7", *argv)
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be finite" in err and "Traceback" not in err
+
+
+def test_an_infinite_declared_constant_is_a_config_error(capsys, tmp_path):
+    # "tau": 1e400 parses as inf, which certified mixed_lipschitz as pass
+    doc = instance_to_dict(example_4_7().instance)
+    doc["constants"]["tau"] = "TAU"
+    path = tmp_path / "infinite_tau.json"
+    path.write_text(json.dumps(doc).replace('"TAU"', "1e400"))
+    code, out, err = run(capsys, "verify", "--instance", str(path))
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error: ") and "tau must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_bad_flag_exit_one(capsys):
     code, _, _ = run(capsys, "solve", "--instance", "example_4_7",
                      "--rho", "not_a_number")

@@ -1,7 +1,19 @@
+import dataclasses
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from vincl.certify import SamplePlan, certify_expansive, certify_lipschitz
+from vincl.instances import example_4_7
+from vincl.operators import AffineMap, Constants
+from vincl.resolvent import ResolventConfig
+from vincl.solver import GeometricErrors, SolverConfig
 from vincl.space import (
+    ConfigError,
     DimensionMismatchError,
     InvalidExponentError,
     SpaceConfig,
@@ -80,10 +92,9 @@ def test_duality_map_q3_on_3_4():
 
 
 def test_duality_map_rejects_small_q():
-    with pytest.raises(InvalidExponentError):
-        duality_map([1.0], 1.0)
-    with pytest.raises(InvalidExponentError):
-        duality_map([1.0], 0.5)
+    for q in (1.0, 0.5, math.inf, math.nan, "3"):
+        with pytest.raises(InvalidExponentError):
+            duality_map([1.0], q)
 
 
 @pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
@@ -138,3 +149,88 @@ def test_space_config_validation():
         SpaceConfig(dim=2, q=1.0)
     with pytest.raises(ValueError):
         SpaceConfig(dim=2, c_q=0.0)
+
+
+# every place a number enters vincl: (the rule it obeys, a build from it)
+_INSTANCE = example_4_7().instance
+_SITES = {
+    "SpaceConfig.dim": ("count 1", lambda v: SpaceConfig(dim=v)),
+    "SpaceConfig.q": ("q", lambda v: SpaceConfig(dim=2, q=v)),
+    "SpaceConfig.c_q": ("positive", lambda v: SpaceConfig(dim=2, c_q=v)),
+    "SamplePlan.seed": ("count 0", lambda v: SamplePlan(seed=v)),
+    "SamplePlan.n_pairs": ("count 0", lambda v: SamplePlan(n_pairs=v)),
+    "SamplePlan.scale": ("positive", lambda v: SamplePlan(scale=v)),
+    "ResolventConfig.rho": ("positive", lambda v: ResolventConfig(rho=v)),
+    "ResolventConfig.max_inner_iters": (
+        "count 1", lambda v: ResolventConfig(rho=1.0, max_inner_iters=v)),
+    "SolverConfig.tol": ("positive", lambda v: SolverConfig([1.0], tol=v)),
+    "SolverConfig.max_iters": (
+        "count 1", lambda v: SolverConfig([1.0], max_iters=v)),
+    "SolverConfig.rho": ("positive", lambda v: SolverConfig([1.0], rho=v)),
+    "GeometricErrors.c0": (
+        "real", lambda v: GeometricErrors(c0=v, factor=0.5, direction=[1.0])),
+    "GeometricErrors.factor": (
+        "factor", lambda v: GeometricErrors(c0=1.0, factor=v, direction=[1.0])),
+    "InclusionInstance.rho": ("positive", lambda v: _INSTANCE.with_(rho=v)),
+    "certify_lipschitz.claimed": (
+        "positive", lambda v: certify_lipschitz(AffineMap.identity(2), v)),
+    "certify_expansive.claimed": (
+        "positive", lambda v: certify_expansive(AffineMap.identity(2), v)),
+    **{f"Constants.{f.name}": ("real", lambda v, name=f.name: Constants(
+        **{name: v})) for f in dataclasses.fields(Constants)},
+}
+
+
+def _accepts(rule, value) -> bool:
+    """Whether `rule` takes `value`: counts are integers, not bools, at
+    least the stated value; every other number is a finite real, not a
+    bool, in the rule's range."""
+    if isinstance(value, bool):
+        return False
+    if rule.startswith("count"):
+        return (isinstance(value, (int, np.integer))
+                and value >= int(rule.split()[1]))
+    if (not isinstance(value, (int, float, np.integer, np.floating))
+            or not np.isfinite(value)):
+        return False
+    return {"positive": value > 0, "real": True, "q": value > 1,
+            "factor": 0 < value < 1}[rule]
+
+
+_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 2.5, True, "1",
+           np.int64(3), np.float32(0.5)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(site=st.sampled_from(sorted(_SITES)),
+       value=st.one_of(st.sampled_from(_VALUES), st.floats(),
+                       st.integers(-3, 3)))
+@example(site="Constants.tau", value=math.inf)
+@example(site="certify_lipschitz.claimed", value=math.inf)
+@example(site="certify_expansive.claimed", value=math.inf)
+@example(site="Constants.alpha", value="0.5")
+@example(site="GeometricErrors.c0", value="0.1")
+@example(site="GeometricErrors.c0", value=math.nan)
+@example(site="SolverConfig.tol", value="1e-3")
+@example(site="SolverConfig.tol", value=math.inf)
+@example(site="ResolventConfig.rho", value="1")
+@example(site="SpaceConfig.c_q", value="1")
+@example(site="SolverConfig.max_iters", value=2.5)
+@example(site="ResolventConfig.max_inner_iters", value=2.5)
+@example(site="SpaceConfig.dim", value=2.5)
+@example(site="SpaceConfig.q", value=math.inf)
+@example(site="SpaceConfig.c_q", value=math.inf)
+@example(site="SamplePlan.n_pairs", value=True)
+def test_every_number_is_checked_where_it_enters(site, value):
+    # a number out of its rule is refused at construction, as ConfigError
+    # (InvalidExponentError for q), never as a TypeError from a later
+    # comparison, and no number warns; one in it is taken
+    rule, build = _SITES[site]
+    error = InvalidExponentError if rule == "q" else ConfigError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if _accepts(rule, value):
+            build(value)
+        else:
+            with pytest.raises(error):
+                build(value)

@@ -61,7 +61,8 @@ from .resolvent import (
     ResolventIterationError,
     theoretical_r_m,
 )
-from .space import DEGENERATE, as_rows, check_count, check_positive, slack
+from .space import (DEGENERATE, as_rows, check_count, check_positive, slack,
+                    store)
 
 _RANGE_PROBES = 8       # black-box range probes per rho
 _REAL_ROOT = 1e-8       # pencil eigenvalues with |imag| <= this*(1+|real|)
@@ -95,9 +96,9 @@ class SamplePlan:
                         compare=False)
 
     def __post_init__(self):
-        check_count(self.seed, "sample plan seed", 0)
-        check_count(self.n_pairs, "sample plan n_pairs", 0)
-        check_positive(self.scale, "sample plan scale")
+        store(self, seed=check_count(self.seed, "sample plan seed", 0),
+              n_pairs=check_count(self.n_pairs, "sample plan n_pairs", 0),
+              scale=check_positive(self.scale, "sample plan scale"))
 
     def _lattice(self, dim: int):
         eye = np.eye(dim)
@@ -369,7 +370,7 @@ def _accretive(m, claimed, q, plan, dim, prop, sign):
     <dm, J_q(dx)> / ||dx||^q (times `sign` for the relaxed form, so that
     the constant is the smallest valid relaxation parameter).
     """
-    check_positive(claimed, f"{prop}: claimed constant")
+    claimed = check_positive(claimed, f"{prop}: claimed constant")
     parts = affine_parts(m)
     if parts is not None:
         # <L d, J_q(d)> / ||d||^q = <L d, d> / ||d||^2 for every q > 1
@@ -426,14 +427,14 @@ def _norm_bound(m, claimed, plan, dim, prop, upper):
 def certify_lipschitz(m, claimed: float, plan: SamplePlan | None = None,
                       dim: int | None = None) -> Certificate:
     """Check ||m(x)-m(y)|| <= claimed * ||x-y||; exact = largest singular value."""
-    check_positive(claimed, "lipschitz: claimed constant")
+    claimed = check_positive(claimed, "lipschitz: claimed constant")
     return _norm_bound(m, claimed, plan, dim, "lipschitz", upper=True)
 
 
 def certify_expansive(m, claimed: float, plan: SamplePlan | None = None,
                       dim: int | None = None) -> Certificate:
     """Check ||m(x)-m(y)|| >= claimed * ||x-y||; exact = smallest singular value."""
-    check_positive(claimed, "expansive: claimed constant")
+    claimed = check_positive(claimed, "expansive: claimed constant")
     return _norm_bound(m, claimed, plan, dim, "expansive", upper=False)
 
 
@@ -604,7 +605,7 @@ def certify_d_lipschitz(set_map, claimed: float,
                         dim: int | None = None) -> Certificate:
     """Check D(G(x), G(y)) <= claimed * ||x-y|| in the Hausdorff metric."""
     prop = "d_lipschitz"
-    check_positive(claimed, f"{prop}: claimed constant")
+    claimed = check_positive(claimed, f"{prop}: claimed constant")
     sel = selection_parts(set_map)
     if sel is not None and sel[0] is None:      # the identity
         return _exact_cert(prop, claimed, 1.0, 0.0,
@@ -644,7 +645,7 @@ def certify_m_slot_accretive(inst: InclusionInstance, slot: str,
         claimed = inst.constants.require(name)[name]
     prop, sign = (("strongly_accretive", +1) if slot == "f"
                   else ("relaxed_accretive", -1))
-    check_positive(claimed, f"{prop}: claimed constant")
+    claimed = check_positive(claimed, f"{prop}: claimed constant")
     plan = plan or SamplePlan()
     if is_difference_coupling(inst.M):
         if slot == "f":
@@ -740,7 +741,7 @@ def _affine_range_defect(pencil, rho_grid, rho, details):
     (_, _, fro_h), (_, _, fro_m) = pencil.bounds
     grid, witness, best, at_rho = [], None, (0.0, None), None
     for node in rho_grid:
-        k = Composite(pencil, float(node))
+        k = Composite(pencil, node)
         margin = max(pencil.margins(k.rho))
         low = margin if margin > 0 else float(k.sv[-1])
         grid.append({"rho": k.rho, "sigma_min_lower": low,
@@ -772,15 +773,15 @@ def _probed_range_defect(inst, rho_grid, plan, details):
         "surjective_H_plus_rhoM")[0][:_RANGE_PROBES]
     probes, witness = [], None
     for rho in rho_grid:
-        resolvent = Resolvent(inst, ResolventConfig(rho=float(rho)))
+        resolvent = Resolvent(inst, ResolventConfig(rho=rho))
         for x in targets:
             try:
                 resolvent(x)
-                probes.append({"rho": float(rho), "reached": True})
+                probes.append({"rho": rho, "reached": True})
             except ResolventIterationError as exc:
-                witness = witness or {"rho": float(rho), "target": x.tolist(),
+                witness = witness or {"rho": rho, "target": x.tolist(),
                                       "defect": f"range probe failed: {exc}"}
-                probes.append({"rho": float(rho), "reached": False})
+                probes.append({"rho": rho, "reached": False})
                 break
     details["range_probes"] = probes
     return witness
@@ -819,17 +820,15 @@ def _surjectivity_cert(inst, rho_grid, plan, cert_f, cert_g) -> Certificate:
     """`certify_generalized_mixed_accretive` given the alpha and beta slot
     certificates."""
     got = inst.constants.require("alpha", "beta")
-    if rho_grid is None:
-        rho_grid = sorted({0.5, 1.0, 2.0, inst.rho})
-    for rho in rho_grid:
-        check_positive(rho)
+    rho_grid = [check_positive(rho) for rho in (
+        sorted({0.5, 1.0, 2.0, inst.rho}) if rho_grid is None else rho_grid)]
     symmetric_ok = got["alpha"] >= got["beta"] - slack(
         abs(got["alpha"]) + abs(got["beta"]))
     details = {
         "alpha_certificate": cert_f.to_dict(),
         "beta_certificate": cert_g.to_dict(),
         "alpha_ge_beta": bool(symmetric_ok),
-        "rho_grid": [float(r) for r in rho_grid],
+        "rho_grid": rho_grid,
     }
     if inst.pencil.affine:
         method = "exact_affine"

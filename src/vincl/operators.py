@@ -20,17 +20,18 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .space import (EmptySetError, NonFiniteError, SpaceConfig, as_rows,
-                    as_vector, check_positive, slack)
+                    as_vector, check_positive, slack, store)
 
 
 # ---------------------------------------------------------------------------
 # Single-valued maps
 # ---------------------------------------------------------------------------
 
-def _frozen(a) -> np.ndarray:
-    """A read-only float copy of a: a map's parts stay what the data
-    cached from them was derived from."""
-    a = np.array(a, dtype=float)
+def _frozen(a, check, dim: int, context: str) -> np.ndarray:
+    """A read-only copy of `check(a, dim, context)`, `as_rows` for a
+    matrix and `as_vector` for an offset: a map's parts are finite, and
+    stay what the data cached from them was derived from."""
+    a = np.array(check(a, dim, context))
     a.flags.writeable = False
     return a
 
@@ -43,12 +44,9 @@ class AffineMap:
     offset: np.ndarray
 
     def __post_init__(self):
-        m = _frozen(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {m.shape}")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "offset", _frozen(
-            as_vector(self.offset, m.shape[0], "affine map")))
+        m = _frozen(self.matrix, as_rows, len(self.matrix), "affine map")
+        store(self, matrix=m,
+              offset=_frozen(self.offset, as_vector, len(m), "affine map"))
 
     @property
     def dim(self) -> int:
@@ -125,14 +123,13 @@ class AffinePairMap:
     offset: np.ndarray
 
     def __post_init__(self):
-        p, q = _frozen(self.first), _frozen(self.second)
-        if p.shape != q.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError(f"pair-map matrices must be square and congruent, "
-                             f"got {p.shape} and {q.shape}")
-        object.__setattr__(self, "first", p)
-        object.__setattr__(self, "second", q)
-        object.__setattr__(self, "offset", _frozen(
-            as_vector(self.offset, p.shape[0], "pair map")))
+        p = _frozen(self.first, as_rows, len(self.first), "pair map")
+        q = _frozen(self.second, as_rows, len(p), "pair map")
+        if q.shape != p.shape:
+            raise ValueError(f"pair-map matrices must be congruent, got "
+                             f"{p.shape} and {q.shape}")
+        store(self, first=p, second=q,
+              offset=_frozen(self.offset, as_vector, len(p), "pair map"))
 
     @property
     def dim(self) -> int:
@@ -196,8 +193,7 @@ class ConstantSetMap:
     points: np.ndarray                # (k, dim)
 
     def __post_init__(self):
-        object.__setattr__(self, "points",
-                           as_rows(self.points, context="constant set map"))
+        store(self, points=as_rows(self.points, context="constant set map"))
 
     def __call__(self, x):
         return self.points
@@ -220,8 +216,7 @@ class NearestNodeSetMap:
                       for s in self.point_sets)
         if nodes.shape[0] != len(sets_):
             raise ValueError("one point set per node required")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "point_sets", sets_)
+        store(self, nodes=nodes, point_sets=sets_)
 
     def __call__(self, x):
         xv = as_vector(x, self.nodes.shape[1], "nearest node")
@@ -271,9 +266,9 @@ class Constants:
     l2: float | None = None
 
     def __post_init__(self):
-        for name, value in self.asdict().items():
-            if value is not None:   # <= 0 is flagged by `ordering_flags`
-                check_positive(value, name, None)
+        # <= 0 is flagged by `ordering_flags`
+        store(self, **{name: check_positive(value, name, None) for name, value
+                       in self.asdict().items() if value is not None})
 
     def asdict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -346,9 +341,8 @@ class InclusionInstance:
     constants: Constants = field(default_factory=Constants)
 
     def __post_init__(self):
-        om = as_vector(self.omega, self.space.dim, "omega")
-        check_positive(self.rho)
-        object.__setattr__(self, "omega", om)
+        store(self, omega=as_vector(self.omega, self.space.dim, "omega"),
+              rho=check_positive(self.rho))
 
     @property
     def dim(self) -> int:
@@ -603,8 +597,7 @@ def _map_to_dict(m, name):
 
 
 def _map_from_dict(d):
-    return AffineMap(np.asarray(d["matrix"], dtype=float),
-                     np.asarray(d["offset"], dtype=float))
+    return AffineMap(d["matrix"], d["offset"])
 
 
 def _set_map_to_obj(s, name):
@@ -622,9 +615,7 @@ def _set_map_from_obj(obj, name):
     if obj == "identity":
         return IdentitySetMap()
     if isinstance(obj, dict) and "nodes" in obj:
-        return NearestNodeSetMap(np.asarray(obj["nodes"], dtype=float),
-                                 tuple(np.asarray(p, dtype=float)
-                                       for p in obj["points"]))
+        return NearestNodeSetMap(obj["nodes"], obj["points"])
     if isinstance(obj, dict) and "map" in obj:
         return SingletonSetMap(_map_from_dict(obj["map"]))
     raise ValueError(f"unrecognized set-valued map spec for {name!r}: {obj!r}")
@@ -658,7 +649,8 @@ def instance_to_dict(inst: InclusionInstance) -> dict:
 
 
 def instance_from_dict(d: dict) -> InclusionInstance:
-    """Parse the instance JSON structure.
+    """Parse the instance JSON structure.  Each value goes as it is to
+    the constructor that checks it, so a number must be a JSON number.
 
     Raises KeyError / ValueError with the offending field named, so the
     CLI can surface parse diagnostics.
@@ -667,23 +659,18 @@ def instance_from_dict(d: dict) -> InclusionInstance:
         raise ValueError(f"unsupported H mode: {d.get('H')!r}")
     if d.get("M", "f-minus-g") != "f-minus-g":
         raise ValueError(f"unsupported M mode: {d.get('M')!r}")
-    space = SpaceConfig(dim=d["dim"], q=float(d.get("q", 2.0)),
-                        c_q=float(d.get("c_q", 1.0)))
+    space = SpaceConfig(dim=d["dim"], q=d.get("q", 2.0), c_q=d.get("c_q", 1.0))
     fobj = d["F"]
-    F = AffinePairMap(np.asarray(fobj["first"], dtype=float),
-                      np.asarray(fobj["second"], dtype=float),
-                      np.asarray(fobj.get("offset", np.zeros(space.dim)),
-                                 dtype=float))
-    consts = Constants(**{k: float(v) for k, v in d.get("constants", {}).items()})
     return InclusionInstance(
         space=space, **{s: _map_from_dict(d[s]) for s in "ABCDfg"},
-        H=AdditiveBiSlot(), F=F, M=DifferenceCoupling(),
+        H=AdditiveBiSlot(), M=DifferenceCoupling(),
+        F=AffinePairMap(fobj["first"], fobj["second"],
+                        fobj.get("offset", np.zeros(space.dim))),
         S=_set_map_from_obj(d.get("S", "identity"), "S"),
         T=_set_map_from_obj(d.get("T", "identity"), "T"),
-        omega=np.asarray(d.get("omega", np.zeros(space.dim)), dtype=float),
-        rho=float(d["rho"]),
-        constants=consts,
-    )
+        omega=d.get("omega", np.zeros(space.dim)), rho=d["rho"],
+        constants=Constants(**d.get("constants", {})))
+
 
 
 def load_instance(path: str) -> InclusionInstance:

@@ -30,7 +30,7 @@ from .operators import (
     eval_M_on_point,
 )
 from .space import (RESOLVE_TOL, NonFiniteError, as_rows, as_vector,
-                    check_count, check_positive, slack)
+                    check_count, check_positive, slack, store)
 
 _COND_LIMIT = 1e12
 _EPS = np.finfo(float).eps
@@ -92,8 +92,8 @@ class ResolventConfig:
     max_inner_iters: int = 20000
 
     def __post_init__(self):
-        check_positive(self.rho)
-        check_count(self.max_inner_iters, "max_inner_iters", 1)
+        store(self, rho=check_positive(self.rho), max_inner_iters=check_count(
+            self.max_inner_iters, "max_inner_iters", 1))
 
 
 def forward(inst: InclusionInstance, x, rho: float | None = None) -> np.ndarray:

@@ -56,7 +56,7 @@ from .operators import (
 )
 from .resolvent import Resolvent, ResolventConfig, theoretical_r_m
 from .space import (ConfigError, NonFiniteError, as_rows, as_vector,
-                    check_count, check_positive)
+                    check_count, check_positive, store)
 
 TRACE_SCHEMA = "vincl.trace.v1"
 
@@ -86,11 +86,11 @@ class GeometricErrors:
     direction: np.ndarray
 
     def __post_init__(self):
-        check_positive(self.c0, "c0", None)
-        check_positive(self.factor, "factor", None)
+        store(self, c0=check_positive(self.c0, "c0", None),
+              factor=check_positive(self.factor, "factor", None))
         if not 0.0 < self.factor < 1.0:
             raise ConfigError(f"factor must be in (0, 1), got {self.factor}")
-        object.__setattr__(self, "direction", as_vector(self.direction))
+        store(self, direction=as_vector(self.direction))
 
     @property
     def varpi(self) -> float:
@@ -115,8 +115,7 @@ class _Rate:
     """
 
     def __init__(self, inst: InclusionInstance, rho: float | None):
-        rho = inst.rho if rho is None else rho
-        check_positive(rho)
+        rho = check_positive(inst.rho if rho is None else rho)
         got = inst.constants.require("sigma", "delta")
         self.r, self.m = theoretical_r_m(inst)
         got.update(inst.constants.require("tau", "eps1", "eps2", "l1", "l2"))
@@ -371,13 +370,11 @@ class SolverConfig:
     u0: np.ndarray | None = None
 
     def __post_init__(self):
-        check_positive(self.tol, "tol")
-        check_count(self.max_iters, "max_iters", 1)
-        if self.rho is not None:
-            check_positive(self.rho)
-        object.__setattr__(self, "z0", as_vector(self.z0))
-        if self.u0 is not None:
-            object.__setattr__(self, "u0", as_vector(self.u0))
+        store(self, tol=check_positive(self.tol, "tol"),
+              max_iters=check_count(self.max_iters, "max_iters", 1),
+              rho=None if self.rho is None else check_positive(self.rho),
+              z0=as_vector(self.z0),
+              u0=None if self.u0 is None else as_vector(self.u0))
 
 
 def _composed_step(inst: InclusionInstance, k, phi, rho: float):
@@ -465,18 +462,19 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
           else np.array(as_vector(cfg.u0, inst.dim, "u0")))
     if cfg.errors is not None:
         as_vector(cfg.errors.direction, inst.dim, "error direction")
-    phi = step_composite(inst) if resolvent.exact else None
-    take_step = (_general_step(inst, resolvent, rho) if phi is None
-                 else _composed_step(inst, resolvent.composite, phi, rho))
     prev_step = None
     # the divergence guard compares each step with the one 20 steps back
     window = deque(maxlen=21)
 
     # a diverging iterate overflows, and the check of the inf it leaves in
-    # z, an iterate or an image ends the run; a composed step's matvec or a
-    # map's inf - inf makes a NaN of an inf, which the check refuses too
+    # z, an iterate, an image or the composed step's matrix ends the run; a
+    # composed step's matvec or a map's inf - inf makes a NaN of an inf,
+    # which the check refuses too
     with np.errstate(over="ignore", invalid="ignore"):
         try:
+            phi = step_composite(inst) if resolvent.exact else None
+            take_step = (_general_step(inst, resolvent, rho) if phi is None else
+                         _composed_step(inst, resolvent.composite, phi, rho))
             u, v, w, _, t = take_step(z, u0)
             for n in range(cfg.max_iters):
                 # a zero error still adds 0.0: it turns a -0.0 of z into +0.0

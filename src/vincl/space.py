@@ -30,24 +30,38 @@ class ConfigError(ValueError):
     an instance source that names no instance or cannot be read."""
 
 
-def check_positive(value, name="rho", floor=0, error=ConfigError) -> None:
-    """The positive rule: raise `error` unless `value` is a real number,
-    not a bool or a str, finite and > `floor` (of any sign if None)."""
+def check_positive(value, name="rho", floor=0, error=ConfigError) -> float:
+    """The positive rule: `value` as a Python float; `error` unless it is
+    a real number, not a bool or a str, finite and > `floor` (of any sign
+    if None)."""
     if isinstance(value, bool) or not isinstance(value, _REALS):
         raise error(f"{name} must be a number, got {value!r}")
     if floor is not None and not value > floor:
         raise error(f"{name} must be > {floor}, got {value}")
-    if not abs(value) < np.inf:         # nan fails too
+    try:
+        number = float(value)
+    except OverflowError:       # an int past the largest float
+        number = np.inf
+    if not abs(number) < np.inf:        # nan fails too
         raise error(f"{name} must be finite, got {value}")
+    return number
 
 
-def check_count(value, name: str, least: int) -> None:
-    """The count rule: raise ConfigError unless `value` is an `int` or a
-    numpy integer, not a bool, >= `least`."""
+def check_count(value, name: str, least: int) -> int:
+    """The count rule: `value` as a Python int; ConfigError unless it is
+    an `int` or a numpy integer, not a bool, >= `least`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
+def store(record, **values) -> None:
+    """Set fields of a frozen dataclass `record`, from its
+    `__post_init__`: where a rule's return value replaces what was given."""
+    for name, value in values.items():
+        object.__setattr__(record, name, value)
 
 
 class DimensionMismatchError(ValueError):
@@ -144,9 +158,9 @@ class SpaceConfig:
     c_q: float = 1.0
 
     def __post_init__(self):
-        check_count(self.dim, "dim", 1)
-        check_positive(self.q, "q", 1, InvalidExponentError)
-        check_positive(self.c_q, "c_q")
+        store(self, dim=check_count(self.dim, "dim", 1),
+              q=check_positive(self.q, "q", 1, InvalidExponentError),
+              c_q=check_positive(self.c_q, "c_q"))
 
 
 def inner(x, y) -> float:

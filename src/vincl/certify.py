@@ -193,24 +193,26 @@ def _min_eig(sym: np.ndarray, required: float):
 # The sampled-inequality engine
 # ---------------------------------------------------------------------------
 
-def _sampled_cert(prop, claimed, plan, x, y, lhs, rhs, tol, quotient, keep,
+def _sampled_cert(prop, claimed, plan, x, y, quotient, tol, keep, sides,
                   upper=False, sign=1.0, details=None) -> Certificate:
-    """Decide lhs >= rhs (lhs <= rhs when `upper`) on every candidate.
+    """Decide quotient >= sign*claimed (<= when `upper`) on every candidate.
 
     Entry k of the 1-D arrays is one candidate, in plan order, with sample
     pair x[k], y[k] and `tol[k]` its `slack`; candidates outside the mask
-    `keep` are skipped.  The first violation beyond `tol` is the witness
-    and its quotient the constant; otherwise the constant is the smallest
-    (largest when `upper`) kept quotient, or None.  Constants are reported
-    times `sign`.
+    `keep` are skipped.  The first violation beyond `tol` is the witness,
+    with `sides(k)`, the lhs and rhs of its inequality, and its quotient
+    the constant; otherwise the constant is the smallest (largest when
+    `upper`) kept quotient, or None.  Constants are reported times `sign`.
     """
-    rhs = np.broadcast_to(rhs, lhs.shape)
-    bad = keep & ((lhs > rhs + tol) if upper else (lhs < rhs - tol))
+    # tol shifts the quotient, not a claim near the float maximum
+    required = sign * claimed
+    bad = keep & ((quotient - tol > required) if upper
+                  else (quotient + tol < required))
     details = dict(details or {})
     if bad.any():
         k = int(np.argmax(bad))
         return Certificate(prop, sign * float(quotient[k]), claimed, "sampled",
-                           "fail", _witness_pair(x[k], y[k], lhs[k], rhs[k]),
+                           "fail", _witness_pair(x[k], y[k], *sides(k)),
                            details)
     kept = quotient[keep]
     constant = None
@@ -329,8 +331,9 @@ def _accretive_form(prop, claimed, plan, x, y, dm, mag, q, sign=1,
                     shift=0.0, dual=None, details=None):
     """<dm, J_q(d)> >= shift + sign*claimed*s^q, with d `dual` (x - y by
     default), s = ||x - y|| and dm an increment of images whose norms add
-    up to `mag`.  The quotient is (lhs - shift) / s^q, reported times
-    `sign`; candidates with x = y are skipped."""
+    up to `mag`, divided by s^q: the quotient (lhs - shift) / s^q, reported
+    times `sign`, against sign*claimed, so that only a witness's rhs forms
+    claimed*s^q; candidates with x = y are skipped."""
     dx = x - y
     nx = _norms(dx)
     d = dx if dual is None else dual
@@ -338,12 +341,13 @@ def _accretive_form(prop, claimed, plan, x, y, dm, mag, q, sign=1,
     nd = _norms(d)
     lhs = _dual_dots(dm, d, nd, q)
     sq = nx ** q
-    tol = slack(np.abs(lhs) + np.abs(shift) + abs(claimed) * sq,
-                d.shape[1] * mag * nd ** (q - 1.0))
-    return _sampled_cert(prop, claimed, plan, x, y, lhs,
-                         shift + sign * claimed * sq, tol,
-                         _ratio(lhs - shift, sq, keep), keep, sign=sign,
-                         details=details or {"q": q})
+    shift = np.broadcast_to(shift, lhs.shape)
+    tol = slack(_ratio(np.abs(lhs) + np.abs(shift), sq, keep) + abs(claimed),
+                _ratio(d.shape[1] * mag * nd ** (q - 1.0), sq, keep))
+    return _sampled_cert(
+        prop, claimed, plan, x, y, _ratio(lhs - shift, sq, keep), tol, keep,
+        lambda k: (lhs[k], float(shift[k]) + sign * claimed * float(sq[k])),
+        sign=sign, details=details or {"q": q})
 
 
 def _ratio_form(prop, claimed, plan, x, y, num, mag, upper):
@@ -354,8 +358,9 @@ def _ratio_form(prop, claimed, plan, x, y, num, mag, upper):
     keep = nx >= DEGENERATE
     ratio = _ratio(num, nx, keep)
     tol = slack(ratio + abs(claimed), x.shape[1] * _ratio(mag, nx, keep))
-    return _sampled_cert(prop, claimed, plan, x, y, ratio, claimed, tol,
-                         ratio, keep, upper=upper), int(keep.sum())
+    return _sampled_cert(prop, claimed, plan, x, y, ratio, tol, keep,
+                         lambda k: (ratio[k], claimed),
+                         upper=upper), int(keep.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,6 @@ def _parse_vector(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"bad vector {text!r}: {exc}")
 
 
-def _parse_floats(text: str):
-    return [float(t) for t in text.split(",")]
-
-
 class _Parser(argparse.ArgumentParser):
     """Takes a list of numbers that begins with a minus sign, such as
     `--z0 -1,2`, for a value, where argparse would take it for an option."""
@@ -116,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_arg(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=512)
-    p.add_argument("--rho-grid", type=_parse_floats, default=None)
+    p.add_argument("--rho-grid", type=_parse_vector, default=None)
     p.add_argument("--format", choices=("json", "human"), default="json")
     p.add_argument("--output", default=None)
 

@@ -58,8 +58,7 @@ class AffineMap:
 
     @classmethod
     def linear(cls, matrix) -> "AffineMap":
-        m = np.asarray(matrix, dtype=float)
-        return cls(m, np.zeros(m.shape[0]))
+        return cls(matrix, np.zeros(len(matrix)))
 
     @classmethod
     def identity(cls, dim: int) -> "AffineMap":
@@ -653,8 +652,15 @@ def instance_from_dict(d: dict) -> InclusionInstance:
     the constructor that checks it, so a number must be a JSON number.
 
     Raises KeyError / ValueError with the offending field named, so the
-    CLI can surface parse diagnostics.
+    CLI can surface parse diagnostics; one ValueError names every key,
+    at the top level or in "constants", that the structure does not have.
     """
+    keys = {"dim", "q", "c_q", "rho", "omega", "constants", *"ABCDfgHMFST"}
+    consts, names = d.get("constants", {}), {f.name for f in fields(Constants)}
+    unknown = sorted(set(d) - keys) + sorted(
+        f"constants.{k}" for k in set(consts) - names)
+    if unknown:
+        raise ValueError(f"unknown keys: {', '.join(map(repr, unknown))}")
     if d.get("H", "additive") != "additive":
         raise ValueError(f"unsupported H mode: {d.get('H')!r}")
     if d.get("M", "f-minus-g") != "f-minus-g":
@@ -669,7 +675,7 @@ def instance_from_dict(d: dict) -> InclusionInstance:
         S=_set_map_from_obj(d.get("S", "identity"), "S"),
         T=_set_map_from_obj(d.get("T", "identity"), "T"),
         omega=d.get("omega", np.zeros(space.dim)), rho=d["rho"],
-        constants=Constants(**d.get("constants", {})))
+        constants=Constants(**consts))
 
 
 

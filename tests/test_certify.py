@@ -1,6 +1,8 @@
 import collections
 import dataclasses
 import itertools
+import json
+import warnings
 
 import numpy as np
 import pytest
@@ -701,3 +703,28 @@ def test_claim_validation():
         certify_strong_accretive(AffineMap.identity(2), -1.0)
     with pytest.raises(ValueError):
         certify_lipschitz(AffineMap.identity(2), 0.0)
+
+
+
+@pytest.mark.parametrize("certify, verdict", [
+    (lambda m, c, plan: certify_lipschitz(m, c, plan, 2), "estimated"),
+    (lambda m, c, plan: certify_strong_accretive(m, c, 2, plan, 2), "fail"),
+], ids=["lipschitz", "strongly_accretive"])
+def test_a_claim_at_the_float_maximum_is_decided_without_overflow(certify,
+                                                                  verdict):
+    # the sampled forms shift the quotient by its slack, not the claim, and
+    # the accretive form compares per unit of s^q: neither claimed + tol
+    # nor claimed * s^q is formed, but for a witness's rhs
+    big = np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cert = certify(lambda x: 1.0 * x, big, SamplePlan(n_pairs=8))
+        text = cert.to_json()
+    assert cert.verdict == verdict
+    assert cert.constant == pytest.approx(1.0, rel=1e-12)
+    if cert.witness is not None:
+        d = np.subtract(cert.witness["x"], cert.witness["y"])
+        s_q = float(d @ d)
+        assert cert.witness["lhs"] == pytest.approx(s_q, rel=1e-12)
+        assert cert.witness["rhs"] == big * s_q
+    assert json.loads(text)["witness"] == cert.witness

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -347,6 +348,52 @@ def test_an_infinite_declared_constant_is_a_config_error(capsys, tmp_path):
     assert code == EXIT_PARSE and out == ""
     assert err.startswith("error: ") and "tau must be finite" in err
     assert "Traceback" not in err
+
+
+def _set(*path_and_value):
+    """A change of an instance dict: the value at the key path."""
+    *path, key, value = path_and_value
+
+    def change(d):
+        for k in path:
+            d = d[k]
+        d[key] = value
+    return change
+
+
+# each was taken, or ended in a traceback, before the instance reader
+# passed JSON values to the rules unconverted and refused unknown keys
+@pytest.mark.parametrize("change, message", [
+    (_set("rho", "0.35"), "rho must be a number, got '0.35'"),
+    (_set("q", "2"), "q must be a number, got '2'"),
+    (_set("c_q", "1"), "c_q must be a number, got '1'"),
+    (_set("c_q", 10 ** 400), "c_q must be finite, got 1000"),
+    (_set("constants", "tau", True), "tau must be a number, got True"),
+    (_set("A", "matrix", 0, 0, math.nan), "non-finite"),
+    (_set("omgea", [0.0, 0.0]), "unknown keys: 'omgea'"),
+    (_set("constants", "tua", 1.0), "unknown keys: 'constants.tua'"),
+], ids=["string rho", "string q", "string c_q", "integer past the floats",
+        "boolean tau", "nan matrix", "unknown key", "unknown constant"])
+def test_a_bad_instance_file_exits_one_on_every_command(capsys, tmp_path,
+                                                        change, message):
+    doc = instance_to_dict(example_4_7().instance)
+    change(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "check-condition", "solve"):
+        code, out, err = run(capsys, command, "--instance", str(path))
+        assert code == EXIT_PARSE and out == "", command
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid", ["1,x", "nan", "0.5,inf"])
+def test_a_bad_rho_grid_exits_one(capsys, grid):
+    # --rho-grid reads as --z0 does, and each node meets the positive rule
+    code, out, err = run(capsys, "verify", "--instance", "example_4_7",
+                         "--rho-grid", grid)
+    assert code == EXIT_PARSE and out == "" and "Traceback" not in err
+    assert grid == "1,x" or err.startswith("error: rho must be ")
 
 
 def test_bad_flag_exit_one(capsys):

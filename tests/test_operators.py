@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vincl.instances import example_3_2, example_3_3, example_4_7
+from test_scale_invariance import variant
+from vincl.certify import SamplePlan, certify_instance
+from vincl.instances import (builtin_names, example_3_2, example_3_3,
+                             example_4_7, get_instance)
 from vincl.operators import (
     AdditiveBiSlot,
     AffineMap,
@@ -362,6 +365,25 @@ def test_instance_json_round_trip():
                                        eval_M_on_point(named.instance, x)[0],
                                        rtol=1e-12, atol=1e-12)
         assert back.constants.asdict() == named.instance.constants.asdict()
+
+
+@pytest.mark.parametrize("name", builtin_names())
+@settings(max_examples=15, deadline=None)
+@given(log_c=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+       number=st.sampled_from([float, np.float32, np.float64]))
+def test_an_instance_file_certifies_as_its_instance_to_the_byte(name, log_c,
+                                                                number):
+    # a built-in with its maps and F times c, its constants and rho given
+    # as `number`s, written to JSON and read back; the rules store Python
+    # floats, so the instance serializes and its copy is the same problem
+    inst = variant(get_instance(name).instance, 10.0 ** log_c)
+    inst = inst.with_(rho=number(inst.rho), constants=Constants(**{
+        n: number(v) for n, v in inst.constants.asdict().items()
+        if v is not None}))
+    back = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
+    plan = SamplePlan(seed=5, n_pairs=16)
+    assert (certify_instance(back, plan).to_json()
+            == certify_instance(inst, plan).to_json())
 
 
 def test_instance_from_dict_rejects_unknown_modes():

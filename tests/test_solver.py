@@ -365,6 +365,22 @@ def test_solve_reports_an_overflowing_iterate_as_divergence(tmp_path):
         assert main(["solve", "--instance", str(path)]) == EXIT_NO_CONVERGENCE
 
 
+def test_an_overflowing_step_matrix_ends_solve_as_divergence():
+    # F's first matrix times an affine selection's overflows to inf: the
+    # composed step's matrix meets the array rule of `AffineMap`, which
+    # solve turns into its DivergenceError, with no numpy warning
+    big = 1e200 * np.eye(2)
+    inst = _expanding(1.0).with_(
+        S=SingletonSetMap(AffineMap(big, np.zeros(2))),
+        F=AffinePairMap(big, np.zeros((2, 2)), np.zeros(2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError,
+                           match="^iterate became non-finite$") as exc:
+            solve(inst, SolverConfig(z0=[1.0, 1.0]))
+    assert exc.value.trace.iterations == 0
+
+
 def test_black_box_copy_trips_the_divergence_guard_alike():
     # the general step on the chord resolvent grows as the composed one
     with pytest.raises(DivergenceError) as exc:

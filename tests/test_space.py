@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import warnings
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vincl.certify import SamplePlan, certify_expansive, certify_lipschitz
+from test_scale_invariance import variant
+from vincl.certify import (SamplePlan, certify_expansive, certify_instance,
+                           certify_lipschitz)
 from vincl.instances import example_4_7
 from vincl.operators import AffineMap, Constants
 from vincl.resolvent import ResolventConfig
@@ -234,3 +237,39 @@ def test_every_number_is_checked_where_it_enters(site, value):
         else:
             with pytest.raises(error):
                 build(value)
+
+
+def test_records_hold_python_numbers_given_numpy_scalars():
+    # each rule returns the number it accepts as a Python float (int for a
+    # count), and each record stores that: json writes every record, and
+    # a numpy integer seed no longer stops a bundle from serializing
+    f32, i64 = np.float32(0.5), np.int64(3)
+    records = [
+        (SpaceConfig(dim=np.int32(2), q=np.float32(2.5), c_q=f32),
+         {"dim": 2, "q": 2.5, "c_q": 0.5}),
+        (SamplePlan(seed=i64, n_pairs=np.int32(8), scale=np.int16(2)),
+         {"seed": 3, "n_pairs": 8, "scale": 2.0}),
+        (ResolventConfig(rho=f32, max_inner_iters=i64),
+         {"rho": 0.5, "max_inner_iters": 3}),
+        (SolverConfig([1.0], rho=f32, max_iters=i64, tol=np.float16(0.25)),
+         {"rho": 0.5, "max_iters": 3, "tol": 0.25}),
+        (GeometricErrors(c0=f32, factor=f32, direction=[1.0]),
+         {"c0": 0.5, "factor": 0.5}),
+        (_INSTANCE.with_(rho=f32), {"rho": 0.5}),
+        (Constants(**{f.name: f32 for f in dataclasses.fields(Constants)}),
+         {f.name: 0.5 for f in dataclasses.fields(Constants)}),
+    ]
+    for record, expected in records:
+        for name, number in expected.items():
+            value = getattr(record, name)
+            assert type(value) is type(number) and value == number, name
+    cert = certify_lipschitz(AffineMap.identity(2), f32)
+    assert json.loads(cert.to_json())["claimed"] == 0.5
+    plan = SamplePlan(seed=i64, n_pairs=np.int32(8))
+    for inst in (_INSTANCE, variant(_INSTANCE, 1.0, blackbox=True)):
+        bundle = json.loads(certify_instance(inst, plan, rho_grid=[])
+                            .to_json())
+        assert bundle["seed"] == 3
+    seeds = [c["details"]["seed"] for c in bundle["certificates"].values()
+             if "seed" in c["details"]]
+    assert seeds and set(seeds) == {3}

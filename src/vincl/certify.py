@@ -500,6 +500,7 @@ def certify_mixed_lipschitz(inst: InclusionInstance,
     if claimed is None:
         claimed = inst.constants.require("tau")["tau"]
     prop, hc = "mixed_lipschitz", inst.pencil.h
+    claimed = check_positive(claimed, f"{prop}: claimed constant", None)
     if hc is not None:
         return _norm_bound(hc, claimed, None, inst.dim, prop, upper=True)
     table = _images_of(plan or SamplePlan(), inst.dim, inst)

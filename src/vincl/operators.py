@@ -655,6 +655,8 @@ def instance_from_dict(d: dict) -> InclusionInstance:
     CLI can surface parse diagnostics; one ValueError names every key,
     at the top level or in "constants", that the structure does not have.
     """
+    if not isinstance(d, dict):
+        raise ValueError(f"an instance is a JSON object, not {type(d).__name__}")
     keys = {"dim", "q", "c_q", "rho", "omega", "constants", *"ABCDfgHMFST"}
     consts, names = d.get("constants", {}), {f.name for f in fields(Constants)}
     unknown = sorted(set(d) - keys) + sorted(

@@ -58,8 +58,7 @@ def check_count(value, name: str, least: int) -> int:
 
 
 def store(record, **values) -> None:
-    """Set fields of a frozen dataclass `record`, from its
-    `__post_init__`: where a rule's return value replaces what was given."""
+    """Set fields of the frozen dataclass `record` from its __post_init__."""
     for name, value in values.items():
         object.__setattr__(record, name, value)
 

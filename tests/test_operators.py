@@ -386,6 +386,13 @@ def test_an_instance_file_certifies_as_its_instance_to_the_byte(name, log_c,
             == certify_instance(inst, plan).to_json())
 
 
+@pytest.mark.parametrize("doc", [[1.0, 2.0], "example_4_7", None])
+def test_instance_from_dict_refuses_what_is_not_an_object(doc):
+    # a JSON file holding a list, a string or null ended in AttributeError
+    with pytest.raises(ValueError, match="^an instance is a JSON object, "):
+        instance_from_dict(doc)
+
+
 def test_instance_from_dict_rejects_unknown_modes():
     d = instance_to_dict(example_4_7().instance)
     d["H"] = "multiplicative"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from test_scale_invariance import variant
 from vincl.certify import (SamplePlan, certify_expansive, certify_instance,
-                           certify_lipschitz)
+                           certify_lipschitz, certify_mixed_lipschitz)
 from vincl.instances import example_4_7
 from vincl.operators import AffineMap, Constants
 from vincl.resolvent import ResolventConfig
@@ -179,6 +179,8 @@ _SITES = {
         "positive", lambda v: certify_lipschitz(AffineMap.identity(2), v)),
     "certify_expansive.claimed": (
         "positive", lambda v: certify_expansive(AffineMap.identity(2), v)),
+    "certify_mixed_lipschitz.claimed": (
+        "real", lambda v: certify_mixed_lipschitz(_INSTANCE, v)),
     **{f"Constants.{f.name}": ("real", lambda v, name=f.name: Constants(
         **{name: v})) for f in dataclasses.fields(Constants)},
 }
@@ -263,8 +265,9 @@ def test_records_hold_python_numbers_given_numpy_scalars():
         for name, number in expected.items():
             value = getattr(record, name)
             assert type(value) is type(number) and value == number, name
-    cert = certify_lipschitz(AffineMap.identity(2), f32)
-    assert json.loads(cert.to_json())["claimed"] == 0.5
+    for cert in (certify_lipschitz(AffineMap.identity(2), f32),
+                 certify_mixed_lipschitz(_INSTANCE, f32)):
+        assert json.loads(cert.to_json())["claimed"] == 0.5
     plan = SamplePlan(seed=i64, n_pairs=np.int32(8))
     for inst in (_INSTANCE, variant(_INSTANCE, 1.0, blackbox=True)):
         bundle = json.loads(certify_instance(inst, plan, rho_grid=[])

@@ -321,7 +321,7 @@ def _images_of(plan, dim, inst=None) -> _PlanImages:
 def _map_samples(m, plan, dim, prop):
     """The sample plan, rows X, Y, the increments m(X) - m(Y) of a map and
     the image norms ||m(X)|| + ||m(Y)||."""
-    table = _images_of(plan, m.dim if isinstance(m, AffineMap) else dim)
+    table = _images_of(plan, dim)
     x, y, _ = table.rows(prop)
     mx, my = table.images(m, prop)
     return table.plan, x, y, mx - my, _norms(mx) + _norms(my)

@@ -22,7 +22,6 @@ from .operators import (
     IdentitySetMap,
     InclusionInstance,
     SingletonSetMap,
-    instance_to_dict,
 )
 from .space import SpaceConfig
 
@@ -32,9 +31,6 @@ class NamedInstance:
     name: str
     instance: InclusionInstance
     expected: dict
-
-    def to_dict(self) -> dict:
-        return instance_to_dict(self.instance)
 
 
 def _zero_pair(dim: int) -> AffinePairMap:

@@ -230,17 +230,17 @@ class Resolvent:
 
     Built once and applied many times; a call takes a vector or an `(n,
     dim)` batch of rows and returns the same shape.  `path` says how calls
-    resolve: "exact" when H is additive, M the difference coupling and
-    A..D, f, g affine; the constructor forms the composite K as a
-    `Composite` of the instance's `AffinePencil`, decides its
-    invertibility and keeps it, factored, as `composite` (None on the
-    chord path), so a call is one product with the inverse (below
+    resolve, and `exact` whether it is "exact": H is additive, M the
+    difference coupling and A..D, f, g affine.  `composite` is the one
+    factored `Composite` of either path.  On the exact path it is K of the
+    instance's `AffinePencil`, formed by the constructor, which decides
+    its invertibility, so a call is one product with the inverse (below
     `_SMALL_DIM`) or a triangular solve.
-    Otherwise "chord": a call runs `_resolve_chord` with J = J_H +
-    rho*J_M of the instance's probed model (`AffinePencil.probed`, taken
-    on the first call), or raises `ResolventIterationError` before any
-    residual is evaluated where the probe met a non-finite image or J
-    fails `Composite.invertible`.
+    Otherwise "chord": `composite` is J = J_H + rho*J_M of the instance's
+    probed model (`AffinePencil.probed`), taken on its first read, and a
+    call runs `_resolve_chord` with it; the first read raises
+    `ResolventIterationError`, before any residual is evaluated, where
+    the probe met a non-finite image or J fails `Composite.invertible`.
 
     `inner_iterations` totals the residual evaluations of the calls that
     returned or raised `ResolventIterationError`, `probe_evaluations` the
@@ -271,23 +271,19 @@ class Resolvent:
     def __init__(self, inst: InclusionInstance, cfg: ResolventConfig):
         self.inst, self.cfg = inst, cfg
         self.inner_iterations = self.probe_evaluations = 0
-        self.composite = (_exact_composite(inst.pencil, cfg.rho)
-                          if inst.pencil.affine else None)
-
-    @property
-    def exact(self) -> bool:
-        """Whether calls solve the factored composite directly."""
-        return self.composite is not None
+        self.exact = inst.pencil.affine
+        if self.exact:
+            self.composite = _exact_composite(inst.pencil, cfg.rho)
 
     @property
     def path(self) -> str:
         return "exact" if self.exact else "chord"
 
     @functools.cached_property
-    def _chord(self) -> Composite:
-        """J = J_H + rho*J_M of the instance's probed model; raises
+    def composite(self) -> Composite:
+        """The chord path's J = J_H + rho*J_M of the probed model; raises
         ResolventIterationError where the probe met a non-finite image or
-        J is not invertible."""
+        J is not invertible (the constructor sets K on the exact path)."""
         pencil, rho = self.inst.pencil, self.cfg.rho
         before = pencil.probe_evaluations
         try:    # a malformed image raises, and is probed again next call
@@ -309,8 +305,8 @@ class Resolvent:
         z = np.asarray(z, dtype=float)
         batch = z.ndim == 2
         zv = (as_rows if batch else as_vector)(z, self.inst.dim, "resolvent")
-        k = self.composite
-        if k is not None:   # a batch's rows are the columns of the rhs
+        if self.exact:      # a batch's rows are the columns of the rhs
+            k = self.composite
             return k.solve((zv - k.offset).T).T
         if batch:
             return np.array([self._chord_images(row)[0] for row in zv])
@@ -327,9 +323,9 @@ class Resolvent:
         the evaluated H(x) up to the rounding of the solve.  Checks and
         raises as a call on a vector does."""
         zv = as_vector(z, self.inst.dim, "resolvent")
-        k = self.composite
-        if k is None:
+        if not self.exact:
             return self._chord_images(zv)
+        k = self.composite
         x = k.solve(zv - k.offset)
         members = eval_M_on_point(self.inst, x)
         return x, zv - self.cfg.rho * members[0], members
@@ -339,7 +335,7 @@ class Resolvent:
         to `inner_iterations`: (x, H(x), the members of M at x)."""
         try:
             x, iterations, hx, members = _resolve_chord(
-                self.inst, self.cfg, zv, self._chord)
+                self.inst, self.cfg, zv, self.composite)
         except ResolventIterationError as exc:
             self.inner_iterations += exc.iterations
             raise

@@ -48,7 +48,6 @@ from .operators import (
     InclusionInstance,
     JsonRecord,
     MissingConstantsError,
-    _write_atomic,
     eval_H_on_point,
     selection_parts,
     set_values,
@@ -328,7 +327,7 @@ class SolveTrace:
         kwargs.setdefault("indent", 2)
         return json.dumps(self.summary_dict(), **kwargs)
 
-    def to_csv(self, path: str | None = None) -> str:
+    def to_csv(self) -> str:
         """Versioned CSV: schema, n, step, ratio, residual, theta_n, u_*."""
         dim = self.records[0].u.shape[0] if self.records else 0
         buf = io.StringIO()
@@ -344,10 +343,7 @@ class SolveTrace:
                  repr(rec.residual),
                  "" if rec.theta_n is None else repr(rec.theta_n)]
                 + [repr(float(c)) for c in rec.u])
-        text = buf.getvalue()
-        if path is not None:
-            _write_atomic(path, text)
-        return text
+        return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -642,6 +642,25 @@ def test_black_box_resolve_of_a_zero_linear_part_raises_at_once():
     assert res.inner_iterations == 0
 
 
+def test_chord_composite_is_the_probed_model_taken_on_first_read():
+    # on the chord path `composite` is J of the probed model: its first
+    # read probes the instance, and calls resolve on it without probing
+    inst = example_4_7().instance
+    calls = []
+    opaque = _opaque_h(inst).with_(A=lambda x: calls.append(x) or inst.A(x))
+    res = Resolvent(opaque, ResolventConfig(rho=0.35))
+    assert res.path == "chord" and not calls and res.probe_evaluations == 0
+    k = res.composite
+    assert isinstance(k, Composite) and k.invertible and k.cond is not None
+    assert len(calls) == res.probe_evaluations == inst.dim + 1
+    np.testing.assert_allclose(k.matrix, Composite(inst.pencil, 0.35).matrix,
+                               rtol=1e-12, atol=1e-12)
+    x = np.array([0.3, -0.8])
+    np.testing.assert_allclose(res(forward(inst, x, 0.35)), x, atol=1e-12)
+    assert res.composite is k and res.probe_evaluations == inst.dim + 1
+    assert res.inner_iterations == len(calls) - inst.dim - 1 > 0
+
+
 def test_theoretical_r_m():
     r, m = theoretical_r_m(example_4_7().instance)
     assert r == pytest.approx(2.9, abs=1e-12)

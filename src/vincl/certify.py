@@ -35,6 +35,7 @@ the maps, their offsets or their conditioning.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -886,9 +887,9 @@ def certify_instance(inst: InclusionInstance,
     """Run every certificate the declared constants make possible.
 
     The derived block reports `theoretical_r_m`'s r and m, evaluated from
-    the certified constants (claimed mu's, certified slopes) when all
-    ingredients are present.  The certificates share one table of the
-    plan rows' images (`_PlanImages`), dropped on return.
+    the certified constants (claimed mu's, certified slopes) where all
+    ingredients are present and r, m finite.  The certificates share one
+    table of the plan rows' images (`_PlanImages`), dropped on return.
     """
     from .operators import ordering_flags as _flags
     plan = plan or SamplePlan()
@@ -931,8 +932,8 @@ def certify_instance(inst: InclusionInstance,
     got = {n: getattr(certs.get(key), "constant", None)
            for n, key in sources.items()}
     v = {n: getattr(c, n) if x is None else x for n, x in got.items()}
-    derived = ({} if None in v.values()
-               else dict(zip(("r", "m"), theoretical_r_m(inst, v))))
+    rm = () if None in v.values() else theoretical_r_m(inst, v)
+    derived = dict(zip(("r", "m"), rm)) if all(map(math.isfinite, rm)) else {}
     return CertificateBundle(certificates=certs,
                              ordering_flags=tuple(_flags(c)),
                              derived=derived, seed=plan.seed)

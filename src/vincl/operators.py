@@ -401,7 +401,8 @@ def h_composite(inst: InclusionInstance):
     parts = [affine_parts(m) for m in (inst.A, inst.B, inst.C, inst.D)]
     if any(p is None for p in parts):
         return None
-    return AffineMap(sum(p[0] for p in parts), sum(p[1] for p in parts))
+    with np.errstate(over="ignore"):    # AffineMap refuses an overflow
+        return AffineMap(sum(p[0] for p in parts), sum(p[1] for p in parts))
 
 
 def m_composite(inst: InclusionInstance):
@@ -411,7 +412,8 @@ def m_composite(inst: InclusionInstance):
     fp, gp = affine_parts(inst.f), affine_parts(inst.g)
     if fp is None or gp is None:
         return None
-    return AffineMap(fp[0] - gp[0], fp[1] - gp[1])
+    with np.errstate(over="ignore"):    # AffineMap refuses an overflow
+        return AffineMap(fp[0] - gp[0], fp[1] - gp[1])
 
 
 def selection_parts(set_map):

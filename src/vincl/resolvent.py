@@ -30,7 +30,7 @@ from .operators import (
     eval_M_on_point,
 )
 from .space import (RESOLVE_TOL, NonFiniteError, as_rows, as_vector,
-                    check_count, check_positive, slack, store)
+                    check_count, check_positive, power, slack, store)
 
 _COND_LIMIT = 1e12
 _EPS = np.finfo(float).eps
@@ -460,12 +460,13 @@ def _resolve_chord(inst: InclusionInstance, cfg: ResolventConfig,
 
 def theoretical_r_m(inst: InclusionInstance, constants=None):
     """(r, m) of the contraction bound, from the declared constants, or
-    from `constants`, a mapping of the same names, when given."""
+    from `constants`, a mapping of the same names, when given; r is inf or
+    nan where a q-th power overflows or is not real (`space.power`)."""
     got = constants or inst.constants.require(
         "mu1", "mu2", "gamma1", "gamma2", "alpha1", "beta1", "alpha", "beta")
     q = inst.space.q
-    r = (got["mu1"] * got["alpha1"] ** q - got["mu2"] * got["beta1"] ** q
-         + got["gamma1"] + got["gamma2"])
+    r = (got["mu1"] * power(got["alpha1"], q)
+         - got["mu2"] * power(got["beta1"], q) + got["gamma1"] + got["gamma2"])
     m = got["alpha"] - got["beta"]
     return float(r), float(m)
 

@@ -55,7 +55,7 @@ from .operators import (
 )
 from .resolvent import Resolvent, ResolventConfig, theoretical_r_m
 from .space import (ConfigError, NonFiniteError, as_rows, as_vector,
-                    check_count, check_positive, store)
+                    check_count, check_positive, power, store)
 
 TRACE_SCHEMA = "vincl.trace.v1"
 
@@ -110,7 +110,7 @@ class _Rate:
     `renormalized` divides sigma, delta by tau^q, the H-increment
     normalization; (sigma/tau^q + delta/tau^q) * tau^q = sigma + delta, so
     the tau^q of the coupling term cancels.  The rate is undefined, and
-    `theta` None, where the radicand is negative or r + rho*m <= 0.
+    `theta` None, where the radicand is not >= 0 or r + rho*m is not > 0.
     """
 
     def __init__(self, inst: InclusionInstance, rho: float | None):
@@ -120,21 +120,18 @@ class _Rate:
         got.update(inst.constants.require("tau", "eps1", "eps2", "l1", "l2"))
         q = self.q = inst.space.q
         self.rho, self.denom = rho, self.r + rho * self.m
-        self.tau_term = got["tau"] ** q
-        try:    # a float power raises where it overflows; a product does not
-            self._c_rho = inst.space.c_q * rho ** q
-        except OverflowError:
-            self._c_rho = math.inf
+        self.tau_term = power(got["tau"], q)
+        self._c_rho = inst.space.c_q * power(rho, q)
         self._e1, self._e2 = got["eps1"] * got["l1"], got["eps2"] * got["l2"]
         self._coupling_renormalized = rho * q * (got["sigma"] + got["delta"])
         self.coupling_term = self._coupling_renormalized * self.tau_term
 
     def error_term(self, n: int | None) -> float:
         k = 1.0 + 1.0 / n if n is not None else 1.0
-        return self._c_rho * (self._e1 * k + self._e2 * k) ** self.q
+        return self._c_rho * power(self._e1 * k + self._e2 * k, self.q)
 
     def root(self, n: int | None, renormalized: bool = False):
-        """(radicand, its q-th root or None where it is negative)."""
+        """(radicand, its q-th root or None where it is not >= 0)."""
         radicand = self.tau_term + self.error_term(n) - (
             self._coupling_renormalized if renormalized
             else self.coupling_term)
@@ -143,7 +140,7 @@ class _Rate:
     def theta(self, n: int | None, renormalized: bool = False):
         """theta_n, the limit theta for n None; None where undefined."""
         root = self.root(n, renormalized)[1]
-        return (None if root is None or self.denom <= 0
+        return (None if root is None or not self.denom > 0
                 else float(root / self.denom))
 
 
@@ -212,11 +209,16 @@ def check_condition_vi(inst: InclusionInstance,
     Verdicts: "violated_radicand" (negative radicand), "violated_lower"
     (root not strictly positive), "violated_upper" (root >= r + rho*m),
     else "satisfied".  Missing constants raise MissingConstantsError
-    naming them; a rho that is not a finite number > 0 raises ConfigError.
+    naming them; a rho that is not a finite number > 0, or constants that
+    leave the radicand or r + rho*m nan, raise ConfigError.
     """
     rate = _Rate(inst, rho)
     rad, root = rate.root(None)
     denom = rate.denom
+    if math.isnan(rad) or math.isnan(denom):
+        raise ConfigError(
+            f"rate condition undefined at rho={rate.rho}: radicand {rad:.6g}, "
+            f"r + rho*m {denom:.6g} (a q-th power overflows or is not real)")
     if root is None:
         verdict = "violated_radicand"
     elif root <= 0.0:

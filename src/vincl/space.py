@@ -25,6 +25,16 @@ def slack(size, spread=0.0):
     return REL_TOL * np.abs(size) + np.finfo(float).eps * np.abs(spread)
 
 
+def power(x: float, q: float) -> float:
+    """x ** q of floats: +-inf where it overflows, nan where it is not real."""
+    if x < 0 and q % 1:
+        return np.nan
+    try:
+        return x ** q
+    except OverflowError:
+        return -np.inf if x < 0 and q % 2 else np.inf
+
+
 class ConfigError(ValueError):
     """A configuration value (rho, a tolerance, a count) out of range, or
     an instance source that names no instance or cannot be read."""

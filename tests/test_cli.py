@@ -350,6 +350,65 @@ def test_an_infinite_declared_constant_is_a_config_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def _file(tmp_path, name, *changes):
+    """The path of example_4_7's instance file with `changes` made."""
+    doc = instance_to_dict(example_4_7().instance)
+    for change in changes:
+        change(doc)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# both ended in a traceback: tau^q raised OverflowError, and (-0.1)^2.5
+# is complex, which float() refused with a TypeError
+@pytest.mark.parametrize("changes", [
+    (("constants", "tau", 1e200),),
+    (("constants", "alpha1", -0.1), ("q", 2.5)),
+], ids=["overflowing tau^q", "complex alpha1^q"])
+def test_a_rate_with_no_real_value_refuses_the_condition_not_the_solve(
+        capsys, tmp_path, changes):
+    path = _file(tmp_path, "rate", *(_set(*c) for c in changes))
+    code, out, err = run(capsys, "check-condition", "--instance", path)
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error: rate condition undefined at rho=0.35")
+    assert err.count("\n") == 1
+    code, out, err = run(capsys, "solve", "--instance", path,
+                         "--format", "json")
+    summary = json.loads(out)
+    assert code == EXIT_OK and err == "" and summary["converged"] is True
+    assert summary["theta_declared"] is None
+
+
+def test_an_overflowing_certified_alpha1_leaves_derived_empty(tmp_path):
+    # alpha1 certifies as 1e200, whose square overflowed in theoretical_r_m;
+    # run without -W error, as the cocoercivity certificate's lp.T @ lp
+    # still overflows with a RuntimeWarning here
+    path = _file(tmp_path, "big_a",
+                 _set("A", "matrix", [[1e200, 0.0], [0.0, 1e200]]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vincl.cli", "verify", "--instance", path],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+            os.path.abspath(vincl.__file__)))))
+    assert proc.returncode == EXIT_VERIFY_FAILED, proc.stderr
+    assert json.loads(proc.stdout)["derived"] == {}
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_an_overflowing_composite_exits_one_without_a_warning(
+        capsys, tmp_path, command):
+    # H's composite A + B + C + D overflows; numpy warned of it before the
+    # array rule refused the inf, which the suite turns into an error
+    big = [[1e308, 0.0], [0.0, 1e308]]
+    path = _file(tmp_path, "big_ac", _set("A", "matrix", big),
+                 _set("C", "matrix", big))
+    code, out, err = run(capsys, command, "--instance", path)
+    assert code == EXIT_PARSE and out == ""
+    assert err == "error: batch has non-finite coordinates\n"
+
+
 def _set(*path_and_value):
     """A change of an instance dict: the value at the key path."""
     *path, key, value = path_and_value

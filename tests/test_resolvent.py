@@ -672,6 +672,18 @@ def test_theoretical_r_m():
         theoretical_r_m(example_3_3().instance)
 
 
+@pytest.mark.parametrize("alpha1, q, expected", [
+    (1e200, 2.0, np.inf), (-0.1, 2.5, np.nan)], ids=["overflow", "complex"])
+def test_theoretical_r_m_of_a_power_with_no_float_value(alpha1, q, expected):
+    # alpha1^q raised OverflowError, or was complex
+    inst = example_4_7().instance
+    inst = inst.with_(space=dataclasses.replace(inst.space, q=q))
+    got = dataclasses.asdict(inst.constants) | {"alpha1": alpha1}
+    r, m = theoretical_r_m(inst, got)
+    np.testing.assert_equal(r, expected)
+    assert m == pytest.approx(0.25)
+
+
 def test_audit_bound_holds_on_sampled_pairs():
     inst = example_4_7().instance
     rep = audit_lipschitz(inst, ResolventConfig(rho=0.35),

@@ -28,6 +28,17 @@ from vincl.space import (
 )
 
 
+@pytest.mark.parametrize("x, q, expected", [
+    (2.0, 2.0, 4.0), (-2.0, 3.0, -8.0), (1e200, 2.5, math.inf),
+    (-1e200, 3.0, -math.inf), (-1e200, 2.0, math.inf), (-0.1, 2.5, math.nan),
+    (-1e200, 2.5, math.nan)])
+def test_power_is_a_float_where_python_raises_or_is_complex(x, q, expected):
+    from vincl.space import power    # absent before the q-th power helper
+    got = power(x, q)
+    assert type(got) is float
+    np.testing.assert_equal(got, expected)
+
+
 def test_inner_direct_sums():
     assert inner([1, 2], [3, 4]) == 11
     assert inner([0, 0], [5, 7]) == 0

@@ -172,22 +172,44 @@ def _exact_cert(prop, claimed, value, spread, witness, details, sign=1,
     `witness()` is called only when the comparison fails."""
     # tol shifts value, not the claim, which may lie near the float maximum
     required, tol = sign * claimed, slack(abs(value) + abs(claimed), spread)
-    ok = value - tol <= required if upper else value + tol >= required
+    if math.isinf(value):       # past the floats, so no rounding decides it
+        ok = (value < 0) == upper
+    else:
+        ok = value - tol <= required if upper else value + tol >= required
     return Certificate(prop, sign * value, claimed, "exact_affine",
                        "pass" if ok else "fail", None if ok else witness(),
                        details)
 
 
-def _min_eig(sym: np.ndarray, required: float):
+def _min_eig(sym: np.ndarray, required: float, unit=()):
     """The smallest eigenvalue of `sym`, dim times the largest |.| one, and
-    a witness builder: the smallest one's eigenvector and the origin."""
+    a witness builder: the smallest one's eigenvector and the origin.  The
+    eigenvalues are taken times the factors `unit`, in Python floats, so a
+    product past the floats is +-inf, never a warning or a nan."""
     vals = np.linalg.eigvalsh(sym)
-    lam = float(vals[0])
+    lam = math.prod(unit, start=float(vals[0]))
 
     def witness():
         d = np.linalg.eigh(sym)[1][:, 0]
         return _witness_pair(d, np.zeros_like(d), lam, required)
-    return lam, len(vals) * float(max(-vals[0], vals[-1])), witness
+    spread = len(vals) * float(max(-vals[0], vals[-1]))
+    return lam, math.prod(unit, start=spread), witness
+
+
+def _cocoercive_form(lp: np.ndarray, lr: np.ndarray, c: float):
+    """sym(L_P + L_R) - c L_P'L_P, the exact form of one half of mixed
+    cocoercivity, and the factors of its unit for `_min_eig`: none where
+    the form is finite as it stands.  Where it overflows, it is formed
+    from L/s, s the largest |entry| of L_P and L_R, in units of s*s*k, k =
+    max(1, |c|), so that no entry exceeds 2 + dim."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = _sym(lp + lr) - c * (lp.T @ lp)
+    finite = np.isfinite(form).ravel()
+    if finite[finite.argmin()]:
+        return form, ()
+    s, k = float(max(np.abs(lp).max(), np.abs(lr).max())), max(1.0, abs(c))
+    up, ur = lp / s, lr / s
+    return _sym(up + ur) / (s * k) - (c / k) * (up.T @ up), (s, s, k)
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +497,9 @@ def certify_symmetric_mixed_cocoercive(inst: InclusionInstance,
     certs = []
     for prop, p, r, mu, gamma, sign_mu, slots in halves:
         if exact:
-            lp = p.matrix
+            form, unit = _cocoercive_form(p.matrix, r.matrix, sign_mu * mu)
             certs.append(_exact_cert(prop, gamma, *_min_eig(
-                _sym(lp + r.matrix) - sign_mu * mu * (lp.T @ lp), gamma),
-                {"mu": mu, "q": q}))
+                form, gamma, unit), {"mu": mu, "q": q}))
             continue
         x, y, u = table.rows(prop)
         (px, py), (rx, ry) = table.images(p, prop), table.images(r, prop)

@@ -15,6 +15,7 @@ analysis, with black-box callables as the general fallback.
 import functools
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -649,9 +650,27 @@ def instance_to_dict(inst: InclusionInstance) -> dict:
     }
 
 
+def _check_arrays(obj, key: str = "", in_array: bool = False) -> None:
+    """Refuse an entry of a JSON array of the instance document that is
+    not a finite JSON number (a string, a boolean, null, an object), with
+    a ValueError naming its key; numpy would convert "0.5" and true."""
+    if isinstance(obj, dict) and not in_array:
+        for k, v in obj.items():
+            _check_arrays(v, f"{key}.{k}" if key else k)
+    elif isinstance(obj, list):
+        for item in obj:
+            _check_arrays(item, key, True)
+    elif in_array and (isinstance(obj, bool)
+                       or not isinstance(obj, (int, float))):
+        raise ValueError(f"{key} must hold numbers, got {obj!r}")
+    elif in_array and not abs(obj) <= sys.float_info.max:   # nan too
+        raise ValueError(f"{key} has non-finite coordinates")
+
+
 def instance_from_dict(d: dict) -> InclusionInstance:
     """Parse the instance JSON structure.  Each value goes as it is to
-    the constructor that checks it, so a number must be a JSON number.
+    the constructor that checks it, so a number must be a JSON number, and
+    so must each entry of an array.
 
     Raises KeyError / ValueError with the offending field named, so the
     CLI can surface parse diagnostics; one ValueError names every key,
@@ -665,6 +684,7 @@ def instance_from_dict(d: dict) -> InclusionInstance:
         f"constants.{k}" for k in set(consts) - names)
     if unknown:
         raise ValueError(f"unknown keys: {', '.join(map(repr, unknown))}")
+    _check_arrays(d)
     if d.get("H", "additive") != "additive":
         raise ValueError(f"unsupported H mode: {d.get('H')!r}")
     if d.get("M", "f-minus-g") != "f-minus-g":

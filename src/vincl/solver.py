@@ -41,6 +41,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -262,8 +263,9 @@ def _nearest(cur: np.ndarray, pts: np.ndarray) -> np.ndarray:
 # Solve trace
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
+    """One step of `solve`: an immutable tuple of these fields."""
+
     n: int
     z: np.ndarray
     u: np.ndarray
@@ -375,6 +377,12 @@ class SolverConfig:
               u0=None if self.u0 is None else as_vector(self.u0))
 
 
+def _norm(x: np.ndarray) -> float:
+    """||x|| of a 1-D float array, as `np.linalg.norm` computes it for
+    one, without its dispatch."""
+    return math.sqrt(x.dot(x))
+
+
 def _composed_step(inst: InclusionInstance, k, phi, rho: float):
     """The composed step: no map of the instance is called, the residual
     is ||omega - Phi(u)|| and t = z + rho*(omega - Phi(u)).  A given u
@@ -386,16 +394,20 @@ def _composed_step(inst: InclusionInstance, k, phi, rho: float):
         if u is None:
             u = k.solve(z - k.offset)
         else:
-            z = k.matrix @ u + k.offset
-        image = phi.matrix @ u + phi.offset
-        v = u if ls is None else ls @ u + cs
-        w = u if lt is None else lt @ u + ct
-        # no map checked its image: one test covers them all
-        finite = np.isfinite((z, u, image, v, w)).ravel()
-        if not finite[finite.argmin()]:
-            raise NonFiniteError("non-finite iterate")
+            z = k.matrix.dot(u) + k.offset
+        image = phi.matrix.dot(u) + phi.offset
+        v = u if ls is None else ls.dot(u) + cs
+        w = u if lt is None else lt.dot(u) + ct
+        # no map checked its image: one test covers them all.  A nan or
+        # inf entry leaves the sum of squares non-finite, so the
+        # elementwise test runs only then, or where finite squares overflow
+        if not math.isfinite(z.dot(z) + u.dot(u) + image.dot(image)
+                             + v.dot(v) + w.dot(w)):
+            finite = np.isfinite((z, u, image, v, w)).ravel()
+            if not finite[finite.argmin()]:
+                raise NonFiniteError("non-finite iterate")
         gap = omega - image
-        return u, v, w, float(np.linalg.norm(gap)), z + rho * gap
+        return u, v, w, _norm(gap), z + rho * gap
     return step
 
 
@@ -417,8 +429,8 @@ def _general_step(inst: InclusionInstance, resolvent, rho: float):
         v = _nearest(u if v is None else v, set_values(inst.S, u))
         w = _nearest(u if w is None else w, set_values(inst.T, u))
         fvw = as_vector(inst.F(v, w), inst.dim, "image of F")
-        residual = min((float(np.linalg.norm(omega - fvw - m))
-                        for m in members), default=math.nan)
+        residual = min((_norm(omega - fvw - m) for m in members),
+                       default=math.nan)
         return u, v, w, residual, hu - rho * fvw + rho_omega
     return step
 
@@ -452,7 +464,8 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
         trace.theta_rate_bound = rate.theta(None, renormalized=True)
     if cfg.errors is not None:
         trace.varpi = cfg.errors.varpi
-    res_bound = 10.0 * cfg.tol * (1.0 + float(np.linalg.norm(inst.omega)))
+    with np.errstate(over="ignore"):    # inf for an omega past 1e154
+        res_bound = 10.0 * cfg.tol * (1.0 + float(np.linalg.norm(inst.omega)))
     trace.residual_bound = res_bound
 
     z = as_vector(cfg.z0, inst.dim, "z0")
@@ -479,15 +492,13 @@ def solve(inst: InclusionInstance, cfg: SolverConfig) -> SolveTrace:
                 e_n = cfg.errors.term(n) if cfg.errors is not None else 0.0
                 z = t + e_n
                 u_next, v, w, residual, t = take_step(z, None, v, w)
-                step = float(np.linalg.norm(u_next - u))
+                step = _norm(u_next - u)
                 ratio = (step / prev_step
                          if prev_step is not None and prev_step > 0 else None)
                 trace.records.append(IterationRecord(
-                    n=n, z=z, u=u_next, v=v, w=w, step=step,
-                    ratio=ratio, residual=residual,
-                    theta_n=None if rate is None else rate.theta(n + 1),
-                    error_norm=0.0 if cfg.errors is None
-                    else float(np.linalg.norm(e_n))))
+                    n, z, u_next, v, w, step, ratio, residual,
+                    None if rate is None else rate.theta(n + 1),
+                    0.0 if cfg.errors is None else _norm(e_n)))
 
                 window.append(step)
                 if (len(window) > 20 and step > 10.0 * window[0]

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import json
+import math
 import warnings
 
 import numpy as np
@@ -117,6 +118,23 @@ def test_symmetric_mixed_cocoercive_small_slopes():
     assert strong.details["mu"] == pytest.approx(10.0)
     assert relaxed.verdict == "pass" and relaxed.constant == pytest.approx(1.0)
     assert relaxed.details["mu"] == pytest.approx(5.0)
+
+
+def test_an_overflowing_cocoercive_form_is_taken_in_units_of_its_slot():
+    # mu1 L_A'L_A is 1e300 in size, but L_A'L_A alone overflowed, with a
+    # warning: the form is taken from L/s in units of s*s, and matches it
+    # formed from L_A / 2^520 in units of 2^1040
+    inst = example_4_7().instance
+    big = 1e155 * np.array([[1.0, 0.5], [0.5, 2.0]])
+    inst = inst.with_(A=AffineMap.linear(big), constants=dataclasses.replace(
+        inst.constants, mu1=1e-10))
+    strong = certify_symmetric_mixed_cocoercive(inst)[0]
+    p, r = big / 2.0 ** 520, inst.C.matrix / 2.0 ** 520
+    form = 0.5 * (p + r + (p + r).T) / 2.0 ** 520 - 1e-10 * (p.T @ p)
+    want = math.ldexp(float(np.linalg.eigvalsh(form)[0]), 1040)
+    assert math.isfinite(want) and want < -1e299
+    assert strong.verdict == "fail"
+    assert strong.constant == pytest.approx(want, rel=1e-12)
 
 
 def test_mixed_lipschitz_exact_slopes():

@@ -380,20 +380,19 @@ def test_a_rate_with_no_real_value_refuses_the_condition_not_the_solve(
     assert summary["theta_declared"] is None
 
 
-def test_an_overflowing_certified_alpha1_leaves_derived_empty(tmp_path):
+def test_an_overflowing_certified_alpha1_leaves_derived_empty(capsys,
+                                                             tmp_path):
     # alpha1 certifies as 1e200, whose square overflowed in theoretical_r_m;
-    # run without -W error, as the cocoercivity certificate's lp.T @ lp
-    # still overflows with a RuntimeWarning here
+    # in process, under the suite's error::RuntimeWarning: the cocoercivity
+    # certificate's L'L overflowed with a warning and stored a NaN
     path = _file(tmp_path, "big_a",
                  _set("A", "matrix", [[1e200, 0.0], [0.0, 1e200]]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "vincl.cli", "verify", "--instance", path],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
-            os.path.abspath(vincl.__file__)))))
-    assert proc.returncode == EXIT_VERIFY_FAILED, proc.stderr
-    assert json.loads(proc.stdout)["derived"] == {}
-    assert "Traceback" not in proc.stderr
+    code, out, err = run(capsys, "verify", "--instance", path)
+    assert code == EXIT_VERIFY_FAILED and err == ""
+    bundle = json.loads(out)
+    assert bundle["derived"] == {} and "NaN" not in out
+    strong = bundle["certificates"]["strongly_mixed_cocoercive"]
+    assert strong["verdict"] == "fail" and strong["constant"] == -math.inf
 
 
 @pytest.mark.parametrize("command", ["verify", "solve"])
@@ -428,11 +427,24 @@ def _set(*path_and_value):
     (_set("c_q", "1"), "c_q must be a number, got '1'"),
     (_set("c_q", 10 ** 400), "c_q must be finite, got 1000"),
     (_set("constants", "tau", True), "tau must be a number, got True"),
-    (_set("A", "matrix", 0, 0, math.nan), "non-finite"),
+    (_set("A", "matrix", 0, 0, math.nan),
+     "A.matrix has non-finite coordinates"),
     (_set("omgea", [0.0, 0.0]), "unknown keys: 'omgea'"),
     (_set("constants", "tua", 1.0), "unknown keys: 'constants.tua'"),
+    # numpy converted "0.5" and true, so these two loaded and verified with
+    # exit 0; an integer past the floats ended in an OverflowError
+    # traceback, and no message of a non-finite entry named its key
+    (_set("omega", ["0.5", 1]), "omega must hold numbers, got '0.5'"),
+    (_set("A", "matrix", 0, 0, True), "A.matrix must hold numbers, got True"),
+    (_set("F", "first", 0, 0, 10 ** 400),
+     "F.first has non-finite coordinates"),
+    (_set("S", {"map": {"matrix": [[1.0, 0.0], [0.0, math.inf]],
+                        "offset": [0.0, 0.0]}}),
+     "S.map.matrix has non-finite coordinates"),
 ], ids=["string rho", "string q", "string c_q", "integer past the floats",
-        "boolean tau", "nan matrix", "unknown key", "unknown constant"])
+        "boolean tau", "nan matrix", "unknown key", "unknown constant",
+        "string in omega", "boolean in a matrix", "integer past the floats "
+        "in F", "inf in S"])
 def test_a_bad_instance_file_exits_one_on_every_command(capsys, tmp_path,
                                                         change, message):
     doc = instance_to_dict(example_4_7().instance)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
@@ -37,6 +37,7 @@ from vincl.resolvent import (_SMALL_DIM, Resolvent, ResolventConfig,
 from vincl.solver import (
     DivergenceError,
     GeometricErrors,
+    IterationRecord,
     SolverConfig,
     TRACE_SCHEMA,
     check_condition_vi,
@@ -45,7 +46,7 @@ from vincl.solver import (
     solve,
     theta,
 )
-from vincl.space import SpaceConfig, slack
+from vincl.space import NonFiniteError, SpaceConfig, slack
 
 
 # ---------------------------------------------------------------------------
@@ -768,6 +769,108 @@ def test_general_step_matches_the_reference_loop_to_the_bit(
     trace, steps = _solve_and_reference_loop(inst, seed, rho, with_u0,
                                              with_errors)
     _assert_records_equal(trace.records, steps)
+
+
+def _records_before_overflow(inst, z0, rho, max_iters):
+    """How many steps of the iteration written plainly, as in
+    `_reference_loop`, keep z, u, v, w and F(v, w) + m finite: the records
+    solve keeps before it raises; None where none overflows."""
+    rcfg = ResolventConfig(rho=rho)
+
+    def finite(*vectors):
+        return all(np.isfinite(x).all() for x in vectors)
+
+    def images(z, v, w):
+        u = resolve(inst, rcfg, z)
+        v = nadler_select(v, set_values(inst.S, u))
+        w = nadler_select(w, set_values(inst.T, u))
+        fvw = np.asarray(inst.F(v, w))
+        m = eval_M_on_point(inst, u)[0]
+        return u, v, w, fvw, finite(z, u, v, w, fvw + m)
+
+    n = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            u, v, w, fvw, ok = images(z0, z0, z0)
+            while ok and n < max_iters:
+                z = (eval_H_on_point(inst, u) - rho * fvw
+                     + rho * inst.omega)
+                u, v, w, fvw, ok = images(z, v, w)
+                n += ok
+        except NonFiniteError:      # an image the plain loop checks
+            ok = False
+    return None if ok else n
+
+
+def _offsets_times(inst, c):
+    """`inst` with omega and every offset of its affine maps times c."""
+    def times(m):
+        return AffineMap(m.matrix, c * m.offset)
+
+    def selection(s):
+        return (SingletonSetMap(times(s.map))
+                if isinstance(s, SingletonSetMap) else s)
+    f = inst.F
+    return inst.with_(
+        **{k: times(getattr(inst, k)) for k in "ABCDfg"},
+        F=AffinePairMap(f.first, f.second, c * f.offset),
+        S=selection(inst.S), T=selection(inst.T), omega=c * inst.omega)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       s_affine=st.booleans(), t_affine=st.booleans(),
+       rho=st.floats(0.5, 2.0), log_gain=st.floats(40.0, 150.0))
+def test_the_finiteness_check_stops_where_the_elementwise_test_does(
+        dim, seed, s_affine, t_affine, rho, log_gain):
+    # the composed step tests the sum of the squared norms of its vectors
+    # first, and each entry only where that sum is not finite.  With F
+    # times 10^log_gain the run overflows after as many records as the
+    # plain loop keeps; a run whose iterates pass 1e154, so that their
+    # squares overflow, does not raise and is 2^520 times the unscaled one
+    # to the bit
+    inst = _random_affine(dim, seed, s_affine, t_affine)
+    z0 = np.random.default_rng([seed, 1]).standard_normal(dim)
+    f, gain = inst.F, 10.0 ** log_gain
+    expanding = inst.with_(F=AffinePairMap(gain * f.first, gain * f.second,
+                                           f.offset))
+    want = _records_before_overflow(expanding, z0, rho, 20)
+    assert want is not None
+    # where an overflow lies within 2^12 of the float maximum, the
+    # rounding of each loop decides it: those draws are set aside
+    assume(all(_records_before_overflow(_offsets_times(expanding, c),
+                                        c * z0, rho, 20) == want
+               for c in (2.0 ** -12, 2.0 ** 12)))
+    with pytest.raises(DivergenceError, match="^iterate became non-finite$"
+                       ) as exc:
+        solve(expanding, SolverConfig(z0=z0, rho=rho, max_iters=20))
+    assert exc.value.trace.iterations == want
+
+    big = 2.0 ** 520
+    cfg = SolverConfig(z0=z0, rho=rho, tol=1e-300, max_iters=8)
+    plain = solve(inst, cfg)
+    scaled = solve(_offsets_times(inst, big),
+                   dataclasses.replace(cfg, z0=big * z0))
+    assert scaled.iterations == plain.iterations == 8
+    assert max(np.abs(r.z).max() for r in scaled.records) > 1e154
+    for rec, ref in zip(scaled.records, plain.records):
+        for got, unit in ((rec.z, ref.z), (rec.u, ref.u), (rec.v, ref.v),
+                          (rec.w, ref.w)):
+            np.testing.assert_array_equal(got, big * unit)
+
+
+def test_an_iteration_record_is_an_immutable_tuple_of_the_same_fields():
+    rec = solve(example_4_7().instance,
+                SolverConfig(z0=[1.0, 1.0], max_iters=3)).records[-1]
+    assert IterationRecord._fields == (
+        "n", "z", "u", "v", "w", "step", "ratio", "residual", "theta_n",
+        "error_norm")
+    assert all(value is getattr(rec, name)
+               for name, value in zip(IterationRecord._fields, rec))
+    with pytest.raises(AttributeError):
+        rec.step = 0.0
+    with pytest.raises(TypeError):
+        rec[5] = 0.0
 
 
 def test_solve_propagates_unexpected_theta_errors(monkeypatch):

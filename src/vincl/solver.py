@@ -399,21 +399,21 @@ def _composed_step(inst: InclusionInstance, k, phi, rho: float):
         v = u if ls is None else ls.dot(u) + cs
         w = u if lt is None else lt.dot(u) + ct
         gap = omega - image
-        squared = gap.dot(gap)
+        gap_sq = gap.dot(gap)
         # no map checked its image: one test covers them all.  A nan or
         # inf entry of z, u, v, w or the image (so of the gap) leaves the
         # sum of squares non-finite, so the elementwise test runs only
         # then, or where finite squares overflow
-        squares = z.dot(z) + u.dot(u) + squared
+        total = z.dot(z) + u.dot(u) + gap_sq
         if ls is not None:
-            squares += v.dot(v)
+            total += v.dot(v)
         if lt is not None:
-            squares += w.dot(w)
-        if not math.isfinite(squares):
+            total += w.dot(w)
+        if not math.isfinite(total):
             finite = np.isfinite((z, u, image, v, w)).ravel()
             if not finite[finite.argmin()]:
                 raise NonFiniteError("non-finite iterate")
-        return u, v, w, math.sqrt(squared), z + rho * gap
+        return u, v, w, math.sqrt(gap_sq), z + rho * gap
     return step
 
 

@@ -62,10 +62,11 @@ from .resolvent import (
     ResolventIterationError,
     theoretical_r_m,
 )
-from .space import (DEGENERATE, as_rows, check_count, check_positive, slack,
-                    store)
+from .space import (DEGENERATE, InvalidExponentError, as_rows, check_count,
+                    check_positive, slack, store)
 
 _RANGE_PROBES = 8       # black-box range probes per rho
+_PLAN_SCALE = 3.0       # the sample plan's scaled lattice points and draws
 _REAL_ROOT = 1e-8       # pencil eigenvalues with |imag| <= this*(1+|real|)
 _POSITIVE_ROOT = 1e-12  # real ones above this are positive roots of det
 
@@ -84,22 +85,19 @@ class SamplePlan:
 
     The lattice contributes signed unit vectors, the origin, and scaled
     axis sums; the remainder are seeded standard-normal draws scaled by
-    `scale`.  Identical (seed, n_pairs, scale) yield identical samples.
-    ConfigError unless seed and n_pairs are integers >= 0 and scale is a
-    finite number > 0.
+    `_PLAN_SCALE`.  Identical (seed, n_pairs) yield identical samples.
+    ConfigError unless seed and n_pairs are integers >= 0.
     """
 
     seed: int = 0
     n_pairs: int = 512
-    scale: float = 3.0
     include_lattice: bool = True
     _rows: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
     def __post_init__(self):
         store(self, seed=check_count(self.seed, "sample plan seed", 0),
-              n_pairs=check_count(self.n_pairs, "sample plan n_pairs", 0),
-              scale=check_positive(self.scale, "sample plan scale"))
+              n_pairs=check_count(self.n_pairs, "sample plan n_pairs", 0))
 
     def _lattice(self, dim: int):
         eye = np.eye(dim)
@@ -107,11 +105,11 @@ class SamplePlan:
         for i in range(dim):
             pts.append(eye[i])
             pts.append(-eye[i])
-            pts.append(self.scale * eye[i])
+            pts.append(_PLAN_SCALE * eye[i])
         for i in range(min(dim, 4)):
             for j in range(i + 1, min(dim, 4)):
                 pts.append(eye[i] + eye[j])
-                pts.append(self.scale * (eye[i] - eye[j]))
+                pts.append(_PLAN_SCALE * (eye[i] - eye[j]))
         return pts
 
     def arrays(self, dim: int):
@@ -130,7 +128,7 @@ class SamplePlan:
             blocks.append(np.stack(
                 [lat[:-1], lat[1:], np.roll(lat, -2, axis=0)[:-1]], axis=1))
         rng = np.random.default_rng(self.seed)
-        blocks.append(self.scale * rng.standard_normal((self.n_pairs, 3, dim)))
+        blocks.append(_PLAN_SCALE * rng.standard_normal((self.n_pairs, 3, dim)))
         xyu = np.concatenate(blocks)
         if not len(xyu):
             raise InsufficientEvidenceError(
@@ -282,11 +280,12 @@ class _PlanImages:
     per Y row.  Instance maps are taken to be deterministic functions, so
     what more than one certificate reads is kept and reused: the images
     of the slot maps A..D and the increments and image norms of the
-    composed H.
+    composed H.  A `dim` that is not an integer >= 1 raises ConfigError.
     """
 
     def __init__(self, plan, dim, inst=None):
-        self.plan, self.dim, self.inst = plan, dim, inst
+        self.plan, self.inst = plan, inst
+        self.dim = None if dim is None else check_count(dim, "dim", 1)
         self._kept = {}
 
     def _keep(self, key, make):
@@ -397,8 +396,10 @@ def _accretive(m, claimed, q, plan, dim, prop, sign):
     reported constant is the tight bound: the infimum of the quotient
     <dm, J_q(dx)> / ||dx||^q (times `sign` for the relaxed form, so that
     the constant is the smallest valid relaxation parameter).
+    InvalidExponentError unless q is a finite number > 1.
     """
     claimed = check_positive(claimed, f"{prop}: claimed constant")
+    q = check_positive(q, "q", 1, InvalidExponentError)
     parts = affine_parts(m)
     if parts is not None:
         # <L d, J_q(d)> / ||d||^q = <L d, d> / ||d||^2 for every q > 1
@@ -512,15 +513,13 @@ def certify_symmetric_mixed_cocoercive(inst: InclusionInstance,
     return tuple(certs)
 
 
-def certify_mixed_lipschitz(inst: InclusionInstance,
-                            claimed: float | None = None,
+def certify_mixed_lipschitz(inst: InclusionInstance, claimed: float,
                             plan: SamplePlan | None = None) -> Certificate:
-    """Check ||H(..x..) - H(..y..)|| <= tau * ||x-y|| for the composed H.
+    """Check ||H(..x..) - H(..y..)|| <= claimed * ||x-y|| for the composed
+    H; `claimed` is tau.
 
     Exact path: operator 2-norm of the composite linear map.
     """
-    if claimed is None:
-        claimed = inst.constants.require("tau")["tau"]
     prop, hc = "mixed_lipschitz", inst.pencil.h
     claimed = check_positive(claimed, f"{prop}: claimed constant", None)
     if hc is not None:
@@ -656,9 +655,10 @@ def certify_d_lipschitz(set_map, claimed: float,
 # ---------------------------------------------------------------------------
 
 def certify_m_slot_accretive(inst: InclusionInstance, slot: str,
-                             claimed: float | None = None,
+                             claimed: float,
                              plan: SamplePlan | None = None) -> Certificate:
-    """Accretivity of M through one composed slot.
+    """Accretivity of M through one composed slot; `claimed` is alpha
+    for slot "f", beta for "g".
 
     slot="f": <u - v, J_q(x-y)> >= alpha*||x-y||^q for u in M(f(x), w),
     v in M(f(y), w).  slot="g": the relaxed version over M(w, g(.)).
@@ -668,9 +668,6 @@ def certify_m_slot_accretive(inst: InclusionInstance, slot: str,
     if slot not in ("f", "g"):
         raise ValueError(f"slot must be 'f' or 'g', got {slot!r}")
     q, dim = inst.space.q, inst.dim
-    name = "alpha" if slot == "f" else "beta"
-    if claimed is None:
-        claimed = inst.constants.require(name)[name]
     prop, sign = (("strongly_accretive", +1) if slot == "f"
                   else ("relaxed_accretive", -1))
     claimed = check_positive(claimed, f"{prop}: claimed constant")
@@ -749,19 +746,6 @@ def _positive_roots(k, lm):
     return roots.real[real], norm_a
 
 
-def _range_witness(defect: dict) -> dict:
-    """The certificate's witness for a `Composite.defect`."""
-    if defect["kind"] == "zero linear part":
-        return {"rho": defect["rho"],
-                "defect": "zero linear part: image is a single point",
-                "image_point": defect["image_point"],
-                "image_norm": defect["image_norm"]}
-    return {"rho": defect["rho"],
-            "defect": "singular linear part: image is a proper affine subspace",
-            "null_direction": defect["null_direction"],
-            "image_norm": None}
-
-
 def _affine_range_defect(pencil, rho_grid, rho, details):
     """Part (ii) for an affine composite: the first defect (or None) and
     sigma_min(K(rho)); the roots start from the invertible grid composite
@@ -776,7 +760,7 @@ def _affine_range_defect(pencil, rho_grid, rho, details):
                      "singular": not k.invertible})
         at_rho = k if k.rho == rho else at_rho
         if not k.invertible:
-            witness = witness or _range_witness(k.defect())
+            witness = witness or k.defect()
         elif (score := low / (fro_h + k.rho * fro_m)) > best[0]:
             best = (score, k)
     constant = float((at_rho or Composite(pencil, rho)).sv[-1])

@@ -30,7 +30,7 @@ from .operators import (
     eval_M_on_point,
 )
 from .space import (RESOLVE_TOL, NonFiniteError, as_rows, as_vector,
-                    check_count, check_positive, power, slack, store)
+                    check_positive, power, slack, store)
 
 _COND_LIMIT = 1e12
 _EPS = np.finfo(float).eps
@@ -50,13 +50,15 @@ _STALL_WINDOW = 100
 # a black-box resolve also stops at this * eps * (||H(x)|| + rho*||m|| +
 # ||z||): its residual is rounded at that scale
 _FLOOR_FACTOR = 8
+# a black-box resolve raises after this many iterations
+_MAX_INNER_ITERS = 20000
 
 
 class NonSurjectiveError(RuntimeError):
     """The composite H + rho*M cannot reach the requested point.
 
-    Carries a `defect` dict describing the failure (zero or singular
-    linear part, the constant image point when there is one).
+    Carries the `Composite.defect` dict describing the failure (zero or
+    singular linear part, the constant image point when there is one).
     """
 
     def __init__(self, message: str, defect: dict | None = None):
@@ -85,15 +87,13 @@ class ResolventConfig:
     The instance decides the path (see `Resolvent`); a black-box resolve
     of z stops at residual `RESOLVE_TOL * max(1, ||z||)`, or at the
     residual's rounding floor where that is larger, or after
-    `max_inner_iters` iterations, which must be >= 1.
+    `_MAX_INNER_ITERS` iterations.
     """
 
     rho: float
-    max_inner_iters: int = 20000
 
     def __post_init__(self):
-        store(self, rho=check_positive(self.rho), max_inner_iters=check_count(
-            self.max_inner_iters, "max_inner_iters", 1))
+        store(self, rho=check_positive(self.rho))
 
 
 def forward(inst: InclusionInstance, x, rho: float | None = None) -> np.ndarray:
@@ -101,9 +101,10 @@ def forward(inst: InclusionInstance, x, rho: float | None = None) -> np.ndarray:
 
     With a multi-point M the member closest to the H value's scale is not
     well-defined; the first member is used, which is exact for every
-    single-valued coupling.
+    single-valued coupling.  A given rho that is not a finite number > 0
+    raises ConfigError.
     """
-    rho = inst.rho if rho is None else rho
+    rho = inst.rho if rho is None else check_positive(rho)
     hx = eval_H_on_point(inst, x)
     m_vals = eval_M_on_point(inst, x)
     return hx + rho * m_vals[0]
@@ -191,26 +192,23 @@ class Composite:
                 and self.cond <= _COND_LIMIT)
 
     def defect(self) -> dict | None:
-        """None when K is invertible.  Otherwise why H + rho*M is not onto:
-        a zero linear part (`zero`; the image is the single point
-        `offset`) or a singular one (the image is a proper affine
-        subspace; `null_direction` is the right singular vector of
-        sigma_min)."""
+        """None when K is invertible.  Otherwise why H + rho*M is not onto,
+        as the surjectivity certificate's witness: a zero linear part
+        (`zero`; the image is the single point `image_point`, K's offset)
+        or a singular one (the image is a proper affine subspace;
+        `null_direction` is the right singular vector of sigma_min)."""
         if self.invertible:
             return None
         if self.zero:
             return {"rho": self.rho,
-                    "kind": "zero linear part",
-                    "description": "the composite image is the single point "
-                                   f"{self.offset.tolist()}",
+                    "defect": "zero linear part: image is a single point",
                     "image_point": self.offset.tolist(),
                     "image_norm": float(np.linalg.norm(self.offset))}
         return {"rho": self.rho,
-                "kind": "singular linear part",
-                "description": "the composite image is a proper affine "
-                               "subspace",
+                "defect": "singular linear part: image is a proper affine "
+                          "subspace",
                 "null_direction": np.linalg.svd(self.matrix)[2][-1].tolist(),
-                "cond": self.cond}
+                "image_norm": None, "cond": self.cond}
 
 
 def _exact_composite(pencil, rho: float) -> Composite:
@@ -221,7 +219,7 @@ def _exact_composite(pencil, rho: float) -> Composite:
     if defect is not None:
         raise NonSurjectiveError(
             f"composite H + rho*M is not invertible at rho={rho}"
-            f": {defect['description']}", defect)
+            f": {defect['defect']}", defect)
     return k
 
 
@@ -394,7 +392,7 @@ def _resolve_chord(inst: InclusionInstance, cfg: ResolventConfig,
     `ResolventIterationError` when the residual, a map image or x becomes
     non-finite, when the best residual is not below `_STALL_FACTOR` times
     the best of `_STALL_WINDOW` iterations before, and after
-    `max_inner_iters` iterations.  Images go through `eval_H_on_point`
+    `_MAX_INNER_ITERS` iterations.  Images go through `eval_H_on_point`
     and `eval_M_on_point`, so malformed map output raises their errors.
     """
     x = chord.solve(z - chord.offset)
@@ -406,7 +404,7 @@ def _resolve_chord(inst: InclusionInstance, cfg: ResolventConfig,
     with np.errstate(over="ignore"):
         z_norm = _norm(z)
         last, tol = np.inf, RESOLVE_TOL * max(1.0, z_norm)
-        for n in range(1, cfg.max_inner_iters + 1):
+        for n in range(1, _MAX_INNER_ITERS + 1):
             try:
                 hx = eval_H_on_point(inst, x)
                 members = eval_M_on_point(inst, x)
@@ -454,8 +452,8 @@ def _resolve_chord(inst: InclusionInstance, cfg: ResolventConfig,
                 raise ResolventIterationError(
                     "chord iteration diverged to non-finite values", last, n)
     raise ResolventIterationError(
-        f"chord iteration exceeded {cfg.max_inner_iters} iterations (last "
-        f"residual {last:.3e} > {tol:.3e})", last, cfg.max_inner_iters)
+        f"chord iteration exceeded {_MAX_INNER_ITERS} iterations (last "
+        f"residual {last:.3e} > {tol:.3e})", last, _MAX_INNER_ITERS)
 
 
 def theoretical_r_m(inst: InclusionInstance, constants=None):

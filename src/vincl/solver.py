@@ -151,8 +151,10 @@ def theta(inst: InclusionInstance, rho: float | None = None,
 
     theta_n when `n` is given, the limit theta otherwise.  Raises
     ValueError where the formula is undefined: a negative radicand (the
-    condition is broken) or r + rho*m <= 0.
+    condition is broken) or r + rho*m <= 0; ConfigError (a ValueError)
+    where a given n is not an integer >= 1.
     """
+    n = None if n is None else check_count(n, "n", 1)
     rate = _Rate(inst, rho)
     value = rate.theta(n)
     if value is None:
@@ -172,8 +174,10 @@ def contraction_factor_bound(inst: InclusionInstance,
     entering the coupling term, which is the normalization the step-bound
     derivation consumes.  This is the bound observed ratios satisfy.
     Returns None where the renormalized radicand is negative or
-    r + rho*m <= 0.
+    r + rho*m <= 0; raises ConfigError where a given n is not an integer
+    >= 1.
     """
+    n = None if n is None else check_count(n, "n", 1)
     return _Rate(inst, rho).theta(n, renormalized=True)
 
 

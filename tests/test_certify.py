@@ -92,8 +92,8 @@ def test_relaxed_accretive_zero_map_any_claim():
 
 def test_m_slot_certificates_match_direct_ones():
     inst = example_3_2().instance
-    cf = certify_m_slot_accretive(inst, "f")
-    cg = certify_m_slot_accretive(inst, "g")
+    cf = certify_m_slot_accretive(inst, "f", inst.constants.alpha)
+    cg = certify_m_slot_accretive(inst, "g", inst.constants.beta)
     assert cf.constant == pytest.approx(5.0) and cf.verdict == "pass"
     assert cg.constant == pytest.approx(1.75) and cg.verdict == "pass"
 
@@ -377,6 +377,30 @@ def test_generalized_class_fails_off_grid_via_polynomial():
     assert cert.verdict == "fail"
 
 
+def test_alpha_below_beta_is_the_first_defect_of_an_onto_composite():
+    # the slot constants are 0.5 and 0.25, so both claims pass, and the
+    # composite is invertible on the grid: alpha < beta is the witness
+    inst = example_4_7().instance.with_(
+        constants=Constants(alpha=0.2, beta=0.25))
+    cert = certify_generalized_mixed_accretive(inst)
+    assert cert.verdict == "fail" and not cert.details["alpha_ge_beta"]
+    assert cert.witness == {
+        "defect": "alpha < beta breaks symmetric accretivity",
+        "alpha": 0.2, "beta": 0.25}
+
+
+@pytest.mark.parametrize("lh", [np.zeros((2, 2)), np.diag([1.0, 0.0])],
+                         ids=["zero", "singular"])
+def test_the_range_witness_is_the_composite_defect(lh):
+    # one record says why H + rho*M is not onto, for `Resolvent` and the
+    # certificate alike; a singular part's carries its condition number
+    inst = _pencil_instance(lh, np.zeros((2, 2)), 1.0)
+    cert = certify_generalized_mixed_accretive(inst, rho_grid=[1.0])
+    defect = Composite(inst.pencil, 1.0).defect()
+    assert cert.verdict == "fail" and cert.witness == defect
+    assert ("cond" in defect) == bool(lh.any())
+
+
 def _pencil_instance(lh, lm, rho):
     """The affine instance whose composite is K(rho) = lh + rho*lm: A = lh
     and f = lm under the additive H and the difference coupling, the
@@ -548,7 +572,7 @@ def test_m_slot_claim_must_be_positive_under_any_coupling(slot, name,
     inst = inst.with_(M=lambda a, b: (a - b,), constants=dataclasses.replace(
         inst.constants, **{name: claimed}))
     with pytest.raises(ConfigError, match="claimed constant must be > 0"):
-        certify_m_slot_accretive(inst, slot)
+        certify_m_slot_accretive(inst, slot, claimed)
     with pytest.raises(ConfigError, match="claimed constant must be > 0"):
         certify_instance(inst, SamplePlan(seed=1))
 
@@ -674,8 +698,10 @@ def test_an_overflowing_sum_of_images_raises_non_finite(certify):
     def huge(name, m):
         return (lambda x: m(x) + 1e308) if name in "AC" else m
     inst = _blackbox_lift(huge)
+    claimed = (inst.constants.tau,) if certify is certify_mixed_lipschitz \
+        else ()
     with pytest.raises(NonFiniteError):
-        certify(inst, plan=SamplePlan(seed=7, n_pairs=16))
+        certify(inst, *claimed, plan=SamplePlan(seed=7, n_pairs=16))
 
 
 class _MapFault(Exception):

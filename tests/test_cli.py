@@ -166,6 +166,17 @@ def test_verify_human_format(capsys):
     assert code == EXIT_OK
     assert "certificate bundle" in out
     assert "overall: ok" in out
+    # a failed certificate is followed by its witness
+    code, out, _ = run(capsys, "verify", "--instance", "example_3_3",
+                       "--format", "human")
+    assert code == EXIT_VERIFY_FAILED
+    lines = out.splitlines()
+    at = next(i for i, line in enumerate(lines)
+              if "surjective_H_plus_rhoM" in line)
+    assert "fail" in lines[at].split()
+    assert lines[at + 1].startswith(
+        '    witness: {"defect": "zero linear part: image is a single point"')
+    assert lines[-1] == "overall: FAILED"
 
 
 def test_trace_export_writes_versioned_csv(capsys, tmp_path):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -370,16 +370,25 @@ def test_instance_json_round_trip():
 @pytest.mark.parametrize("name", builtin_names())
 @settings(max_examples=15, deadline=None)
 @given(log_c=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
-       number=st.sampled_from([float, np.float32, np.float64]))
+       number=st.sampled_from([float, np.float32, np.float64]),
+       grid_s=st.booleans())
+@example(log_c=0.0, number=float, grid_s=True)
 def test_an_instance_file_certifies_as_its_instance_to_the_byte(name, log_c,
-                                                                number):
+                                                                number,
+                                                                grid_s):
     # a built-in with its maps and F times c, its constants and rho given
-    # as `number`s, written to JSON and read back; the rules store Python
-    # floats, so the instance serializes and its copy is the same problem
+    # as `number`s, and with `grid_s` S a nearest-node map, written to
+    # JSON and read back; the rules store Python floats, so the instance
+    # serializes and its copy is the same problem
     inst = variant(get_instance(name).instance, 10.0 ** log_c)
     inst = inst.with_(rho=number(inst.rho), constants=Constants(**{
         n: number(v) for n, v in inst.constants.asdict().items()
         if v is not None}))
+    if grid_s:
+        rng = np.random.default_rng(inst.dim)
+        inst = inst.with_(S=NearestNodeSetMap(
+            rng.standard_normal((3, inst.dim)),
+            [rng.standard_normal((2, inst.dim)) for _ in range(3)]))
     back = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
     plan = SamplePlan(seed=5, n_pairs=16)
     assert (certify_instance(back, plan).to_json()

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vincl.certify import (
+    _PLAN_SCALE,
     InsufficientEvidenceError,
     SamplePlan,
     certify_expansive,
@@ -49,9 +50,9 @@ def reference_triples(plan, dim):
             out.append((lat[i], lat[i + 1], lat[(i + 2) % len(lat)]))
     rng = np.random.default_rng(plan.seed)
     for _ in range(plan.n_pairs):
-        x = plan.scale * rng.standard_normal(dim)
-        y = plan.scale * rng.standard_normal(dim)
-        u = plan.scale * rng.standard_normal(dim)
+        x = _PLAN_SCALE * rng.standard_normal(dim)
+        y = _PLAN_SCALE * rng.standard_normal(dim)
+        u = _PLAN_SCALE * rng.standard_normal(dim)
         out.append((x, y, u))
     return out
 
@@ -143,7 +144,7 @@ def assert_same(cert, ref):
 @pytest.mark.parametrize("dim", [1, 2, 7, 50])
 @pytest.mark.parametrize("lattice", [True, False])
 def test_plan_arrays_bit_identical_to_per_pair_draws(dim, lattice):
-    plan = SamplePlan(seed=11, n_pairs=40, scale=2.5, include_lattice=lattice)
+    plan = SamplePlan(seed=11, n_pairs=40, include_lattice=lattice)
     x, y, u = plan.arrays(dim)
     ref = reference_triples(plan, dim)
     assert x.shape == y.shape == u.shape == (len(ref), dim)
@@ -160,7 +161,6 @@ def test_empty_plan_raises():
 
 @pytest.mark.parametrize("fields", [
     {"seed": -3}, {"seed": 1.5}, {"n_pairs": -5}, {"n_pairs": 2.0},
-    {"scale": 0.0}, {"scale": -1.0}, {"scale": np.inf}, {"scale": np.nan},
 ], ids=repr)
 def test_sample_plan_refuses_a_bad_field(fields):
     # a negative count or seed reached numpy, which raised ValueError at
@@ -170,9 +170,9 @@ def test_sample_plan_refuses_a_bad_field(fields):
         SamplePlan(**fields)
 
 
-def test_sample_plan_takes_numpy_integers_and_an_integer_scale():
-    plan = SamplePlan(seed=np.int64(3), n_pairs=np.int32(2), scale=1)
-    assert (plan.seed, plan.n_pairs, plan.scale) == (3, 2, 1)
+def test_sample_plan_takes_numpy_integers():
+    plan = SamplePlan(seed=np.int64(3), n_pairs=np.int32(2))
+    assert (plan.seed, plan.n_pairs) == (3, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ def test_false_claims_fail_at_every_scale(dim, kind, rho_grid):
     for c in SCALES:
         wrong = variant(inst, c, alpha=2.0, beta1=0.5, **kind)
         assert certify_m_slot_accretive(
-            wrong, "f", plan=PLAN).verdict == "fail", c
+            wrong, "f", wrong.constants.alpha, PLAN).verdict == "fail", c
         assert certify_lipschitz(wrong.B, wrong.constants.beta1, PLAN,
                                  wrong.dim).verdict == "fail", c
 

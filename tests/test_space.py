@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from test_scale_invariance import variant
 from vincl.certify import (SamplePlan, certify_expansive, certify_instance,
-                           certify_lipschitz, certify_mixed_lipschitz)
+                           certify_lipschitz, certify_mixed_lipschitz,
+                           certify_strong_accretive)
 from vincl.instances import example_4_7
 from vincl.operators import AffineMap, Constants
-from vincl.resolvent import ResolventConfig
-from vincl.solver import GeometricErrors, SolverConfig
+from vincl.resolvent import ResolventConfig, forward
+from vincl.solver import (GeometricErrors, SolverConfig,
+                          contraction_factor_bound, theta)
 from vincl.space import (
     ConfigError,
     DimensionMismatchError,
@@ -173,10 +175,8 @@ _SITES = {
     "SpaceConfig.c_q": ("positive", lambda v: SpaceConfig(dim=2, c_q=v)),
     "SamplePlan.seed": ("count 0", lambda v: SamplePlan(seed=v)),
     "SamplePlan.n_pairs": ("count 0", lambda v: SamplePlan(n_pairs=v)),
-    "SamplePlan.scale": ("positive", lambda v: SamplePlan(scale=v)),
     "ResolventConfig.rho": ("positive", lambda v: ResolventConfig(rho=v)),
-    "ResolventConfig.max_inner_iters": (
-        "count 1", lambda v: ResolventConfig(rho=1.0, max_inner_iters=v)),
+    "forward.rho": ("positive", lambda v: forward(_INSTANCE, [1.0, 0.0], v)),
     "SolverConfig.tol": ("positive", lambda v: SolverConfig([1.0], tol=v)),
     "SolverConfig.max_iters": (
         "count 1", lambda v: SolverConfig([1.0], max_iters=v)),
@@ -192,6 +192,14 @@ _SITES = {
         "positive", lambda v: certify_expansive(AffineMap.identity(2), v)),
     "certify_mixed_lipschitz.claimed": (
         "real", lambda v: certify_mixed_lipschitz(_INSTANCE, v)),
+    "certify_strong_accretive.q": (
+        "q", lambda v: certify_strong_accretive(AffineMap.identity(2), 0.5,
+                                                q=v)),
+    "certify_lipschitz.dim": ("count 1", lambda v: certify_lipschitz(
+        lambda x: x, 1.0, SamplePlan(n_pairs=4), dim=v)),
+    "theta.n": ("count 1", lambda v: theta(_INSTANCE, n=v)),
+    "contraction_factor_bound.n": (
+        "count 1", lambda v: contraction_factor_bound(_INSTANCE, n=v)),
     **{f"Constants.{f.name}": ("real", lambda v, name=f.name: Constants(
         **{name: v})) for f in dataclasses.fields(Constants)},
 }
@@ -232,7 +240,12 @@ _VALUES = [math.nan, math.inf, -math.inf, 0, -1, 2.5, True, "1",
 @example(site="ResolventConfig.rho", value="1")
 @example(site="SpaceConfig.c_q", value="1")
 @example(site="SolverConfig.max_iters", value=2.5)
-@example(site="ResolventConfig.max_inner_iters", value=2.5)
+@example(site="theta.n", value=0)
+@example(site="theta.n", value="3")
+@example(site="certify_strong_accretive.q", value=math.nan)
+@example(site="certify_strong_accretive.q", value="x")
+@example(site="forward.rho", value=-1.0)
+@example(site="certify_lipschitz.dim", value=2.5)
 @example(site="SpaceConfig.dim", value=2.5)
 @example(site="SpaceConfig.q", value=math.inf)
 @example(site="SpaceConfig.c_q", value=math.inf)
@@ -260,10 +273,9 @@ def test_records_hold_python_numbers_given_numpy_scalars():
     records = [
         (SpaceConfig(dim=np.int32(2), q=np.float32(2.5), c_q=f32),
          {"dim": 2, "q": 2.5, "c_q": 0.5}),
-        (SamplePlan(seed=i64, n_pairs=np.int32(8), scale=np.int16(2)),
-         {"seed": 3, "n_pairs": 8, "scale": 2.0}),
-        (ResolventConfig(rho=f32, max_inner_iters=i64),
-         {"rho": 0.5, "max_inner_iters": 3}),
+        (SamplePlan(seed=i64, n_pairs=np.int32(8)),
+         {"seed": 3, "n_pairs": 8}),
+        (ResolventConfig(rho=f32), {"rho": 0.5}),
         (SolverConfig([1.0], rho=f32, max_iters=i64, tol=np.float16(0.25)),
          {"rho": 0.5, "max_iters": 3, "tol": 0.25}),
         (GeometricErrors(c0=f32, factor=f32, direction=[1.0]),

@@ -99,7 +99,8 @@ def test_slot_certificates_sample_without_a_plan():
     # the difference coupling with a black-box f takes the default plan,
     # as every other multi-map certificate does
     inst = _with_opaque_f()
-    assert certify_m_slot_accretive(inst, "f").verdict == "estimated"
+    assert certify_m_slot_accretive(
+        inst, "f", inst.constants.alpha).verdict == "estimated"
     assert certify_generalized_mixed_accretive(inst).verdict == "estimated"
 
 
